@@ -42,7 +42,7 @@ pub use artifacts::Artifacts;
 pub use diag::{Diagnostic, LintCode, Report, Severity, SourceLoc, Stage};
 pub use equiv_lints::{equiv_diagnostic, DynamicOraclePass};
 pub use joint_lints::{JointClaim, JointPass};
-pub use normal_lints::{canonical_semantics_diags, NormalFormPass};
+pub use normal_lints::{canonical_semantics_diags, normal_form_audit, NormalFormPass};
 pub use passes::{analyze, Analyzer, LintPass};
 pub use sched_lints::{check_expansion, schedule_diag};
 

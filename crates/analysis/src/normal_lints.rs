@@ -12,18 +12,22 @@
 //!   through the witness renaming. Trip-count proportional, so like the
 //!   dynamic oracle it is opt-in: the driver's `simulate` path and
 //!   `vliw-lint --canon` call [`canonical_semantics_diags`] explicitly.
+//!
+//! `NRM001` and `NRM002` are one audit, [`normal_form_audit`], shared by
+//! [`NormalFormPass`] and `vliw-lint --canon` (which passes its own seeds).
 
 use crate::artifacts::Artifacts;
 use crate::diag::{Diagnostic, LintCode, Report, SourceLoc, Stage};
 use vliw_ir::Loop;
-use vliw_normal::{
-    alpha_equivalent, canonicalize, check_witness, perturb, structural_hash, variant,
-};
+use vliw_normal::{canonicalize, check_witness, perturb, structural_hash, variant, Canonical};
 
 /// Seeds for the `NRM002` variant probe. Kept tiny: the pass runs inside
 /// every first-stage gate, so this is a smoke of the engine's invariants,
 /// not the corpus-scale acceptance test.
 const VARIANT_SEEDS: [u64; 2] = [1, 97];
+
+/// Seed for the `NRM002` perturbation probe.
+const PERTURB_SEED: u64 = 5;
 
 /// Static canonicalization self-checks, registered in the default
 /// [`Analyzer`](crate::passes::Analyzer) registry. Runs only at the first
@@ -45,80 +49,98 @@ impl crate::passes::LintPass for NormalFormPass {
         if vliw_ir::verify_loop(ctx.body).is_err() {
             return;
         }
-        let c = canonicalize(ctx.body);
+        let (_, diags) = normal_form_audit(ctx.body, &VARIANT_SEEDS, PERTURB_SEED);
+        report.diags.extend(diags);
+    }
+}
 
-        // NRM001: idempotence, body and hash.
-        let again = canonicalize(&c.body);
-        if again.body != c.body || again.hash != c.hash {
-            report.push(Diagnostic::new(
-                LintCode::Nrm001,
-                Stage::Normal,
-                SourceLoc::default(),
+/// The `NRM001`/`NRM002` audit of one well-formed loop: the normal form
+/// must be a fixed point of canonicalization, each seeded isomorphic
+/// variant must keep the hash and yield a witness that [`check_witness`]
+/// accepts, and the seeded perturbation must change the hash.
+///
+/// Canonicalizes five times for two variant seeds: the body, its normal
+/// form, each variant once (hash and witness both come from that one
+/// [`Canonical`]) and the perturbation. Returns the body's normal form,
+/// for callers that group loops by hash, together with the findings.
+pub fn normal_form_audit(
+    body: &Loop,
+    variant_seeds: &[u64],
+    perturb_seed: u64,
+) -> (Canonical, Vec<Diagnostic>) {
+    let mut diags = Vec::new();
+    let mut push = |code: LintCode, msg: String| {
+        diags.push(Diagnostic::new(
+            code,
+            Stage::Normal,
+            SourceLoc::default(),
+            msg,
+        ))
+    };
+    let c = canonicalize(body);
+
+    // NRM001: idempotence, body and hash.
+    let again = canonicalize(&c.body);
+    if again.body != c.body || again.hash != c.hash {
+        push(
+            LintCode::Nrm001,
+            format!(
+                "canonicalization is not idempotent: re-canonicalizing the normal form \
+                 gives hash {} (expected {})",
+                again.hash.hex(),
+                c.hash.hex()
+            ),
+        );
+    }
+
+    // NRM002: hash/equivalence agreement on isomorphic variants and on a
+    // genuine perturbation.
+    for &seed in variant_seeds {
+        let v = variant(body, seed);
+        let cv = canonicalize(&v);
+        if cv.hash != c.hash {
+            push(
+                LintCode::Nrm002,
                 format!(
-                    "canonicalization is not idempotent: re-canonicalizing the normal form \
-                     gives hash {} (expected {})",
-                    again.hash.hex(),
+                    "isomorphic variant (seed {seed}) hashes to {} instead of {}",
+                    cv.hash.hex(),
                     c.hash.hex()
                 ),
-            ));
+            );
+            continue;
         }
-
-        // NRM002: hash/equivalence agreement on isomorphic variants and on
-        // a genuine perturbation.
-        for seed in VARIANT_SEEDS {
-            let v = variant(ctx.body, seed);
-            let vh = structural_hash(&v);
-            if vh != c.hash {
-                report.push(Diagnostic::new(
-                    LintCode::Nrm002,
-                    Stage::Normal,
-                    SourceLoc::default(),
-                    format!(
-                        "isomorphic variant (seed {seed}) hashes to {} instead of {}",
-                        vh.hex(),
-                        c.hash.hex()
-                    ),
-                ));
-                continue;
-            }
-            match alpha_equivalent(ctx.body, &v) {
-                None => report.push(Diagnostic::new(
-                    LintCode::Nrm002,
-                    Stage::Normal,
-                    SourceLoc::default(),
-                    format!(
-                        "variant (seed {seed}) shares hash {} but the equivalence checker \
-                         finds no witness",
-                        c.hash.hex()
-                    ),
-                )),
-                Some(w) => {
-                    if let Err(e) = check_witness(ctx.body, &v, &w) {
-                        report.push(Diagnostic::new(
-                            LintCode::Nrm002,
-                            Stage::Normal,
-                            SourceLoc::default(),
-                            format!("variant (seed {seed}) witness fails verification: {e}"),
-                        ));
-                    }
+        match c.equivalence(&cv) {
+            None => push(
+                LintCode::Nrm002,
+                format!(
+                    "variant (seed {seed}) shares hash {} but the equivalence checker \
+                     finds no witness",
+                    c.hash.hex()
+                ),
+            ),
+            Some(w) => {
+                if let Err(e) = check_witness(body, &v, &w) {
+                    push(
+                        LintCode::Nrm002,
+                        format!("variant (seed {seed}) witness fails verification: {e}"),
+                    );
                 }
             }
         }
-        if let Some(p) = perturb(ctx.body, 5) {
-            if structural_hash(&p) == c.hash {
-                report.push(Diagnostic::new(
-                    LintCode::Nrm002,
-                    Stage::Normal,
-                    SourceLoc::default(),
-                    format!(
-                        "perturbed loop still hashes to {} — the hash is blind to a \
-                         semantic change",
-                        c.hash.hex()
-                    ),
-                ));
-            }
+    }
+    if let Some(p) = perturb(body, perturb_seed) {
+        if structural_hash(&p) == c.hash {
+            push(
+                LintCode::Nrm002,
+                format!(
+                    "perturbed loop still hashes to {} — the hash is blind to a \
+                     semantic change",
+                    c.hash.hex()
+                ),
+            );
         }
     }
+    (c, diags)
 }
 
 /// `NRM003`: run the scalar reference over `body` and its canonical form

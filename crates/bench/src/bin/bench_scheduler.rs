@@ -15,6 +15,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
+use vliw_analysis::{Artifacts, LintPass, NormalFormPass, Report};
 use vliw_bench::{full_corpus, rep_ilp_loop, rep_recurrence_loop};
 use vliw_core::{
     assign_banks_caps, build_rcg, insert_copies, score_config, score_config_ctx, LoopContext,
@@ -210,6 +211,24 @@ fn stage_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
     }
     let clustered_sched_ms = t0.elapsed().as_secs_f64() * 1e3;
 
+    // The first lint gate's alpha-normal-form audit (NRM001/NRM002), which
+    // every compile pays, next to the bare canonicalization it repeats.
+    let t0 = Instant::now();
+    for l in corpus {
+        black_box(vliw_normal::canonicalize(l));
+    }
+    let canonicalize_ms = t0.elapsed().as_secs_f64() * 1e3;
+
+    let t0 = Instant::now();
+    let mut audit_diags = 0usize;
+    for l in corpus {
+        let mut report = Report::default();
+        NormalFormPass.run(&Artifacts::new(l, machine, &cfg), &mut report);
+        audit_diags += report.diags.len();
+    }
+    let normal_audit_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(audit_diags, 0, "the corpus audits clean");
+
     j.open("stages");
     j.int("corpus_loops", corpus.len() as u64);
     j.num("build_ddg_ms", build_ddg_ms);
@@ -217,6 +236,8 @@ fn stage_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
     j.num("partition_ms", partition_ms);
     j.num("insert_copies_ms", copies_ms);
     j.num("clustered_schedule_ms", clustered_sched_ms);
+    j.num("canonicalize_ms", canonicalize_ms);
+    j.num("normal_audit_ms", normal_audit_ms);
     j.int("total_clustered_ii", total_ii);
     j.close();
 }

@@ -43,7 +43,8 @@
 //! positive, since [`alpha_equivalent`] compares whole normal forms.
 
 use crate::hash::{Hasher128, StructuralHash};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use vliw_ir::{AluKind, ArrayInfo, InitVal, Loop, OpId, Opcode, Operation, VReg};
 
 /// Name given to every canonical loop body (the original name lives in the
@@ -206,23 +207,31 @@ pub(crate) fn resolve_flows(l: &Loop) -> Vec<Vec<Flow>> {
         .collect()
 }
 
-/// Map each colour to its rank among the distinct colours present. Ranks
-/// are isomorphism-invariant: isomorphic loops produce the same colour
-/// multiset, hence the same sorted order.
-fn ranks(colors: &[u64]) -> (Vec<u64>, usize) {
-    let mut distinct: Vec<u64> = colors.to_vec();
+/// Write into `out` each colour's rank among the distinct colours present,
+/// using `distinct` as scratch; returns the number of distinct colours.
+/// Ranks are isomorphism-invariant: isomorphic loops produce the same
+/// colour multiset, hence the same sorted order.
+fn ranks_into(colors: &[u64], distinct: &mut Vec<u64>, out: &mut Vec<u64>) -> usize {
+    distinct.clear();
+    distinct.extend_from_slice(colors);
     distinct.sort_unstable();
     distinct.dedup();
-    let index: BTreeMap<u64, u64> = distinct
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (c, i as u64))
-        .collect();
-    (colors.iter().map(|c| index[c]).collect(), distinct.len())
+    out.clear();
+    out.extend(colors.iter().map(|c| {
+        distinct
+            .binary_search(c)
+            .expect("every colour is among the distinct colours") as u64
+    }));
+    distinct.len()
 }
 
 /// Colour refinement until the (op ∪ reg) partition stops splitting.
 /// Returns final op and reg colour ranks.
+///
+/// Everything that does not change between rounds — each register's
+/// initial-value word and its (op, role) touch list — is computed once,
+/// and each round reuses the same scratch buffers, so a round allocates
+/// nothing.
 fn refine(
     l: &Loop,
     preds: &[Vec<usize>],
@@ -231,6 +240,20 @@ fn refine(
 ) -> (Vec<u64>, Vec<u64>) {
     let n_ops = l.ops.len();
     let n_regs = l.n_vregs();
+    let init: Vec<u64> = (0..n_regs).map(|v| init_word(l, VReg(v as u32))).collect();
+    let commutative: Vec<bool> = l.ops.iter().map(is_commutative).collect();
+
+    // Per register: the ops touching it, with the role each plays.
+    let mut touches: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n_regs];
+    for (i, op) in l.ops.iter().enumerate() {
+        if let Some(d) = op.def {
+            touches[d.index()].push((i, 41));
+        }
+        for (s, &v) in op.uses.iter().enumerate() {
+            let role = if commutative[i] { 42 } else { 43 + s as u64 };
+            touches[v.index()].push((i, role));
+        }
+    }
 
     let mut op_c: Vec<u64> = l
         .ops
@@ -260,118 +283,121 @@ fn refine(
         .collect();
     let mut reg_c: Vec<u64> = (0..n_regs)
         .map(|v| {
-            let v = VReg(v as u32);
+            let r = VReg(v as u32);
             Hasher128::combine(&[
                 12,
-                l.class_of(v) as u64,
-                init_word(l, v),
-                l.live_out.contains(&v) as u64,
+                l.class_of(r) as u64,
+                init[v],
+                l.live_out.contains(&r) as u64,
             ])
         })
         .collect();
 
+    let mut op_r: Vec<u64> = Vec::with_capacity(n_ops);
+    let mut reg_r: Vec<u64> = Vec::with_capacity(n_regs);
+    let mut op_next: Vec<u64> = Vec::with_capacity(n_ops);
+    let mut reg_next: Vec<u64> = Vec::with_capacity(n_regs);
+    let mut distinct: Vec<u64> = Vec::new();
+    let mut ws: Vec<u64> = Vec::new();
+    let mut ns: Vec<u64> = Vec::new();
     let mut prev_count = 0usize;
     for _ in 0..(n_ops + n_regs + 2) {
-        let (op_r, n1) = ranks(&op_c);
-        let (reg_r, n2) = ranks(&reg_c);
+        let n1 = ranks_into(&op_c, &mut distinct, &mut op_r);
+        let n2 = ranks_into(&reg_c, &mut distinct, &mut reg_r);
         if n1 + n2 == prev_count {
             return (op_r, reg_r);
         }
         prev_count = n1 + n2;
 
-        let use_sig = |i: usize, s: usize, v: VReg| -> u64 {
-            match flows[i][s] {
-                Flow::Def { src, dist } => Hasher128::combine(&[
-                    21,
-                    op_r[src],
-                    dist as u64,
-                    if dist == 1 { init_word(l, v) } else { 0 },
-                    reg_r[v.index()],
-                ]),
-                Flow::LiveIn => Hasher128::combine(&[22, init_word(l, v), reg_r[v.index()]]),
-            }
-        };
-
-        let op_next: Vec<u64> = l
-            .ops
-            .iter()
-            .enumerate()
-            .map(|(i, op)| {
-                let mut ws = vec![31, op_r[i]];
-                ws.push(op.def.map(|d| 1 + reg_r[d.index()]).unwrap_or(0));
-                let mut sigs: Vec<u64> = op
-                    .uses
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &v)| use_sig(i, s, v))
-                    .collect();
-                if is_commutative(op) {
-                    sigs.sort_unstable();
-                }
-                ws.extend(sigs);
-                for group in [&preds[i], &succs[i]] {
-                    let mut ns: Vec<u64> = group.iter().map(|&k| op_r[k]).collect();
-                    ns.sort_unstable();
-                    ws.push(Hasher128::combine(&ns));
-                }
-                Hasher128::combine(&ws)
-            })
-            .collect();
-
-        let mut touches: Vec<Vec<u64>> = vec![Vec::new(); n_regs];
+        op_next.clear();
         for (i, op) in l.ops.iter().enumerate() {
-            if let Some(d) = op.def {
-                touches[d.index()].push(Hasher128::combine(&[41, op_r[i]]));
-            }
-            let commutative = is_commutative(op);
+            ws.clear();
+            ws.push(31);
+            ws.push(op_r[i]);
+            ws.push(op.def.map(|d| 1 + reg_r[d.index()]).unwrap_or(0));
+            let sigs_at = ws.len();
             for (s, &v) in op.uses.iter().enumerate() {
-                let role = if commutative { 42 } else { 43 + s as u64 };
-                touches[v.index()].push(Hasher128::combine(&[role, op_r[i]]));
+                ws.push(match flows[i][s] {
+                    Flow::Def { src, dist } => Hasher128::combine(&[
+                        21,
+                        op_r[src],
+                        dist as u64,
+                        if dist == 1 { init[v.index()] } else { 0 },
+                        reg_r[v.index()],
+                    ]),
+                    Flow::LiveIn => Hasher128::combine(&[22, init[v.index()], reg_r[v.index()]]),
+                });
             }
+            if commutative[i] {
+                ws[sigs_at..].sort_unstable();
+            }
+            for group in [&preds[i], &succs[i]] {
+                ns.clear();
+                ns.extend(group.iter().map(|&k| op_r[k]));
+                ns.sort_unstable();
+                ws.push(Hasher128::combine(&ns));
+            }
+            op_next.push(Hasher128::combine(&ws));
         }
-        let reg_next: Vec<u64> = (0..n_regs)
-            .map(|v| {
-                let mut ts = std::mem::take(&mut touches[v]);
-                ts.sort_unstable();
-                ts.insert(0, reg_r[v]);
-                ts.insert(0, 51);
-                Hasher128::combine(&ts)
-            })
-            .collect();
 
-        op_c = op_next;
-        reg_c = reg_next;
+        reg_next.clear();
+        for (v, touch) in touches.iter().enumerate() {
+            ws.clear();
+            ws.push(51);
+            ws.push(reg_r[v]);
+            ws.extend(
+                touch
+                    .iter()
+                    .map(|&(i, role)| Hasher128::combine(&[role, op_r[i]])),
+            );
+            ws[2..].sort_unstable();
+            reg_next.push(Hasher128::combine(&ws));
+        }
+
+        std::mem::swap(&mut op_c, &mut op_next);
+        std::mem::swap(&mut reg_c, &mut reg_next);
     }
-    let (op_r, _) = ranks(&op_c);
-    let (reg_r, _) = ranks(&reg_c);
+    ranks_into(&op_c, &mut distinct, &mut op_r);
+    ranks_into(&reg_c, &mut distinct, &mut reg_r);
     (op_r, reg_r)
 }
 
 /// Greedy canonical topological order of the constraint graph. Returns the
 /// original index at each canonical position.
-fn canonical_order(l: &Loop, preds: &[Vec<usize>], op_rank: &[u64]) -> Vec<usize> {
-    let n = l.ops.len();
-    let mut remaining: Vec<bool> = vec![true; n];
+///
+/// An op's key `(rank, sorted predecessor positions, index)` is fixed the
+/// moment its last predecessor is placed, so ready ops wait in a min-heap
+/// keyed on it, fed by predecessor counts; popping the heap picks exactly
+/// the op a full scan of the ready set would.
+fn canonical_order(preds: &[Vec<usize>], succs: &[Vec<usize>], op_rank: &[u64]) -> Vec<usize> {
+    let n = preds.len();
     let mut pos: Vec<usize> = vec![usize::MAX; n];
+    let mut waiting: Vec<usize> = preds.iter().map(Vec::len).collect();
+    let key = |i: usize, pos: &[usize]| {
+        let mut pred_pos: Vec<usize> = preds[i].iter().map(|&p| pos[p]).collect();
+        pred_pos.sort_unstable();
+        Reverse((op_rank[i], pred_pos, i))
+    };
+    let mut ready: BinaryHeap<Reverse<(u64, Vec<usize>, usize)>> = (0..n)
+        .filter(|&i| waiting[i] == 0)
+        .map(|i| key(i, &pos))
+        .collect();
     let mut order = Vec::with_capacity(n);
-    while order.len() < n {
-        let mut best: Option<(u64, Vec<usize>, usize)> = None;
-        for i in 0..n {
-            if !remaining[i] || preds[i].iter().any(|&p| remaining[p]) {
-                continue;
-            }
-            let mut pred_pos: Vec<usize> = preds[i].iter().map(|&p| pos[p]).collect();
-            pred_pos.sort_unstable();
-            let key = (op_rank[i], pred_pos, i);
-            if best.as_ref().map(|b| key < *b).unwrap_or(true) {
-                best = Some(key);
-            }
-        }
-        let (_, _, i) = best.expect("constraint graph is acyclic (edges only run forward)");
-        remaining[i] = false;
+    while let Some(Reverse((_, _, i))) = ready.pop() {
         pos[i] = order.len();
         order.push(i);
+        for &s in &succs[i] {
+            waiting[s] -= 1;
+            if waiting[s] == 0 {
+                ready.push(key(s, &pos));
+            }
+        }
     }
+    assert_eq!(
+        order.len(),
+        n,
+        "constraint graph is acyclic (edges only run forward)"
+    );
     order
 }
 
@@ -472,7 +498,7 @@ pub fn canonicalize(l: &Loop) -> Canonical {
     let (preds, succs) = constraint_graph(l);
     let flows = resolve_flows(l);
     let (op_rank, reg_rank) = refine(l, &preds, &succs, &flows);
-    let order = canonical_order(l, &preds, &op_rank);
+    let order = canonical_order(&preds, &succs, &op_rank);
 
     let mut op_pos = vec![usize::MAX; l.ops.len()];
     for (p, &i) in order.iter().enumerate() {
@@ -604,34 +630,42 @@ pub fn structural_hash(l: &Loop) -> StructuralHash {
     canonicalize(l).hash
 }
 
-/// Decide alpha-equivalence of `a` and `b`; on success the witness maps
-/// `a`'s registers and ops onto `b`'s. Equality of normal forms is the
-/// decision procedure, so a `Some` answer is always sound.
-pub fn alpha_equivalent(a: &Loop, b: &Loop) -> Option<EquivWitness> {
-    let ca = canonicalize(a);
-    let cb = canonicalize(b);
-    if ca.body != cb.body {
-        return None;
+impl Canonical {
+    /// Decide alpha-equivalence of the loops behind two normal forms; on
+    /// success the witness maps `self`'s original registers and ops onto
+    /// `other`'s. Equality of normal forms is the decision procedure, so a
+    /// `Some` answer is always sound.
+    pub fn equivalence(&self, other: &Canonical) -> Option<EquivWitness> {
+        if self.body != other.body {
+            return None;
+        }
+        Some(EquivWitness {
+            vreg_map: self
+                .witness
+                .vreg_to_canon
+                .iter()
+                .map(|&c| other.witness.vreg_from_canon[c as usize])
+                .collect(),
+            op_map: self
+                .witness
+                .op_to_canon
+                .iter()
+                .map(|&p| other.witness.op_from_canon[p as usize])
+                .collect(),
+        })
     }
-    Some(EquivWitness {
-        vreg_map: ca
-            .witness
-            .vreg_to_canon
-            .iter()
-            .map(|&c| cb.witness.vreg_from_canon[c as usize])
-            .collect(),
-        op_map: ca
-            .witness
-            .op_to_canon
-            .iter()
-            .map(|&p| cb.witness.op_from_canon[p as usize])
-            .collect(),
-    })
+}
+
+/// Decide alpha-equivalence of `a` and `b`; on success the witness maps
+/// `a`'s registers and ops onto `b`'s. See [`Canonical::equivalence`].
+pub fn alpha_equivalent(a: &Loop, b: &Loop) -> Option<EquivWitness> {
+    canonicalize(a).equivalence(&canonicalize(b))
 }
 
 /// Validate an equivalence witness structurally: bijective maps that
-/// preserve classes, opcodes, immediates, memory metadata, operand wiring
-/// (up to commutative swap), liveness and initial values. Returns a
+/// preserve the array table, classes, opcodes, immediates, memory
+/// metadata, operand wiring (up to commutative swap), liveness, initial
+/// values and the relative order of every constrained op pair. Returns a
 /// human-readable reason on failure.
 pub fn check_witness(a: &Loop, b: &Loop, w: &EquivWitness) -> Result<(), String> {
     if a.n_vregs() != b.n_vregs() || a.ops.len() != b.ops.len() {
@@ -639,6 +673,16 @@ pub fn check_witness(a: &Loop, b: &Loop, w: &EquivWitness) -> Result<(), String>
     }
     if a.trip_count != b.trip_count || a.nesting_depth != b.nesting_depth {
         return Err("trip/nesting mismatch".into());
+    }
+    if a.arrays.len() != b.arrays.len() {
+        return Err("array count mismatch".into());
+    }
+    // Array order is semantic (memory is seeded by index), so the array map
+    // is the identity and only names may differ.
+    for (k, (x, y)) in a.arrays.iter().zip(&b.arrays).enumerate() {
+        if x.class != y.class || x.len != y.len {
+            return Err(format!("array a{k} class/length mismatch"));
+        }
     }
     if w.vreg_map.len() != a.n_vregs() || w.op_map.len() != a.ops.len() {
         return Err("witness arity mismatch".into());
@@ -690,6 +734,17 @@ pub fn check_witness(a: &Loop, b: &Loop, w: &EquivWitness) -> Result<(), String>
             && mapped[1] == ob.uses[0];
         if !matches_direct && !matches_swapped {
             return Err(format!("use wiring mismatch at op{i}"));
+        }
+    }
+    // Ops whose swap could change semantics must keep their relative order,
+    // or a use would read a different reaching def (or a cell a different
+    // store).
+    let (_, succs) = constraint_graph(a);
+    for (i, ss) in succs.iter().enumerate() {
+        if let Some(&j) = ss.iter().find(|&&j| w.op_map[i] > w.op_map[j]) {
+            return Err(format!(
+                "op map reverses the constrained pair op{i} → op{j}"
+            ));
         }
     }
     Ok(())
@@ -883,6 +938,70 @@ mod tests {
             b.finish(4)
         };
         assert_ne!(structural_hash(&build(0.0)), structural_hash(&build(1.0)));
+    }
+
+    /// `v = load x[i]; y = v + c` with live-out `y`.
+    fn load_then_add() -> Loop {
+        let mut b = LoopBuilder::new("ordered");
+        let x = b.array("x", RegClass::Float, 8);
+        let c = b.live_in_float_val("c", 1.5);
+        let v = b.load(x, 0, 1);
+        let y = b.fadd(v, c);
+        b.live_out(y);
+        b.finish(4)
+    }
+
+    fn identity_witness(l: &Loop, op_map: Vec<u32>) -> EquivWitness {
+        EquivWitness {
+            vreg_map: (0..l.n_vregs() as u32).collect(),
+            op_map,
+        }
+    }
+
+    #[test]
+    fn witness_that_reverses_a_dependence_is_rejected() {
+        let a = load_then_add();
+        // Same two ops swapped: the add now reads the previous iteration's
+        // load, so the loops compute different live-outs.
+        let mut b = a.clone();
+        b.ops.swap(0, 1);
+        for (p, op) in b.ops.iter_mut().enumerate() {
+            op.id = OpId(p as u32);
+        }
+        verify_loop(&b).expect("swapped body is still valid IR");
+        let (ra, rb) = (
+            vliw_sim::reference::run_reference(&a),
+            vliw_sim::reference::run_reference(&b),
+        );
+        assert!(!ra.live_out[0].bits_eq(rb.live_out[0]));
+        assert!(alpha_equivalent(&a, &b).is_none());
+
+        let err = check_witness(&a, &b, &identity_witness(&a, vec![1, 0]))
+            .expect_err("op map reverses the load → add dependence");
+        assert!(err.contains("reverses"), "{err}");
+    }
+
+    #[test]
+    fn witness_between_different_array_tables_is_rejected() {
+        let a = load_then_add();
+        let same = identity_witness(&a, vec![0, 1]);
+        check_witness(&a, &a, &same).expect("identity witness on itself");
+
+        let mut longer = a.clone();
+        longer.arrays[0].len += 8;
+        assert!(check_witness(&a, &longer, &same).is_err());
+
+        let mut int_array = a.clone();
+        int_array.arrays[0].class = RegClass::Int;
+        assert!(check_witness(&a, &int_array, &same).is_err());
+
+        let mut extra = a.clone();
+        extra.arrays.push(ArrayInfo {
+            name: "unused".into(),
+            class: RegClass::Float,
+            len: 8,
+        });
+        assert!(check_witness(&a, &extra, &same).is_err());
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   [`Witness`] renaming (both directions), and a Merkle-style
 //!   [`StructuralHash`] over the normal form.
 //! * [`alpha_equivalent`] — decide whether two loops are isomorphic (equal
-//!   normal forms) and return the witness mapping one onto the other.
+//!   normal forms) and return the witness mapping one onto the other;
+//!   [`Canonical::equivalence`] does the same for two normal forms already
+//!   computed.
 //! * [`variants`] — deterministic generators for renamed /
 //!   commutative-swapped / statement-permuted variants, used by the lint
 //!   passes, the proptest corpus, and `bench_serve`'s variant phase.

@@ -8,7 +8,7 @@
 //! the negative direction.
 
 use crate::canon::{constraint_graph, is_commutative};
-use vliw_ir::{InitVal, Loop, OpId, Opcode, VReg};
+use vliw_ir::{InitVal, Loop, OpId, Opcode, Operation, VReg};
 
 /// Small deterministic PRNG (xorshift64*), seeded per call site.
 pub(crate) struct Rng(u64);
@@ -43,38 +43,95 @@ fn shuffle<T>(items: &mut [T], rng: &mut Rng) {
     }
 }
 
-/// Apply a random permutation to the virtual-register numbering (classes,
-/// operands and liveness move with their registers) and shuffle the
-/// live-in/live-out list orders, which are presentational.
-pub fn rename_vregs(l: &Loop, seed: u64) -> Loop {
+/// [`shuffle`] two index-aligned slices with one permutation.
+fn shuffle_pairs<T, U>(a: &mut [T], b: &mut [U], rng: &mut Rng) {
+    for i in (1..a.len()).rev() {
+        let j = rng.below(i + 1);
+        a.swap(i, j);
+        b.swap(i, j);
+    }
+}
+
+fn rename_vregs_in_place(l: &mut Loop, seed: u64) {
     let mut rng = Rng::new(seed ^ 0x7265_6e61);
     let n = l.n_vregs();
     let mut perm: Vec<u32> = (0..n as u32).collect();
     shuffle(&mut perm, &mut rng);
     let map = |v: VReg| VReg(perm[v.index()]);
 
-    let mut out = l.clone();
-    out.vreg_classes = vec![vliw_ir::RegClass::Int; n];
+    let mut classes = vec![vliw_ir::RegClass::Int; n];
     for (orig, &new) in perm.iter().enumerate() {
-        out.vreg_classes[new as usize] = l.vreg_classes[orig];
+        classes[new as usize] = l.vreg_classes[orig];
     }
-    for op in &mut out.ops {
+    l.vreg_classes = classes;
+    for op in &mut l.ops {
         op.def = op.def.map(map);
         for u in &mut op.uses {
             *u = map(*u);
         }
     }
-    let mut live_in: Vec<(VReg, InitVal)> = l
-        .live_in
+    for v in l.live_in.iter_mut().chain(&mut l.live_out) {
+        *v = map(*v);
+    }
+    shuffle_pairs(&mut l.live_in, &mut l.live_in_vals, &mut rng);
+    shuffle(&mut l.live_out, &mut rng);
+}
+
+fn rename_arrays_in_place(l: &mut Loop, seed: u64) {
+    l.name = format!("variant_{seed:x}");
+    for (k, a) in l.arrays.iter_mut().enumerate() {
+        a.name = format!("arr{k}_{seed:x}");
+    }
+}
+
+fn swap_commutative_in_place(l: &mut Loop, seed: u64) {
+    let mut rng = Rng::new(seed ^ 0x7377_6170);
+    for op in &mut l.ops {
+        if is_commutative(op) && rng.flip() {
+            op.uses.swap(0, 1);
+        }
+    }
+}
+
+/// The ready list stays in ascending index order: the seeded draw picks by
+/// position in it, so its order is part of the output.
+fn permute_statements_in_place(l: &mut Loop, seed: u64) {
+    let mut rng = Rng::new(seed ^ 0x7065_726d);
+    let (preds, succs) = constraint_graph(l);
+    let n = l.ops.len();
+    let mut waiting: Vec<usize> = preds.iter().map(Vec::len).collect();
+    let mut ready: Vec<usize> = (0..n).filter(|&i| waiting[i] == 0).collect();
+    let mut order = Vec::with_capacity(n);
+    while !ready.is_empty() {
+        let pick = ready.remove(rng.below(ready.len()));
+        order.push(pick);
+        for &s in &succs[pick] {
+            waiting[s] -= 1;
+            if waiting[s] == 0 {
+                let at = ready.binary_search(&s).unwrap_err();
+                ready.insert(at, s);
+            }
+        }
+    }
+    let mut old: Vec<Option<Operation>> =
+        std::mem::take(&mut l.ops).into_iter().map(Some).collect();
+    l.ops = order
         .iter()
-        .zip(&l.live_in_vals)
-        .map(|(&v, &init)| (map(v), init))
+        .enumerate()
+        .map(|(p, &i)| {
+            let mut op = old[i].take().expect("each op is placed once");
+            op.id = OpId(p as u32);
+            op
+        })
         .collect();
-    shuffle(&mut live_in, &mut rng);
-    out.live_in = live_in.iter().map(|&(v, _)| v).collect();
-    out.live_in_vals = live_in.iter().map(|&(_, init)| init).collect();
-    out.live_out = l.live_out.iter().map(|&v| map(v)).collect();
-    shuffle(&mut out.live_out, &mut rng);
+}
+
+/// Apply a random permutation to the virtual-register numbering (classes,
+/// operands and liveness move with their registers) and shuffle the
+/// live-in/live-out list orders, which are presentational.
+pub fn rename_vregs(l: &Loop, seed: u64) -> Loop {
+    let mut out = l.clone();
+    rename_vregs_in_place(&mut out, seed);
     out
 }
 
@@ -82,22 +139,14 @@ pub fn rename_vregs(l: &Loop, seed: u64) -> Loop {
 /// untouched).
 pub fn rename_arrays(l: &Loop, seed: u64) -> Loop {
     let mut out = l.clone();
-    out.name = format!("variant_{seed:x}");
-    for (k, a) in out.arrays.iter_mut().enumerate() {
-        a.name = format!("arr{k}_{seed:x}");
-    }
+    rename_arrays_in_place(&mut out, seed);
     out
 }
 
 /// Swap the operands of each commutative operation with probability ½.
 pub fn swap_commutative(l: &Loop, seed: u64) -> Loop {
-    let mut rng = Rng::new(seed ^ 0x7377_6170);
     let mut out = l.clone();
-    for op in &mut out.ops {
-        if is_commutative(op) && rng.flip() {
-            op.uses.swap(0, 1);
-        }
-    }
+    swap_commutative_in_place(&mut out, seed);
     out
 }
 
@@ -105,39 +154,20 @@ pub fn swap_commutative(l: &Loop, seed: u64) -> Loop {
 /// order-constraint graph (dependence-respecting statement permutation),
 /// renumbering op ids densely.
 pub fn permute_statements(l: &Loop, seed: u64) -> Loop {
-    let mut rng = Rng::new(seed ^ 0x7065_726d);
-    let (preds, _) = constraint_graph(l);
-    let n = l.ops.len();
-    let mut remaining = vec![true; n];
-    let mut order = Vec::with_capacity(n);
-    while order.len() < n {
-        let ready: Vec<usize> = (0..n)
-            .filter(|&i| remaining[i] && preds[i].iter().all(|&p| !remaining[p]))
-            .collect();
-        let pick = ready[rng.below(ready.len())];
-        remaining[pick] = false;
-        order.push(pick);
-    }
     let mut out = l.clone();
-    out.ops = order
-        .iter()
-        .enumerate()
-        .map(|(p, &i)| {
-            let mut op = l.ops[i].clone();
-            op.id = OpId(p as u32);
-            op
-        })
-        .collect();
+    permute_statements_in_place(&mut out, seed);
     out
 }
 
 /// Compose every invisible transformation: rename registers and names,
-/// swap commutative operands, permute statements.
+/// swap commutative operands, permute statements — in place on one clone.
 pub fn variant(l: &Loop, seed: u64) -> Loop {
-    let renamed = rename_vregs(l, seed);
-    let renamed = rename_arrays(&renamed, seed);
-    let swapped = swap_commutative(&renamed, seed.wrapping_add(1));
-    permute_statements(&swapped, seed.wrapping_add(2))
+    let mut out = l.clone();
+    rename_vregs_in_place(&mut out, seed);
+    rename_arrays_in_place(&mut out, seed);
+    swap_commutative_in_place(&mut out, seed.wrapping_add(1));
+    permute_statements_in_place(&mut out, seed.wrapping_add(2));
+    out
 }
 
 /// A deliberately *non*-equivalent mutation of `l`, for negative tests:

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
-use vliw_ir::{verify_loop, Loop, VReg};
+use vliw_ir::{format_loop_full, verify_loop, Loop, VReg};
 use vliw_normal::{
     alpha_equivalent, canonicalize, check_witness, perturb, structural_hash, variant,
 };
@@ -24,6 +24,61 @@ use vliw_sim::reference::run_reference;
 
 fn corpus() -> Vec<Loop> {
     vliw_loopgen::corpus()
+}
+
+/// FNV-1a over a stream of byte strings, each terminated by a 0xff byte
+/// (which never occurs in UTF-8) so `"ab","c"` and `"a","bc"` differ.
+/// Independent of the crate's own hasher, so the pin below also catches a
+/// change to `Hasher128`.
+struct Fnv(u64);
+
+impl Fnv {
+    fn feed(&mut self, s: &str) {
+        for &b in s.as_bytes().iter().chain(&[0xff]) {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Golden pin of the normal form. Every byte the serve tier persists or
+/// keys on — canonical text, structural hash, witness — plus the variant
+/// and perturbation generators' output, over `corpus()` ∪
+/// `pressure_corpus()` ∪ `scaling_slice()`, folded into one digest.
+///
+/// A change that moves this digest changes semantic cache keys and the
+/// canonical-text alias entries stored on disk: it must bump
+/// `CACHE_FORMAT_VERSION` in `vliw-serve` in the same change and then
+/// re-pin the digest. Performance work on the canonicalizer must leave it
+/// untouched.
+#[test]
+fn normal_form_output_is_pinned() {
+    let loops: Vec<Loop> = corpus()
+        .into_iter()
+        .chain(vliw_loopgen::pressure_corpus())
+        .chain(vliw_loopgen::scaling_slice())
+        .collect();
+    let mut d = Fnv(0xcbf2_9ce4_8422_2325);
+    for l in &loops {
+        let c = canonicalize(l);
+        d.feed(&l.name);
+        d.feed(&c.hash.hex());
+        d.feed(&format_loop_full(&c.body));
+        d.feed(&format!("{:?}", c.witness));
+        for seed in [1u64, 97] {
+            d.feed(&format_loop_full(&variant(l, seed)));
+        }
+        match perturb(l, 5) {
+            Some(p) => d.feed(&structural_hash(&p).hex()),
+            None => d.feed("none"),
+        }
+    }
+    assert_eq!(loops.len(), 397, "pinned loop set changed size");
+    assert_eq!(
+        format!("{:016x}", d.0),
+        "ab3d8f9b297453d0",
+        "normal-form output drifted from the pin"
+    );
 }
 
 /// Reference-run `l` and its canonical form; compare memory directly

@@ -92,10 +92,8 @@ fn parse_args() -> Result<Options, String> {
 /// no machine model involved. Returns the number of Error-level findings.
 fn run_canon(opts: &Options) -> usize {
     use std::collections::BTreeMap;
-    use vliw_analysis::canonical_semantics_diags;
-    use vliw_normal::{
-        alpha_equivalent, canonicalize, check_witness, perturb, structural_hash, variant,
-    };
+    use vliw_analysis::{canonical_semantics_diags, normal_form_audit};
+    use vliw_normal::check_witness;
 
     let mut loops = Vec::new();
     for &family in &opts.families {
@@ -107,61 +105,35 @@ fn run_canon(opts: &Options) -> usize {
 
     let mut errors = Vec::new();
     let mut n_variant_checks = 0usize;
+    let mut canons = Vec::with_capacity(loops.len());
     let mut by_hash: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (idx, l) in loops.iter().enumerate() {
-        let c = canonicalize(l);
-        by_hash.entry(c.hash.hex()).or_default().push(idx);
-
-        let again = canonicalize(&c.body);
-        if again.body != c.body || again.hash != c.hash {
-            errors.push(format!(
-                "NRM001 {}: canonical form is not a fixed point",
-                l.name
-            ));
-        }
-        for seed in [3u64, 41, 271] {
-            n_variant_checks += 1;
-            let v = variant(l, seed.wrapping_add(idx as u64 * 7));
-            if structural_hash(&v) != c.hash {
-                errors.push(format!(
-                    "NRM002 {}: isomorphic variant (seed {seed}) changed the hash",
-                    l.name
-                ));
-            } else {
-                match alpha_equivalent(l, &v) {
-                    None => errors.push(format!(
-                        "NRM002 {}: variant shares the hash but no witness found",
-                        l.name
-                    )),
-                    Some(w) => {
-                        if let Err(e) = check_witness(l, &v, &w) {
-                            errors.push(format!("NRM002 {}: bad witness: {e}", l.name));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(p) = perturb(l, idx as u64) {
-            if structural_hash(&p) == c.hash {
-                errors.push(format!(
-                    "NRM002 {}: perturbed loop collides with its original",
-                    l.name
-                ));
-            }
-        }
-        for d in canonical_semantics_diags(l) {
+        let seeds = [3u64, 41, 271].map(|s| s.wrapping_add(idx as u64 * 7));
+        n_variant_checks += seeds.len();
+        let (c, diags) = normal_form_audit(l, &seeds, idx as u64);
+        for d in diags.iter().chain(&canonical_semantics_diags(l)) {
             errors.push(format!("{} [{}]", d.render_text(), l.name));
         }
+        by_hash.entry(c.hash.hex()).or_default().push(idx);
+        canons.push(c);
     }
     // Cross-class soundness: any same-hash pair must prove equivalence.
     for members in by_hash.values().filter(|v| v.len() > 1) {
         for w in members.windows(2) {
             let (a, b) = (&loops[w[0]], &loops[w[1]]);
-            if alpha_equivalent(a, b).is_none() {
-                errors.push(format!(
+            match canons[w[0]].equivalence(&canons[w[1]]) {
+                None => errors.push(format!(
                     "NRM002: hash collision between non-equivalent '{}' and '{}'",
                     a.name, b.name
-                ));
+                )),
+                Some(wit) => {
+                    if let Err(e) = check_witness(a, b, &wit) {
+                        errors.push(format!(
+                            "NRM002: bad witness for '{}' ≅ '{}': {e}",
+                            a.name, b.name
+                        ));
+                    }
+                }
             }
         }
     }
