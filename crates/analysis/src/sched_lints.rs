@@ -5,7 +5,6 @@
 
 use crate::artifacts::Artifacts;
 use crate::diag::{Diagnostic, LintCode, Report, SourceLoc, Stage};
-use std::collections::HashSet;
 use vliw_ir::Loop;
 use vliw_machine::MachineDesc;
 use vliw_sched::{expand, verify_schedule_all, FlatProgram, SchedProblem, Schedule, ScheduleError};
@@ -219,7 +218,9 @@ pub fn check_expansion(body: &Loop, s: &Schedule, flat: &FlatProgram, report: &m
             ),
         );
     }
-    let mut seen: HashSet<(u32, u32)> = HashSet::new();
+    // Seen (op, iteration) pairs, a dense bitmap indexed `op·trip + iter`:
+    // one bit per issue a correct expansion holds.
+    let mut seen = vec![0u64; want_issues.div_ceil(64)];
     for (cycle, issues) in flat.cycles.iter().enumerate() {
         for iss in issues {
             if iss.op.index() >= body.n_ops() || iss.iter >= trip {
@@ -247,7 +248,9 @@ pub fn check_expansion(body: &Loop, s: &Schedule, flat: &FlatProgram, report: &m
                     ),
                 );
             }
-            if !seen.insert((iss.op.0, iss.iter)) {
+            let bit = iss.op.index() * trip as usize + iss.iter as usize;
+            let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+            if seen[word] & mask != 0 {
                 push(
                     report,
                     SourceLoc::op(iss.op).at_cycle(cycle as i64),
@@ -258,6 +261,7 @@ pub fn check_expansion(body: &Loop, s: &Schedule, flat: &FlatProgram, report: &m
                     ),
                 );
             }
+            seen[word] |= mask;
         }
     }
 }

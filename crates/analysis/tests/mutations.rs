@@ -8,10 +8,11 @@ use vliw_core::{
     assign_banks_caps, build_rcg, insert_copies, round_robin_partition, PartitionConfig,
 };
 use vliw_ddg::{build_ddg, compute_slack, Ddg};
-use vliw_ir::{Loop, VReg};
+use vliw_ir::{Loop, OpId, VReg};
 use vliw_loopgen::Family;
 use vliw_machine::ClusterId;
 use vliw_machine::MachineDesc;
+use vliw_sched::expand::Issue;
 use vliw_sched::{expand, schedule_loop, ImsConfig, SchedProblem, Schedule};
 
 /// Everything the full §4 pipeline produces for one loop on one machine,
@@ -294,6 +295,61 @@ fn corrupted_expansion_fires_exp005() {
     let mut report = vliw_analysis::Report::new();
     vliw_analysis::check_expansion(&g.clustered_body, &g.sched, &flat, &mut report);
     assert!(!report.has_errors(), "{}", report.render_text());
+}
+
+/// A duplicated issue fires EXP005's "issued more than once", and an issue
+/// outside the loop's (op, iteration) domain is reported, not indexed:
+/// exactly these findings, in scan order, after the issue-count mismatch
+/// the two extra issues cause.
+#[test]
+fn duplicated_and_out_of_domain_issues_fire_exp005() {
+    let g = daxpy();
+    let body = &g.clustered_body;
+    let mut flat = expand(body, &g.sched);
+    let (cycle, dup) = flat
+        .cycles
+        .iter()
+        .enumerate()
+        .find_map(|(c, issues)| issues.first().map(|&i| (c, i)))
+        .expect("flat program has issues");
+    flat.cycles[cycle].push(dup);
+    let stray = Issue {
+        op: OpId(body.n_ops() as u32 + 3),
+        iter: body.trip_count + 5,
+    };
+    flat.cycles.last_mut().expect("non-empty").push(stray);
+    let mut report = vliw_analysis::Report::new();
+    vliw_analysis::check_expansion(body, &g.sched, &flat, &mut report);
+    let found: Vec<&str> = report
+        .with_code(LintCode::Exp005)
+        .iter()
+        .map(|d| d.message.as_str())
+        .collect();
+    let want_issues = body.trip_count as usize * body.n_ops();
+    assert_eq!(
+        found,
+        [
+            format!(
+                "{} issue(s) in the flat program; {} iteration(s) of {} op(s) requires {want_issues}",
+                want_issues + 2,
+                body.trip_count,
+                body.n_ops()
+            ),
+            format!(
+                "op{} of iteration {} issued more than once",
+                dup.op.index(),
+                dup.iter
+            ),
+            format!(
+                "issue (op{}, iteration {}) is outside the loop's domain",
+                stray.op.index(),
+                stray.iter
+            ),
+        ],
+        "{}",
+        report.render_text()
+    );
+    assert_eq!(found.len(), report.diags.len(), "{}", report.render_text());
 }
 
 /// A dangling operand (register index past the register file) is the

@@ -242,16 +242,22 @@ fn stage_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
     j.close();
 }
 
-fn exact_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
-    // The branch-and-bound partitioner over the gap experiment's slice
-    // (loops with ≤ 12 virtual registers), seeded with the greedy
-    // partition it has to beat. Node-expansion counts are the solver's
-    // work metric: they move when the bound, the symmetry breaking or the
-    // dominance rule regresses, independent of machine speed.
+/// Effort totals of one sweep of exact solves.
+#[derive(Default)]
+struct ExactTotals {
+    solve_ms: f64,
+    n_optimal: u64,
+    nodes: u64,
+    pruned: u64,
+    dominance: u64,
+}
+
+/// Unbudgeted exact solves of `loops` on `machine`, each seeded with the
+/// greedy partition it has to beat. Only the solves are timed.
+fn exact_sweep(loops: &[&Loop], machine: &MachineDesc) -> ExactTotals {
     let cfg = PartitionConfig::default();
     let caps: Vec<usize> = machine.clusters.iter().map(|c| c.n_fus).collect();
-    let small: Vec<&Loop> = corpus.iter().filter(|l| l.n_vregs() <= 12).collect();
-    let inputs: Vec<_> = small
+    let inputs: Vec<_> = loops
         .iter()
         .map(|l| {
             let ctx = LoopContext::new(l, machine);
@@ -260,40 +266,57 @@ fn exact_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
             (g, seed)
         })
         .collect();
+    let ecfg = vliw_exact::ExactConfig::default();
+    let mut t = ExactTotals::default();
+    let t0 = Instant::now();
+    for (g, seed) in &inputs {
+        let r = vliw_exact::solve(g, machine.n_clusters(), Some(seed), &ecfg);
+        t.nodes += r.stats.nodes_expanded;
+        t.pruned += r.stats.pruned_bound;
+        t.dominance += r.stats.dominance_assigns;
+        t.n_optimal += r.optimal as u64;
+        black_box(r.cost);
+    }
+    t.solve_ms = t0.elapsed().as_secs_f64() * 1e3;
+    t
+}
 
-    let solve_all = |parallel: bool| {
-        let ecfg = vliw_exact::ExactConfig {
-            parallel,
-            ..Default::default()
-        };
-        let mut nodes = 0u64;
-        let mut pruned = 0u64;
-        let mut dominance = 0u64;
-        let mut n_optimal = 0u64;
-        let t0 = Instant::now();
-        for (g, seed) in &inputs {
-            let r = vliw_exact::solve(g, machine.n_clusters(), Some(seed), &ecfg);
-            nodes += r.stats.nodes_expanded;
-            pruned += r.stats.pruned_bound;
-            dominance += r.stats.dominance_assigns;
-            n_optimal += r.optimal as u64;
-            black_box(r.cost);
-        }
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        (ms, nodes, pruned, dominance, n_optimal)
-    };
+fn exact_totals(j: &mut Json, t: &ExactTotals) {
+    j.int("n_optimal", t.n_optimal);
+    j.num("solve_ms", t.solve_ms);
+    j.int("nodes_expanded", t.nodes);
+    j.int("pruned_bound", t.pruned);
+    j.int("dominance_assigns", t.dominance);
+}
 
-    let (seq_ms, nodes, pruned, dominance, n_optimal) = solve_all(false);
-    let (par_ms, ..) = solve_all(true);
-
+fn exact_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
+    // The branch-and-bound partitioner over the gap experiment's slice
+    // (loops with ≤ 12 virtual registers). Node-expansion counts are the
+    // solver's work metric: they move when the bound, the symmetry
+    // breaking or the dominance rule regresses, independent of machine
+    // speed.
+    let small: Vec<&Loop> = corpus.iter().filter(|l| l.n_vregs() <= 12).collect();
+    let t = exact_sweep(&small, machine);
     j.open("exact_partitioner");
     j.int("small_loops", small.len() as u64);
-    j.int("n_optimal", n_optimal);
-    j.num("solve_sequential_ms", seq_ms);
-    j.num("solve_parallel_ms", par_ms);
-    j.int("nodes_expanded", nodes);
-    j.int("pruned_bound", pruned);
-    j.int("dominance_assigns", dominance);
+    exact_totals(j, &t);
+    j.close();
+}
+
+fn exact_heavy_section(j: &mut Json) {
+    // The solves that cost: the 13–24-vreg scaling slice, where one
+    // 24-vreg loop on 4×4 expands ~476k nodes. The ≤12-vreg slice above
+    // expands ~20k nodes in all, too few to time the per-node cost.
+    let slice = vliw_loopgen::scaling_slice();
+    let loops: Vec<&Loop> = slice.iter().collect();
+    j.open("exact_heavy");
+    j.int("slice_loops", loops.len() as u64);
+    for (key, banks, fus) in [("embedded_4x4", 4, 4), ("embedded_8x2", 8, 2)] {
+        let t = exact_sweep(&loops, &MachineDesc::embedded(banks, fus));
+        j.open(key);
+        exact_totals(j, &t);
+        j.close();
+    }
     j.close();
 }
 
@@ -479,6 +502,7 @@ fn main() {
 
     stage_section(&mut j, &corpus, &machine);
     exact_section(&mut j, &corpus, &machine);
+    exact_heavy_section(&mut j);
     joint_section(&mut j, &corpus, &machine);
     joint_scaling_section(&mut j, &corpus, &machine);
     tuner_section(&mut j, &corpus, &machine);

@@ -25,10 +25,10 @@
 //!   at the deadline returns a partition never worse than the seed, flagged
 //!   `optimal: false` ([`ExactResult`]).
 //!
-//! Subtree exploration optionally fans out across the vendored rayon stub
-//! ([`frontier`]): the first few levels of the tree are expanded
-//! breadth-first into independent subproblems that share a best-cost bound
-//! through an atomic, and each subtree runs the same sequential search.
+//! The bound is maintained incrementally: the search keeps, per unassigned
+//! register and bank, the cost of placing it there against the assigned
+//! prefix, updated when a neighbour is placed and restored from an undo
+//! trail when it is unplaced, so a tree node costs O(unassigned × banks).
 //!
 //! The brute-force enumeration in [`oracle`] exists for tests: it checks the
 //! branch-and-bound against an exhaustive scan of all `banks^registers`
@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod bound;
-pub mod frontier;
 pub mod objective;
 pub mod oracle;
 pub mod search;

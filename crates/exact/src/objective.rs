@@ -6,8 +6,9 @@
 //! cross-bank copy, so it pays its weight; every *repulsion* edge (negative
 //! weight — two defs in the same ideal-kernel row) whose endpoints share a
 //! bank risks serialising the defining operations, so it pays its magnitude.
-//! Both contributions are non-negative, which the search exploits: costs can
-//! be compared through their IEEE-754 bit patterns in a shared atomic.
+//! Both contributions are non-negative, which the bound exploits: an edge
+//! between two registers not yet placed can still cost nothing, so it is
+//! bounded by zero.
 //!
 //! An optional quadratic balance term (`balance_weight · Σ_b count_b²`)
 //! penalises piling registers into few banks. It defaults to off — the gap

@@ -7,9 +7,10 @@
 //!
 //! * **bound** — prune when the admissible bound ([`crate::bound`]) exceeds
 //!   the incumbent *strictly* (`> best + EPS`). Strict pruning never
-//!   discards a subtree containing a minimum-cost completion, so the final
-//!   answer is independent of exploration timing even when a shared bound
-//!   races across threads;
+//!   discards a subtree containing a minimum-cost completion. The bound is
+//!   read from a per-register, per-bank cost table that `place` updates in
+//!   O(deg) and `unplace` restores bit for bit from an undo trail, so a node
+//!   costs O(unassigned × candidate banks) instead of O(n·deg·banks);
 //! * **symmetry breaking** — a register may enter an occupied bank or open
 //!   exactly one fresh bank (banks `0..used` are always the occupied ones),
 //!   collapsing the `banks!` permutations of every solution to one canonical
@@ -17,7 +18,8 @@
 //!   pinned to banks `0..K`;
 //! * **dominance** — a register with no *unassigned* neighbours (and no
 //!   balance term) interacts with nothing decided later, so it is placed at
-//!   its cheapest bank outright instead of branching;
+//!   its cheapest bank outright instead of branching; a per-register count
+//!   of unassigned neighbours makes the test O(1);
 //! * **anytime deadline** — the deadline is polled every 1024 expansions;
 //!   on expiry the search unwinds and reports the incumbent with
 //!   `optimal = false`.
@@ -28,7 +30,6 @@
 
 use crate::bound::{assign_edge_cost, balance_relaxation, unassigned_edge_bound, UNASSIGNED};
 use crate::objective::partition_cost;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use vliw_core::{Partition, RcgGraph};
 use vliw_governor::TrackedBudget;
@@ -38,7 +39,7 @@ use vliw_machine::ClusterId;
 /// Cost slack under which two solutions count as "equal" for incumbent
 /// updates and above which a bound must clear the incumbent to prune.
 /// Guards against f64 accumulation-order noise; see the module docs.
-pub(crate) const EPS: f64 = 1e-9;
+const EPS: f64 = 1e-9;
 
 /// Knobs for [`solve`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,11 +47,6 @@ pub struct ExactConfig {
     /// Wall-clock budget in milliseconds; `0` means unlimited (the search
     /// runs to proven optimality, however long that takes).
     pub budget_ms: u64,
-    /// Fan subtrees out across threads (see [`crate::frontier`]). Off by
-    /// default: the pipeline driver already runs inside rayon corpus sweeps,
-    /// and nesting thread pools multiplies instead of helping. The gap
-    /// harness and benches, which solve one loop at a time, switch it on.
-    pub parallel: bool,
     /// Weight of the quadratic bank-occupancy term in the objective;
     /// `0.0` (the default) scores pure copy cost.
     pub balance_weight: f64,
@@ -60,7 +56,6 @@ impl Default for ExactConfig {
     fn default() -> Self {
         ExactConfig {
             budget_ms: 0,
-            parallel: false,
             balance_weight: 0.0,
         }
     }
@@ -79,14 +74,6 @@ pub struct SolveStats {
     pub elapsed: Duration,
 }
 
-impl SolveStats {
-    pub(crate) fn absorb(&mut self, other: &SolveStats) {
-        self.nodes_expanded += other.nodes_expanded;
-        self.pruned_bound += other.pruned_bound;
-        self.dominance_assigns += other.dominance_assigns;
-    }
-}
-
 /// Outcome of [`solve`].
 #[derive(Debug, Clone)]
 pub struct ExactResult {
@@ -103,18 +90,18 @@ pub struct ExactResult {
 }
 
 /// The static half of a solve: dense adjacency, branch order, cost model.
-pub(crate) struct Problem {
-    pub(crate) n: usize,
-    pub(crate) n_banks: usize,
+struct Problem {
+    n: usize,
+    n_banks: usize,
     /// `adj[v]` lists `(neighbour_index, weight)`.
-    pub(crate) adj: Vec<Vec<(usize, f64)>>,
+    adj: Vec<Vec<(usize, f64)>>,
     /// Branch order: most-constrained first.
-    pub(crate) order: Vec<usize>,
-    pub(crate) balance_weight: f64,
+    order: Vec<usize>,
+    balance_weight: f64,
 }
 
 impl Problem {
-    pub(crate) fn new(g: &RcgGraph, n_banks: usize, balance_weight: f64) -> Self {
+    fn new(g: &RcgGraph, n_banks: usize, balance_weight: f64) -> Self {
         let n = g.n_nodes();
         let adj = dense_adjacency(g);
         let order = branch_order(g);
@@ -125,6 +112,17 @@ impl Problem {
             order,
             balance_weight,
         }
+    }
+
+    /// Row width of the search's cost table: `[P, M_0, .., M_{banks-1}]`.
+    fn stride(&self) -> usize {
+        self.n_banks + 1
+    }
+
+    /// Adjacency entries over all registers (each edge counted at both
+    /// endpoints).
+    fn adj_entries(&self) -> usize {
+        self.adj.iter().map(Vec::len).sum()
     }
 }
 
@@ -161,40 +159,54 @@ pub fn branch_order(g: &RcgGraph) -> Vec<usize> {
     order
 }
 
-/// One DFS worker: the mutable half of a solve. The frontier module runs
-/// many of these over disjoint subtrees with a shared pruning bound.
-pub(crate) struct Searcher<'a> {
-    pub(crate) p: &'a Problem,
+/// What [`Searcher::unplace`] needs to undo one [`Searcher::place`].
+struct Undo {
+    used: usize,
+    trail: usize,
+}
+
+/// The mutable half of a solve: the DFS state over one [`Problem`].
+struct Searcher<'a> {
+    p: &'a Problem,
     /// Register index → bank, [`UNASSIGNED`] for the suffix.
-    pub(crate) assigned: Vec<u8>,
+    assigned: Vec<u8>,
     /// Bank occupancy counts.
-    pub(crate) counts: Vec<u32>,
+    counts: Vec<u32>,
     /// Number of occupied banks (always the prefix `0..used`).
-    pub(crate) used: usize,
+    used: usize,
     /// Cost committed by the assigned prefix.
-    pub(crate) partial: f64,
+    partial: f64,
+    /// Per unassigned register `v`, row `v` (width [`Problem::stride`]) is
+    /// `[P, M_0, .., M_{banks-1}]`: `P` sums the positive weights of edges
+    /// to assigned neighbours, `M_b` sums `-w` over assigned neighbours in
+    /// bank `b`. Placing `v` in bank `b` then costs `P + M_b` against the
+    /// prefix, the value [`assign_edge_cost`] recomputes from scratch.
+    /// Rows of assigned registers are stale and never read.
+    table: Vec<f64>,
+    /// Unassigned-neighbour count per unassigned register (stale for
+    /// assigned ones, like `table`).
+    free: Vec<u32>,
+    /// `(table index, previous value)` for every table write, popped by
+    /// `unplace` so the table comes back bit for bit. At most two entries
+    /// per adjacency entry are live at once.
+    trail: Vec<(usize, f64)>,
     /// Incumbent cost (starts at the seed's).
-    pub(crate) best_cost: f64,
+    best_cost: f64,
     /// Incumbent assignment (starts as the seed's).
-    pub(crate) best_assign: Vec<u8>,
-    /// Cross-thread best-cost bound as f64 bits (costs are non-negative, so
-    /// the IEEE bit pattern orders like the float). Pruning reads it;
-    /// improvements `fetch_min` into it. `None` when solving sequentially.
-    pub(crate) shared: Option<&'a AtomicU64>,
-    pub(crate) deadline: Option<Instant>,
+    best_assign: Vec<u8>,
+    deadline: Option<Instant>,
     /// Server-granted resource budget; polled at the same cadence as the
     /// deadline so a pool trip or cancel unwinds through the anytime exit.
-    pub(crate) budget: Option<&'a TrackedBudget>,
-    pub(crate) timed_out: bool,
-    pub(crate) stats: SolveStats,
+    budget: Option<&'a TrackedBudget>,
+    timed_out: bool,
+    stats: SolveStats,
 }
 
 impl<'a> Searcher<'a> {
-    pub(crate) fn new(
+    fn new(
         p: &'a Problem,
         seed_cost: f64,
         seed_assign: Vec<u8>,
-        shared: Option<&'a AtomicU64>,
         deadline: Option<Instant>,
         budget: Option<&'a TrackedBudget>,
     ) -> Self {
@@ -203,23 +215,16 @@ impl<'a> Searcher<'a> {
             counts: vec![0; p.n_banks],
             used: 0,
             partial: 0.0,
+            table: vec![0.0; p.n * p.stride()],
+            free: p.adj.iter().map(|a| a.len() as u32).collect(),
+            trail: Vec::with_capacity(2 * p.adj_entries()),
             best_cost: seed_cost,
             best_assign: seed_assign,
-            shared,
             deadline,
             budget,
             timed_out: false,
             stats: SolveStats::default(),
             p,
-        }
-    }
-
-    /// The tightest bound any thread has proven so far.
-    #[inline]
-    fn pruning_best(&self) -> f64 {
-        match self.shared {
-            Some(a) => f64::from_bits(a.load(Ordering::Relaxed)).min(self.best_cost),
-            None => self.best_cost,
         }
     }
 
@@ -233,22 +238,76 @@ impl<'a> Searcher<'a> {
         d
     }
 
+    /// Overwrite one table entry, trailing its old value.
     #[inline]
-    fn place(&mut self, v: usize, b: u8, d: f64) {
+    fn set(&mut self, i: usize, x: f64) {
+        self.trail.push((i, self.table[i]));
+        self.table[i] = x;
+    }
+
+    #[inline]
+    fn place(&mut self, v: usize, b: u8, d: f64) -> Undo {
+        let undo = Undo {
+            used: self.used,
+            trail: self.trail.len(),
+        };
         self.assigned[v] = b;
         self.counts[b as usize] += 1;
         self.partial += d;
         if b as usize == self.used {
             self.used += 1;
         }
+        let p = self.p;
+        let stride = p.stride();
+        for &(u, w) in &p.adj[v] {
+            if self.assigned[u] != UNASSIGNED {
+                continue;
+            }
+            self.free[u] -= 1;
+            // An attraction is cut unless `u` joins bank `b`: `P` gains `w`
+            // and `M_b` gives it back. A repulsion costs `|w|` in bank `b`.
+            let row = u * stride;
+            let mb = row + 1 + b as usize;
+            if w > 0.0 {
+                self.set(row, self.table[row] + w);
+            }
+            self.set(mb, self.table[mb] - w);
+        }
+        undo
     }
 
     #[inline]
-    fn unplace(&mut self, v: usize, b: u8, d: f64, prev_used: usize) {
+    fn unplace(&mut self, v: usize, b: u8, d: f64, undo: Undo) {
+        for &(i, x) in self.trail[undo.trail..].iter().rev() {
+            self.table[i] = x;
+        }
+        self.trail.truncate(undo.trail);
         self.assigned[v] = UNASSIGNED;
+        for &(u, _) in &self.p.adj[v] {
+            if self.assigned[u] == UNASSIGNED {
+                self.free[u] += 1;
+            }
+        }
         self.counts[b as usize] -= 1;
         self.partial -= d;
-        self.used = prev_used;
+        self.used = undo.used;
+    }
+
+    /// [`unassigned_edge_bound`] read off the cost table: per unassigned
+    /// register, `P` plus its smallest `M_b` over the candidate banks
+    /// (adding `P` is monotone, so this is the smallest `P + M_b`). Summed
+    /// in register order, like the reference.
+    fn edge_bound(&self) -> f64 {
+        let cand = (self.used + 1).min(self.p.n_banks);
+        let mut total = 0.0;
+        for (row, &a) in self.table.chunks_exact(self.p.stride()).zip(&self.assigned) {
+            if a != UNASSIGNED {
+                continue;
+            }
+            let m = row[1..=cand].iter().fold(f64::INFINITY, |m, &x| m.min(x));
+            total += row[0] + m;
+        }
+        total
     }
 
     fn record_leaf(&mut self) {
@@ -259,15 +318,12 @@ impl<'a> Searcher<'a> {
         if better || tied_but_smaller {
             self.best_cost = self.best_cost.min(cost);
             self.best_assign.copy_from_slice(&self.assigned);
-            if let Some(a) = self.shared {
-                a.fetch_min(self.best_cost.to_bits(), Ordering::Relaxed);
-            }
         }
     }
 
     /// Explore every completion of the current prefix, `depth` registers of
     /// the branch order already placed.
-    pub(crate) fn dfs(&mut self, depth: usize) {
+    fn dfs(&mut self, depth: usize) {
         if self.timed_out {
             return;
         }
@@ -289,10 +345,18 @@ impl<'a> Searcher<'a> {
             return;
         }
 
-        let lb = self.partial
-            + unassigned_edge_bound(&self.p.adj, &self.assigned, self.used, self.p.n_banks)
-            + balance_relaxation(&self.counts, self.p.n - depth, self.p.balance_weight);
-        if lb > self.pruning_best() + EPS {
+        let balance = balance_relaxation(&self.counts, self.p.n - depth, self.p.balance_weight);
+        let lb = self.partial + self.edge_bound() + balance;
+        debug_assert!(
+            {
+                let reference = self.partial
+                    + unassigned_edge_bound(&self.p.adj, &self.assigned, self.used, self.p.n_banks)
+                    + balance;
+                (lb - reference).abs() <= 1e-9 * (1.0 + lb.abs())
+            },
+            "cost-table bound {lb} drifted from the reference bound"
+        );
+        if lb > self.best_cost + EPS {
             self.stats.pruned_bound += 1;
             return;
         }
@@ -303,11 +367,7 @@ impl<'a> Searcher<'a> {
         // Dominance: with no balance term and no unassigned neighbour, v's
         // contribution is already fully determined — place it at its
         // cheapest bank (lowest index on ties) without branching.
-        if self.p.balance_weight == 0.0
-            && self.p.adj[v]
-                .iter()
-                .all(|&(u, _)| self.assigned[u] != UNASSIGNED)
-        {
+        if self.p.balance_weight == 0.0 && self.free[v] == 0 {
             let (mut best_b, mut best_d) = (0u8, f64::INFINITY);
             for b in 0..cand {
                 let d = self.delta(v, b);
@@ -317,10 +377,9 @@ impl<'a> Searcher<'a> {
                 }
             }
             self.stats.dominance_assigns += 1;
-            let prev_used = self.used;
-            self.place(v, best_b, best_d);
+            let undo = self.place(v, best_b, best_d);
             self.dfs(depth + 1);
-            self.unplace(v, best_b, best_d, prev_used);
+            self.unplace(v, best_b, best_d, undo);
             return;
         }
 
@@ -333,10 +392,9 @@ impl<'a> Searcher<'a> {
                 .then(x.1.cmp(&y.1))
         });
         for (d, b) in branches {
-            let prev_used = self.used;
-            self.place(v, b, d);
+            let undo = self.place(v, b, d);
             self.dfs(depth + 1);
-            self.unplace(v, b, d, prev_used);
+            self.unplace(v, b, d, undo);
             if self.timed_out {
                 return;
             }
@@ -344,10 +402,9 @@ impl<'a> Searcher<'a> {
     }
 }
 
-/// Seed handling shared by the sequential and parallel paths: score the
-/// caller's partition (the pipeline passes the greedy result) or fall back
-/// to the worst admissible incumbent.
-pub(crate) fn seed_incumbent(
+/// Score the caller's seed partition (the pipeline passes the greedy
+/// result) or fall back to the worst admissible incumbent.
+fn seed_incumbent(
     g: &RcgGraph,
     n_banks: usize,
     seed: Option<&Partition>,
@@ -396,24 +453,20 @@ pub fn solve(
 }
 
 /// Bytes the search working set occupies for problem `p`: the adjacency
-/// mirror plus one searcher's assignment/count/incumbent vectors. Charged
-/// against the server pool before the search starts.
-pub(crate) fn working_set_bytes(p: &Problem) -> u64 {
-    let adj: usize = p
-        .adj
-        .iter()
-        .map(|a| a.len() * std::mem::size_of::<(usize, f64)>())
-        .sum();
-    (adj + 2 * p.n + 4 * p.n_banks + 8 * p.n) as u64
-}
-
-/// Bytes one parallel frontier task adds *on top of* the shared root
-/// working set: its own assignment/count/incumbent vectors. The adjacency
-/// is borrowed from the root problem, not cloned, so charging the full
-/// [`working_set_bytes`] per task would over-account wide fan-outs and
-/// trip the budget on solves that actually fit.
-pub(crate) fn per_task_bytes(p: &Problem) -> u64 {
-    (2 * p.n + 4 * p.n_banks + 8 * p.n) as u64
+/// mirror and branch order, the searcher's assignment, count and incumbent
+/// vectors, its cost table, unassigned-neighbour counters, the undo trail
+/// at its worst case, and one branch list per depth. Charged against the
+/// server pool before the search starts.
+fn working_set_bytes(p: &Problem) -> u64 {
+    use std::mem::size_of;
+    let adj = p.n * size_of::<Vec<(usize, f64)>>() + p.adj_entries() * size_of::<(usize, f64)>();
+    let order = p.n * size_of::<usize>();
+    let assign = 2 * p.n * size_of::<u8>() + p.n_banks * size_of::<u32>();
+    let table = p.n * p.stride() * size_of::<f64>();
+    let free = p.n * size_of::<u32>();
+    let trail = 2 * p.adj_entries() * size_of::<(usize, f64)>();
+    let branches = p.n * p.n_banks * size_of::<(f64, u8)>();
+    (adj + order + assign + table + free + trail + branches) as u64
 }
 
 /// [`solve`] under a server-granted [`TrackedBudget`]: the search charges
@@ -458,26 +511,22 @@ pub fn solve_governed(
         }
     }
 
-    let (best_cost, best_assign, mut stats, timed_out) = if cfg.parallel && p.n >= 4 {
-        crate::frontier::solve_parallel(&p, seed_cost, seed_assign, deadline, budget)
-    } else {
-        let mut s = Searcher::new(&p, seed_cost, seed_assign, None, deadline, budget);
-        s.dfs(0);
-        (s.best_cost, s.best_assign, s.stats, s.timed_out)
-    };
-    stats.elapsed = start.elapsed();
+    let mut s = Searcher::new(&p, seed_cost, seed_assign, deadline, budget);
+    s.dfs(0);
+    s.stats.elapsed = start.elapsed();
 
     ExactResult {
         partition: Partition {
-            bank_of: best_assign
+            bank_of: s
+                .best_assign
                 .into_iter()
                 .map(|b| ClusterId(u32::from(b)))
                 .collect(),
             n_banks,
         },
-        cost: best_cost,
-        optimal: !timed_out,
-        stats,
+        cost: s.best_cost,
+        optimal: !s.timed_out,
+        stats: s.stats,
     }
 }
 
@@ -611,5 +660,143 @@ mod tests {
         assert!(r.optimal);
         let sizes = r.partition.sizes();
         assert_eq!(sizes, vec![2, 2], "quadratic balance wants an even split");
+    }
+
+    /// Complete graph on `n` registers with pseudo-random weights in
+    /// `-4..=4` (zero weights skipped), every sign represented.
+    fn dense_graph(n: u32, seed: u64) -> RcgGraph {
+        let mut g = RcgGraph::new(n as usize);
+        let mut state = seed;
+        for a in 0..n {
+            for b in (a + 1)..n {
+                // SplitMix64 step.
+                state = state.wrapping_add(0x9E3779B97F4A7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+                z ^= z >> 31;
+                let w = (z % 9) as f64 - 4.0;
+                if w != 0.0 {
+                    g.bump_edge(VReg(a), VReg(b), w);
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn working_set_charge_covers_allocations() {
+        fn held<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let g = dense_graph(10, 3);
+        for n_banks in [1, 2, 4, 8] {
+            let p = Problem::new(&g, n_banks, 0.0);
+            let (seed_cost, seed_assign) = seed_incumbent(&g, n_banks, None, 0.0);
+            let mut s = Searcher::new(&p, seed_cost, seed_assign, None, None);
+            let trail_cap = s.trail.capacity();
+            s.dfs(0);
+            assert!(!s.timed_out);
+            assert_eq!(
+                s.trail.capacity(),
+                trail_cap,
+                "trail outgrew its worst case"
+            );
+            let bytes = held(&p.adj)
+                + p.adj.iter().map(held).sum::<usize>()
+                + held(&p.order)
+                + held(&s.assigned)
+                + held(&s.best_assign)
+                + held(&s.counts)
+                + held(&s.table)
+                + held(&s.free)
+                + held(&s.trail);
+            assert!(
+                working_set_bytes(&p) >= bytes as u64,
+                "{n_banks} banks: charged {} < held {bytes}",
+                working_set_bytes(&p)
+            );
+        }
+    }
+
+    /// Everything `unplace` must restore exactly, floats as bit patterns.
+    fn snapshot(s: &Searcher<'_>) -> (Vec<u64>, Vec<u32>, Vec<u8>, Vec<u32>, usize) {
+        (
+            s.table.iter().map(|x| x.to_bits()).collect(),
+            s.free.clone(),
+            s.assigned.clone(),
+            s.counts.clone(),
+            s.used,
+        )
+    }
+
+    proptest::proptest! {
+        /// After every `place`, each unassigned register's table row prices
+        /// every bank as `assign_edge_cost` does and its counter matches its
+        /// unassigned neighbours; every `unplace` restores the table bit for
+        /// bit. Weights in eighths make every sum exact, so prices must match
+        /// exactly; weights in tenths round, so they match within 1e-12, and
+        /// an add-then-subtract undo would leave residue the restore check
+        /// sees.
+        #[test]
+        fn cost_table_tracks_place_and_unplace(
+            n in 1usize..12,
+            n_banks in 1usize..6,
+            denom in proptest::sample::select(vec![8.0, 10.0]),
+            edges in proptest::collection::vec((0usize..12, 0usize..12, -16i32..17), 0..40),
+            moves in proptest::collection::vec((0usize..12, 0u8..6, 0u8..3), 0..60),
+        ) {
+            let close = |x: f64, y: f64| {
+                if denom == 8.0 {
+                    x == y
+                } else {
+                    (x - y).abs() <= 1e-12 * (1.0 + y.abs())
+                }
+            };
+            let mut g = RcgGraph::new(n);
+            for &(a, b, k) in &edges {
+                let (a, b) = (a % n, b % n);
+                if a != b {
+                    g.bump_edge(VReg(a as u32), VReg(b as u32), f64::from(k) / denom);
+                }
+            }
+            let p = Problem::new(&g, n_banks, 0.0);
+            let mut s = Searcher::new(&p, 0.0, vec![0; n], None, None);
+            let mut stack = Vec::new();
+            for &(pick, bank, op) in &moves {
+                let open: Vec<usize> = (0..n).filter(|&v| s.assigned[v] == UNASSIGNED).collect();
+                if op == 0 || open.is_empty() {
+                    if let Some((v, b, d, undo, before)) = stack.pop() {
+                        s.unplace(v, b, d, undo);
+                        proptest::prop_assert_eq!(snapshot(&s), before);
+                    }
+                    continue;
+                }
+                let v = open[pick % open.len()];
+                let b = bank % (s.used + 1).min(n_banks) as u8;
+                let before = snapshot(&s);
+                let d = s.delta(v, b);
+                let undo = s.place(v, b, d);
+                stack.push((v, b, d, undo, before));
+                for u in (0..n).filter(|&u| s.assigned[u] == UNASSIGNED) {
+                    let row = &s.table[u * p.stride()..(u + 1) * p.stride()];
+                    for c in 0..n_banks {
+                        let want = assign_edge_cost(&p.adj[u], &s.assigned, c as u8);
+                        let got = row[0] + row[1 + c];
+                        proptest::prop_assert!(close(got, want), "v{u} bank {c}: {got} vs {want}");
+                    }
+                    let open_nbrs = p.adj[u]
+                        .iter()
+                        .filter(|&&(x, _)| s.assigned[x] == UNASSIGNED)
+                        .count();
+                    proptest::prop_assert_eq!(s.free[u] as usize, open_nbrs);
+                }
+                let (got, want) = (
+                    s.edge_bound(),
+                    unassigned_edge_bound(&p.adj, &s.assigned, s.used, n_banks),
+                );
+                proptest::prop_assert!(close(got, want), "bound {got} vs {want}");
+            }
+        }
     }
 }

@@ -82,28 +82,3 @@ fn exact_cost_ordering_holds_on_every_small_loop() {
         "only {checked} (loop, machine) pairs checked"
     );
 }
-
-#[test]
-fn parallel_solver_agrees_on_corpus_loops() {
-    // The gap harness and benches run the frontier-parallel mode; it must
-    // return the same partition as the sequential mode the driver uses.
-    let c = corpus();
-    let m = MachineDesc::embedded(4, 4);
-    for l in small_loops(&c).take(20) {
-        let cfg = PartitionConfig::default();
-        let ctx = LoopContext::new(l, &m);
-        let g = build_rcg(l, &ctx.ideal, &ctx.slack, &cfg);
-        let seq = solve(&g, m.n_clusters(), None, &ExactConfig::default());
-        let par = solve(
-            &g,
-            m.n_clusters(),
-            None,
-            &ExactConfig {
-                parallel: true,
-                ..Default::default()
-            },
-        );
-        assert!(seq.optimal && par.optimal);
-        assert_eq!(seq.partition, par.partition, "{}", l.name);
-    }
-}

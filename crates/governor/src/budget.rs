@@ -38,9 +38,8 @@ struct BudgetInner {
     gauges: Arc<GovernorGauges>,
 }
 
-/// Shared budget handle: clone-cheap, thread-safe. The exact solver's
-/// parallel frontier and the joint solver's II ladder can all poll the
-/// same budget.
+/// Shared budget handle: clone-cheap, thread-safe. The exact search and
+/// every rung of the joint solver's II ladder poll the same budget.
 #[derive(Clone)]
 pub struct TrackedBudget {
     inner: Arc<BudgetInner>,
