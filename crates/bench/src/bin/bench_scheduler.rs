@@ -303,15 +303,21 @@ fn exact_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
     j.close();
 }
 
+/// The machines the heavy exact and the joint sections sweep, by JSON key:
+/// 4×4, where the exact search is widest and the joint seed incumbents
+/// close most solves at the root, and 8×2, where the joint search and its
+/// no-good learning do the work.
+const SOLVER_MACHINES: [(&str, usize, usize); 2] = [("embedded_4x4", 4, 4), ("embedded_8x2", 8, 2)];
+
 fn exact_heavy_section(j: &mut Json) {
     // The solves that cost: the 13–24-vreg scaling slice, where one
-    // 24-vreg loop on 4×4 expands ~476k nodes. The ≤12-vreg slice above
+    // 24-vreg loop on 4×4 expands ~52k nodes. The ≤12-vreg slice above
     // expands ~20k nodes in all, too few to time the per-node cost.
     let slice = vliw_loopgen::scaling_slice();
     let loops: Vec<&Loop> = slice.iter().collect();
     j.open("exact_heavy");
     j.int("slice_loops", loops.len() as u64);
-    for (key, banks, fus) in [("embedded_4x4", 4, 4), ("embedded_8x2", 8, 2)] {
+    for (key, banks, fus) in SOLVER_MACHINES {
         let t = exact_sweep(&loops, &MachineDesc::embedded(banks, fus));
         j.open(key);
         exact_totals(j, &t);
@@ -320,7 +326,7 @@ fn exact_heavy_section(j: &mut Json) {
     j.close();
 }
 
-fn joint_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
+fn joint_section(j: &mut Json, corpus: &[Loop]) {
     // The joint (II, slot, bank) branch-and-bound over the same ≤12-vreg
     // slice the exact partitioner benches on. Bank-node / schedule-node /
     // propagation counts are the solver's work metric: they move when a
@@ -330,54 +336,59 @@ fn joint_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
     let jcfg = vliw_joint::JointConfig { budget_ms: 4000 };
     let small: Vec<&Loop> = corpus.iter().filter(|l| l.n_vregs() <= 12).collect();
 
-    let mut bank_nodes = 0u64;
-    let mut sched_nodes = 0u64;
-    let mut propagations = 0u64;
-    let mut pruned_propagation = 0u64;
-    let mut pruned_bound = 0u64;
-    let mut nogood_hits = 0u64;
-    let mut n_closed = 0u64;
-    let mut n_wins = 0u64;
-    let t0 = Instant::now();
-    for l in &small {
-        let r = vliw_joint::solve_joint(l, machine, &cfg, &jcfg);
-        bank_nodes += r.stats.bank_nodes;
-        sched_nodes += r.stats.sched_nodes;
-        propagations += r.stats.propagations;
-        pruned_propagation += r.stats.pruned_propagation;
-        pruned_bound += r.stats.pruned_bound;
-        nogood_hits += r.stats.nogood_hits;
-        n_closed += r.optimal as u64;
-        n_wins += (r.ii < r.greedy_ii) as u64;
-        black_box(r.ii);
-    }
-    let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        n_closed,
-        small.len() as u64,
-        "every <=12-vreg solve must close optimally"
-    );
-
     j.open("joint_solver");
     j.int("small_loops", small.len() as u64);
-    j.int("n_closed", n_closed);
-    j.int("n_joint_wins", n_wins);
-    j.num("solve_ms", solve_ms);
-    j.int("bank_nodes", bank_nodes);
-    j.int("sched_nodes", sched_nodes);
-    j.int("propagations", propagations);
-    j.int("pruned_propagation", pruned_propagation);
-    j.int("pruned_bound", pruned_bound);
-    j.int("nogood_hits", nogood_hits);
+    for (key, banks, fus) in SOLVER_MACHINES {
+        let machine = MachineDesc::embedded(banks, fus);
+        let mut bank_nodes = 0u64;
+        let mut sched_nodes = 0u64;
+        let mut propagations = 0u64;
+        let mut pruned_propagation = 0u64;
+        let mut pruned_bound = 0u64;
+        let mut nogood_hits = 0u64;
+        let mut n_closed = 0u64;
+        let mut n_wins = 0u64;
+        let t0 = Instant::now();
+        for l in &small {
+            let r = vliw_joint::solve_joint(l, &machine, &cfg, &jcfg);
+            bank_nodes += r.stats.bank_nodes;
+            sched_nodes += r.stats.sched_nodes;
+            propagations += r.stats.propagations;
+            pruned_propagation += r.stats.pruned_propagation;
+            pruned_bound += r.stats.pruned_bound;
+            nogood_hits += r.stats.nogood_hits;
+            n_closed += r.optimal as u64;
+            n_wins += (r.ii < r.greedy_ii) as u64;
+            black_box(r.ii);
+        }
+        let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(
+            n_closed,
+            small.len() as u64,
+            "{key}: every <=12-vreg solve must close optimally"
+        );
+
+        j.open(key);
+        j.int("n_closed", n_closed);
+        j.int("n_joint_wins", n_wins);
+        j.num("solve_ms", solve_ms);
+        j.int("bank_nodes", bank_nodes);
+        j.int("sched_nodes", sched_nodes);
+        j.int("propagations", propagations);
+        j.int("pruned_propagation", pruned_propagation);
+        j.int("pruned_bound", pruned_bound);
+        j.int("nogood_hits", nogood_hits);
+        j.close();
+    }
     j.close();
 }
 
-fn joint_scaling_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
+fn joint_scaling_section(j: &mut Json, corpus: &[Loop]) {
     // The scaling phase: the 13–24-vreg pressure slice (corpus draws in
     // range plus the dedicated pressure family) under the interactive
     // 500 ms budget the serve tier grants. The floors below are the
-    // regression contract: at least 60% of the slice must close, and no
-    // solve may leave without an honest classification.
+    // regression contract: at least 60% of the slice must close on each
+    // machine, and no solve may leave without an honest classification.
     let cfg = PartitionConfig::default();
     let jcfg = vliw_joint::JointConfig { budget_ms: 500 };
     let mut slice: Vec<Loop> = corpus
@@ -386,62 +397,67 @@ fn joint_scaling_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
         .cloned()
         .collect();
     slice.extend(vliw_loopgen::pressure_corpus());
-
-    let mut bank_nodes = 0u64;
-    let mut sched_nodes = 0u64;
-    let mut nogood_hits = 0u64;
-    let mut nogoods_recorded = 0u64;
-    let mut n_closed = 0u64;
-    let mut n_bounded = 0u64;
-    let mut n_budget = 0u64;
-    let mut n_wins = 0u64;
-    let t0 = Instant::now();
-    for l in &slice {
-        let r = vliw_joint::solve_joint(l, machine, &cfg, &jcfg);
-        bank_nodes += r.stats.bank_nodes;
-        sched_nodes += r.stats.sched_nodes;
-        nogood_hits += r.stats.nogood_hits;
-        nogoods_recorded += r.stats.nogoods_recorded;
-        if r.optimal {
-            n_closed += 1;
-        } else if r.lower_bound_ii > r.seed_lb {
-            n_bounded += 1;
-        } else {
-            n_budget += 1;
-        }
-        n_wins += (r.ii < r.greedy_ii) as u64;
-        assert!(
-            r.lower_bound_ii >= r.seed_lb && r.lower_bound_ii <= r.ii,
-            "{}: bound {} outside [{}, {}]",
-            l.name,
-            r.lower_bound_ii,
-            r.seed_lb,
-            r.ii
-        );
-        black_box(r.ii);
-    }
-    let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
-    // Floors (the checked-in regression contract).
     let closed_floor = (slice.len() as u64 * 6).div_ceil(10);
-    assert!(
-        n_closed >= closed_floor,
-        "joint scaling closed {n_closed}/{} — floor is {closed_floor} (60%)",
-        slice.len()
-    );
 
     j.open("joint_scaling");
     j.int("slice_loops", slice.len() as u64);
     j.int("budget_ms", 500);
-    j.int("n_closed", n_closed);
-    j.int("n_bounded", n_bounded);
-    j.int("n_budget_exceeded", n_budget);
-    j.int("n_joint_wins", n_wins);
     j.int("closed_floor", closed_floor);
-    j.num("solve_ms", solve_ms);
-    j.int("bank_nodes", bank_nodes);
-    j.int("sched_nodes", sched_nodes);
-    j.int("nogood_hits", nogood_hits);
-    j.int("nogoods_recorded", nogoods_recorded);
+    for (key, banks, fus) in SOLVER_MACHINES {
+        let machine = MachineDesc::embedded(banks, fus);
+        let mut bank_nodes = 0u64;
+        let mut sched_nodes = 0u64;
+        let mut nogood_hits = 0u64;
+        let mut nogoods_recorded = 0u64;
+        let mut n_closed = 0u64;
+        let mut n_bounded = 0u64;
+        let mut n_budget = 0u64;
+        let mut n_wins = 0u64;
+        let t0 = Instant::now();
+        for l in &slice {
+            let r = vliw_joint::solve_joint(l, &machine, &cfg, &jcfg);
+            bank_nodes += r.stats.bank_nodes;
+            sched_nodes += r.stats.sched_nodes;
+            nogood_hits += r.stats.nogood_hits;
+            nogoods_recorded += r.stats.nogoods_recorded;
+            if r.optimal {
+                n_closed += 1;
+            } else if r.lower_bound_ii > r.seed_lb {
+                n_bounded += 1;
+            } else {
+                n_budget += 1;
+            }
+            n_wins += (r.ii < r.greedy_ii) as u64;
+            assert!(
+                r.lower_bound_ii >= r.seed_lb && r.lower_bound_ii <= r.ii,
+                "{}: bound {} outside [{}, {}]",
+                l.name,
+                r.lower_bound_ii,
+                r.seed_lb,
+                r.ii
+            );
+            black_box(r.ii);
+        }
+        let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
+        // Floor (the checked-in regression contract).
+        assert!(
+            n_closed >= closed_floor,
+            "{key}: joint scaling closed {n_closed}/{} — floor is {closed_floor} (60%)",
+            slice.len()
+        );
+
+        j.open(key);
+        j.int("n_closed", n_closed);
+        j.int("n_bounded", n_bounded);
+        j.int("n_budget_exceeded", n_budget);
+        j.int("n_joint_wins", n_wins);
+        j.num("solve_ms", solve_ms);
+        j.int("bank_nodes", bank_nodes);
+        j.int("sched_nodes", sched_nodes);
+        j.int("nogood_hits", nogood_hits);
+        j.int("nogoods_recorded", nogoods_recorded);
+        j.close();
+    }
     j.close();
 }
 
@@ -503,8 +519,8 @@ fn main() {
     stage_section(&mut j, &corpus, &machine);
     exact_section(&mut j, &corpus, &machine);
     exact_heavy_section(&mut j);
-    joint_section(&mut j, &corpus, &machine);
-    joint_scaling_section(&mut j, &corpus, &machine);
+    joint_section(&mut j, &corpus);
+    joint_scaling_section(&mut j, &corpus);
     tuner_section(&mut j, &corpus, &machine);
 
     let json = j.finish();

@@ -12,8 +12,10 @@
 //!
 //! * an **admissible lower bound** — the cost of the partial assignment plus,
 //!   for every unassigned register, the cheapest bank it could still take
-//!   against the already-assigned ones, plus a water-filling relaxation of
-//!   the balance term ([`bound`]);
+//!   against the already-assigned ones, plus a pigeonhole term over
+//!   repulsion cliques (a clique of `u` unassigned registers that pairwise
+//!   repel must put some pairs in one of the `k` banks once `u > k`), plus a
+//!   water-filling relaxation of the balance term ([`bound`]);
 //! * **bank-permutation symmetry breaking** — banks are interchangeable in
 //!   the objective, so a node may only open one fresh bank: the first K
 //!   distinct nodes are effectively pinned to banks `0..K` ([`search`]);
@@ -29,6 +31,9 @@
 //! register and bank, the cost of placing it there against the assigned
 //! prefix, updated when a neighbour is placed and restored from an undo
 //! trail when it is unplaced, so a tree node costs O(unassigned × banks).
+//! The repulsion cliques are found once per solve, and the search keeps
+//! each one's count of unassigned members, so the clique term costs
+//! O(cliques) per node.
 //!
 //! The brute-force enumeration in [`oracle`] exists for tests: it checks the
 //! branch-and-bound against an exhaustive scan of all `banks^registers`

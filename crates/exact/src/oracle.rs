@@ -17,7 +17,7 @@ const MAX_ASSIGNMENTS: u64 = 65_536;
 /// Exhaustively find a minimum-cost partition of `g` over `n_banks` banks.
 ///
 /// Returns `(partition, cost)`. Panics if the instance would need more than
-/// [`MAX_ASSIGNMENTS`] evaluations — the oracle exists for ≤6-register test
+/// [`MAX_ASSIGNMENTS`] evaluations — the oracle exists for ≤8-register test
 /// graphs, not as a solver.
 pub fn brute_force(g: &RcgGraph, n_banks: usize, balance_weight: f64) -> (Partition, f64) {
     assert!(n_banks >= 1, "at least one bank");
@@ -68,11 +68,35 @@ pub fn brute_force(g: &RcgGraph, n_banks: usize, balance_weight: f64) -> (Partit
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{solve, ExactConfig};
+    use crate::bound::repulsion_cliques;
+    use crate::search::{dense_adjacency, solve, ExactConfig};
     use vliw_ir::VReg;
 
-    /// Deterministic pseudo-random test graph (SplitMix64 weights).
+    /// Deterministic pseudo-random test graph (SplitMix64 weights in
+    /// `-2.5..=2.5`, about one pair in `density_mod` left unconnected).
     fn random_graph(n: u32, seed: u64, density_mod: u64) -> RcgGraph {
+        random_graph_with(n, seed, density_mod, |z| (z % 11) as f64 / 2.0 - 2.5)
+    }
+
+    /// Like [`random_graph`], but seven edges in eight repel (weights in
+    /// eighths), so the clique term of the bound has cliques to price.
+    fn repulsion_dense_graph(n: u32, seed: u64) -> RcgGraph {
+        random_graph_with(n, seed, 7, |z| {
+            let w = ((z >> 8) % 16 + 1) as f64 / 8.0;
+            if z % 8 == 0 {
+                w
+            } else {
+                -w
+            }
+        })
+    }
+
+    fn random_graph_with(
+        n: u32,
+        seed: u64,
+        density_mod: u64,
+        weight: impl Fn(u64) -> f64,
+    ) -> RcgGraph {
         let mut g = RcgGraph::new(n as usize);
         let mut state = seed;
         for a in 0..n {
@@ -85,7 +109,7 @@ mod tests {
                 if z.is_multiple_of(density_mod) {
                     continue; // leave some pairs unconnected
                 }
-                let w = (z % 11) as f64 / 2.0 - 2.5;
+                let w = weight(z);
                 if w != 0.0 {
                     g.bump_edge(VReg(a), VReg(b), w);
                 }
@@ -107,30 +131,51 @@ mod tests {
     fn branch_and_bound_matches_oracle_cost() {
         // The acceptance-criterion test: over a spread of random ≤6-register
         // graphs and bank counts, B&B and enumeration agree on the optimum.
-        let mut checked = 0usize;
+        // Repulsion-dense graphs of 5–8 registers hold cliques larger than
+        // the bank count, so they exercise the bound's clique term too.
+        let mut cases = Vec::new();
         for n in 2..=6u32 {
             for n_banks in [2usize, 3, 4] {
                 for seed in 0..12u64 {
                     let g = random_graph(n, seed * 1_000 + n as u64, 3);
-                    let (_, oracle_cost) = brute_force(&g, n_banks, 0.0);
-                    let r = solve(&g, n_banks, None, &ExactConfig::default());
-                    assert!(r.optimal, "n={n} banks={n_banks} seed={seed} must close");
-                    assert!(
-                        (r.cost - oracle_cost).abs() <= 1e-9,
-                        "n={n} banks={n_banks} seed={seed}: b&b {} vs oracle {}",
-                        r.cost,
-                        oracle_cost
-                    );
-                    // The returned partition must actually realise the cost.
-                    assert!(
-                        (partition_cost(&g, &r.partition, 0.0) - r.cost).abs() <= 1e-9,
-                        "reported cost must match the returned partition"
-                    );
-                    checked += 1;
+                    cases.push((format!("n={n} banks={n_banks} seed={seed}"), g, n_banks));
                 }
             }
         }
-        assert_eq!(checked, 5 * 3 * 12);
+        for n in 5..=8u32 {
+            for n_banks in [1usize, 2, 3, 4] {
+                for seed in 0..6u64 {
+                    let g = repulsion_dense_graph(n, seed * 1_000 + n as u64);
+                    let name = format!("repulsion-dense n={n} banks={n_banks} seed={seed}");
+                    cases.push((name, g, n_banks));
+                }
+            }
+        }
+        assert_eq!(cases.len(), 5 * 3 * 12 + 4 * 4 * 6);
+        let cliqued = cases
+            .iter()
+            .filter(|(_, g, k)| !repulsion_cliques(&dense_adjacency(g), *k).is_empty())
+            .count();
+        assert!(
+            cliqued >= 64,
+            "only {cliqued} cases price a repulsion clique"
+        );
+        for (name, g, n_banks) in &cases {
+            let (_, oracle_cost) = brute_force(g, *n_banks, 0.0);
+            let r = solve(g, *n_banks, None, &ExactConfig::default());
+            assert!(r.optimal, "{name} must close");
+            assert!(
+                (r.cost - oracle_cost).abs() <= 1e-9,
+                "{name}: b&b {} vs oracle {}",
+                r.cost,
+                oracle_cost
+            );
+            // The returned partition must actually realise the cost.
+            assert!(
+                (partition_cost(g, &r.partition, 0.0) - r.cost).abs() <= 1e-9,
+                "{name}: reported cost must match the returned partition"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,12 @@
 //!   discards a subtree containing a minimum-cost completion. The bound is
 //!   read from a per-register, per-bank cost table that `place` updates in
 //!   O(deg) and `unplace` restores bit for bit from an undo trail, so a node
-//!   costs O(unassigned × candidate banks) instead of O(n·deg·banks);
+//!   costs O(unassigned × candidate banks) instead of O(n·deg·banks). On
+//!   top of the table, a pigeonhole term prices the repulsion cliques that
+//!   [`repulsion_cliques`] finds once per solve: `place` and `unplace` keep
+//!   each clique's count of unassigned members, and a clique of `u` such
+//!   members in `k` banks forces at least [`forced_pairs`]`(u, k)` repelled
+//!   pairs into a shared bank;
 //! * **symmetry breaking** — a register may enter an occupied bank or open
 //!   exactly one fresh bank (banks `0..used` are always the occupied ones),
 //!   collapsing the `banks!` permutations of every solution to one canonical
@@ -28,7 +33,10 @@
 //! lexicographically smallest `bank_of` vector, making the returned
 //! partition — not just its cost — deterministic.
 
-use crate::bound::{assign_edge_cost, balance_relaxation, unassigned_edge_bound, UNASSIGNED};
+use crate::bound::{
+    assign_edge_cost, balance_relaxation, clique_bound, forced_pairs, repulsion_cliques,
+    unassigned_edge_bound, Clique, UNASSIGNED,
+};
 use crate::objective::partition_cost;
 use std::time::{Duration, Instant};
 use vliw_core::{Partition, RcgGraph};
@@ -89,7 +97,8 @@ pub struct ExactResult {
     pub stats: SolveStats,
 }
 
-/// The static half of a solve: dense adjacency, branch order, cost model.
+/// The static half of a solve: dense adjacency, branch order, repulsion
+/// cliques, cost model.
 struct Problem {
     n: usize,
     n_banks: usize,
@@ -97,6 +106,10 @@ struct Problem {
     adj: Vec<Vec<(usize, f64)>>,
     /// Branch order: most-constrained first.
     order: Vec<usize>,
+    /// Edge-disjoint repulsion cliques of more than `n_banks` members.
+    cliques: Vec<Clique>,
+    /// `reg_cliques[v]` lists the indices of the cliques `v` belongs to.
+    reg_cliques: Vec<Vec<usize>>,
     balance_weight: f64,
 }
 
@@ -105,11 +118,27 @@ impl Problem {
         let n = g.n_nodes();
         let adj = dense_adjacency(g);
         let order = branch_order(g);
+        let cliques = repulsion_cliques(&adj, n_banks);
+        let mut memberships = vec![0; n];
+        for c in &cliques {
+            for &v in &c.members {
+                memberships[v] += 1;
+            }
+        }
+        let mut reg_cliques: Vec<Vec<usize>> =
+            memberships.into_iter().map(Vec::with_capacity).collect();
+        for (i, c) in cliques.iter().enumerate() {
+            for &v in &c.members {
+                reg_cliques[v].push(i);
+            }
+        }
         Problem {
             n,
             n_banks,
             adj,
             order,
+            cliques,
+            reg_cliques,
             balance_weight,
         }
     }
@@ -123,6 +152,11 @@ impl Problem {
     /// endpoints).
     fn adj_entries(&self) -> usize {
         self.adj.iter().map(Vec::len).sum()
+    }
+
+    /// Clique memberships over all cliques (= entries over `reg_cliques`).
+    fn clique_members(&self) -> usize {
+        self.cliques.iter().map(|c| c.members.len()).sum()
     }
 }
 
@@ -186,6 +220,8 @@ struct Searcher<'a> {
     /// Unassigned-neighbour count per unassigned register (stale for
     /// assigned ones, like `table`).
     free: Vec<u32>,
+    /// Unassigned-member count per clique of [`Problem::cliques`].
+    unplaced: Vec<u32>,
     /// `(table index, previous value)` for every table write, popped by
     /// `unplace` so the table comes back bit for bit. At most two entries
     /// per adjacency entry are live at once.
@@ -217,6 +253,7 @@ impl<'a> Searcher<'a> {
             partial: 0.0,
             table: vec![0.0; p.n * p.stride()],
             free: p.adj.iter().map(|a| a.len() as u32).collect(),
+            unplaced: p.cliques.iter().map(|c| c.members.len() as u32).collect(),
             trail: Vec::with_capacity(2 * p.adj_entries()),
             best_cost: seed_cost,
             best_assign: seed_assign,
@@ -258,6 +295,9 @@ impl<'a> Searcher<'a> {
             self.used += 1;
         }
         let p = self.p;
+        for &c in &p.reg_cliques[v] {
+            self.unplaced[c] -= 1;
+        }
         let stride = p.stride();
         for &(u, w) in &p.adj[v] {
             if self.assigned[u] != UNASSIGNED {
@@ -288,6 +328,9 @@ impl<'a> Searcher<'a> {
                 self.free[u] += 1;
             }
         }
+        for &c in &self.p.reg_cliques[v] {
+            self.unplaced[c] += 1;
+        }
         self.counts[b as usize] -= 1;
         self.partial -= d;
         self.used = undo.used;
@@ -306,6 +349,16 @@ impl<'a> Searcher<'a> {
             }
             let m = row[1..=cand].iter().fold(f64::INFINITY, |m, &x| m.min(x));
             total += row[0] + m;
+        }
+        total
+    }
+
+    /// [`clique_bound`] read off the per-clique counters, summed in clique
+    /// order like the reference.
+    fn clique_term(&self) -> f64 {
+        let mut total = 0.0;
+        for (c, &u) in self.p.cliques.iter().zip(&self.unplaced) {
+            total += c.min_weight * forced_pairs(u as usize, self.p.n_banks) as f64;
         }
         total
     }
@@ -346,15 +399,16 @@ impl<'a> Searcher<'a> {
         }
 
         let balance = balance_relaxation(&self.counts, self.p.n - depth, self.p.balance_weight);
-        let lb = self.partial + self.edge_bound() + balance;
+        let lb = self.partial + self.edge_bound() + self.clique_term() + balance;
         debug_assert!(
             {
                 let reference = self.partial
                     + unassigned_edge_bound(&self.p.adj, &self.assigned, self.used, self.p.n_banks)
+                    + clique_bound(&self.p.cliques, &self.assigned, self.p.n_banks)
                     + balance;
                 (lb - reference).abs() <= 1e-9 * (1.0 + lb.abs())
             },
-            "cost-table bound {lb} drifted from the reference bound"
+            "incremental bound {lb} drifted from the reference bound"
         );
         if lb > self.best_cost + EPS {
             self.stats.pruned_bound += 1;
@@ -453,20 +507,24 @@ pub fn solve(
 }
 
 /// Bytes the search working set occupies for problem `p`: the adjacency
-/// mirror and branch order, the searcher's assignment, count and incumbent
-/// vectors, its cost table, unassigned-neighbour counters, the undo trail
-/// at its worst case, and one branch list per depth. Charged against the
-/// server pool before the search starts.
+/// mirror and branch order, the clique member lists and per-register
+/// clique lists, the searcher's assignment, count and incumbent vectors,
+/// its cost table, unassigned-neighbour and per-clique counters, the undo
+/// trail at its worst case, and one branch list per depth. Charged against
+/// the server pool before the search starts.
 fn working_set_bytes(p: &Problem) -> u64 {
     use std::mem::size_of;
     let adj = p.n * size_of::<Vec<(usize, f64)>>() + p.adj_entries() * size_of::<(usize, f64)>();
     let order = p.n * size_of::<usize>();
+    let cliques = p.cliques.len() * (size_of::<Clique>() + size_of::<u32>())
+        + p.n * size_of::<Vec<usize>>()
+        + 2 * p.clique_members() * size_of::<usize>();
     let assign = 2 * p.n * size_of::<u8>() + p.n_banks * size_of::<u32>();
     let table = p.n * p.stride() * size_of::<f64>();
     let free = p.n * size_of::<u32>();
     let trail = 2 * p.adj_entries() * size_of::<(usize, f64)>();
     let branches = p.n * p.n_banks * size_of::<(f64, u8)>();
-    (adj + order + assign + table + free + trail + branches) as u64
+    (adj + order + cliques + assign + table + free + trail + branches) as u64
 }
 
 /// [`solve`] under a server-granted [`TrackedBudget`]: the search charges
@@ -689,52 +747,141 @@ mod tests {
         fn held<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        let g = dense_graph(10, 3);
-        for n_banks in [1, 2, 4, 8] {
-            let p = Problem::new(&g, n_banks, 0.0);
-            let (seed_cost, seed_assign) = seed_incumbent(&g, n_banks, None, 0.0);
-            let mut s = Searcher::new(&p, seed_cost, seed_assign, None, None);
-            let trail_cap = s.trail.capacity();
-            s.dfs(0);
-            assert!(!s.timed_out);
-            assert_eq!(
-                s.trail.capacity(),
-                trail_cap,
-                "trail outgrew its worst case"
-            );
-            let bytes = held(&p.adj)
-                + p.adj.iter().map(held).sum::<usize>()
-                + held(&p.order)
-                + held(&s.assigned)
-                + held(&s.best_assign)
-                + held(&s.counts)
-                + held(&s.table)
-                + held(&s.free)
-                + held(&s.trail);
-            assert!(
-                working_set_bytes(&p) >= bytes as u64,
-                "{n_banks} banks: charged {} < held {bytes}",
-                working_set_bytes(&p)
-            );
+        // A complete repulsion graph gives every bank count cliques to hold.
+        let mut repulsive = RcgGraph::new(10);
+        for a in 0..10u32 {
+            for b in (a + 1)..10u32 {
+                repulsive.bump_edge(VReg(a), VReg(b), -1.0 - f64::from((a * b) % 3));
+            }
+        }
+        for (g, cliqued) in [(dense_graph(10, 3), false), (repulsive, true)] {
+            for n_banks in [1, 2, 4, 8] {
+                let p = Problem::new(&g, n_banks, 0.0);
+                assert!(
+                    !cliqued || !p.cliques.is_empty(),
+                    "{n_banks} banks: no repulsion clique to charge"
+                );
+                let (seed_cost, seed_assign) = seed_incumbent(&g, n_banks, None, 0.0);
+                let mut s = Searcher::new(&p, seed_cost, seed_assign, None, None);
+                let trail_cap = s.trail.capacity();
+                s.dfs(0);
+                assert!(!s.timed_out);
+                assert_eq!(
+                    s.trail.capacity(),
+                    trail_cap,
+                    "trail outgrew its worst case"
+                );
+                let bytes = held(&p.adj)
+                    + p.adj.iter().map(held).sum::<usize>()
+                    + held(&p.order)
+                    + held(&p.cliques)
+                    + p.cliques.iter().map(|c| held(&c.members)).sum::<usize>()
+                    + held(&p.reg_cliques)
+                    + p.reg_cliques.iter().map(held).sum::<usize>()
+                    + held(&s.unplaced)
+                    + held(&s.assigned)
+                    + held(&s.best_assign)
+                    + held(&s.counts)
+                    + held(&s.table)
+                    + held(&s.free)
+                    + held(&s.trail);
+                assert!(
+                    working_set_bytes(&p) >= bytes as u64,
+                    "{n_banks} banks: charged {} < held {bytes}",
+                    working_set_bytes(&p)
+                );
+            }
         }
     }
 
+    /// Table bits, neighbour and clique counters, assignment, bank counts
+    /// and used banks.
+    type Snapshot = (Vec<u64>, Vec<u32>, Vec<u32>, Vec<u8>, Vec<u32>, usize);
+
     /// Everything `unplace` must restore exactly, floats as bit patterns.
-    fn snapshot(s: &Searcher<'_>) -> (Vec<u64>, Vec<u32>, Vec<u8>, Vec<u32>, usize) {
+    fn snapshot(s: &Searcher<'_>) -> Snapshot {
         (
             s.table.iter().map(|x| x.to_bits()).collect(),
             s.free.clone(),
+            s.unplaced.clone(),
             s.assigned.clone(),
             s.counts.clone(),
             s.used,
         )
     }
 
+    /// The cheapest completion of `assigned` over all `n_banks` banks,
+    /// by enumeration.
+    fn best_completion(g: &RcgGraph, assigned: &mut [u8], n_banks: usize) -> f64 {
+        match assigned.iter().position(|&b| b == UNASSIGNED) {
+            None => {
+                let part = Partition {
+                    bank_of: assigned.iter().map(|&b| ClusterId(u32::from(b))).collect(),
+                    n_banks,
+                };
+                partition_cost(g, &part, 0.0)
+            }
+            Some(v) => {
+                let mut best = f64::INFINITY;
+                for b in 0..n_banks as u8 {
+                    assigned[v] = b;
+                    best = best.min(best_completion(g, assigned, n_banks));
+                }
+                assigned[v] = UNASSIGNED;
+                best
+            }
+        }
+    }
+
     proptest::proptest! {
+        /// On repulsion-dense graphs, where the clique term bites, the bound
+        /// at every prefix of a reachable placement sequence (each register
+        /// joins an occupied bank or the next fresh one) never exceeds the
+        /// cheapest completion of that prefix.
+        #[test]
+        fn bound_is_admissible_on_repulsion_dense_graphs(
+            n in 4usize..9,
+            n_banks in 1usize..5,
+            weights in proptest::collection::vec(-16i32..5, 28..29),
+            picks in proptest::collection::vec((0usize..8, 0u8..4), 9..10),
+        ) {
+            let mut g = RcgGraph::new(n);
+            let mut k = 0;
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    if weights[k] != 0 {
+                        g.bump_edge(VReg(a as u32), VReg(b as u32), f64::from(weights[k]) / 8.0);
+                    }
+                    k += 1;
+                }
+            }
+            let p = Problem::new(&g, n_banks, 0.0);
+            let mut s = Searcher::new(&p, 0.0, vec![0; n], None, None);
+            for &(pick, bank) in &picks[..=n] {
+                let lb = s.partial + s.edge_bound() + s.clique_term();
+                let mut completion = s.assigned.clone();
+                let best = best_completion(&g, &mut completion, n_banks);
+                proptest::prop_assert!(
+                    lb <= best + 1e-9,
+                    "bound {lb} > best completion {best} at {:?}",
+                    s.assigned
+                );
+                let open: Vec<usize> = (0..n).filter(|&v| s.assigned[v] == UNASSIGNED).collect();
+                if open.is_empty() {
+                    break;
+                }
+                let v = open[pick % open.len()];
+                let b = bank % (s.used + 1).min(n_banks) as u8;
+                let d = s.delta(v, b);
+                s.place(v, b, d);
+            }
+        }
+
         /// After every `place`, each unassigned register's table row prices
-        /// every bank as `assign_edge_cost` does and its counter matches its
-        /// unassigned neighbours; every `unplace` restores the table bit for
-        /// bit. Weights in eighths make every sum exact, so prices must match
+        /// every bank as `assign_edge_cost` does, its counter matches its
+        /// unassigned neighbours, and the clique counters price the clique
+        /// term as `clique_bound` does; every `unplace` restores the table
+        /// bit for bit and the counters exactly. Weights in eighths make every sum exact, so prices must match
         /// exactly; weights in tenths round, so they match within 1e-12, and
         /// an add-then-subtract undo would leave residue the restore check
         /// sees.
@@ -796,6 +943,13 @@ mod tests {
                     unassigned_edge_bound(&p.adj, &s.assigned, s.used, n_banks),
                 );
                 proptest::prop_assert!(close(got, want), "bound {got} vs {want}");
+                for (c, &u) in p.cliques.iter().zip(&s.unplaced) {
+                    let open_members =
+                        c.members.iter().filter(|&&x| s.assigned[x] == UNASSIGNED).count();
+                    proptest::prop_assert_eq!(u as usize, open_members);
+                }
+                let (got, want) = (s.clique_term(), clique_bound(&p.cliques, &s.assigned, n_banks));
+                proptest::prop_assert!(close(got, want), "clique term {got} vs {want}");
             }
         }
     }

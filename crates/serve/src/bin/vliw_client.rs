@@ -99,7 +99,7 @@ fn print_stats_line(prefix: &str, stats: &Json) {
             .unwrap_or(0)
     };
     println!(
-        "{prefix} hits={} (mem={} disk={}) misses={} compiles={} dedup_waits={} batches={} sync_writes={} evictions={} timeouts={} joint_truncated={} errors={} accepts={} conns_rejected={} p50_us={} p90_us={} p99_us={} queue_p99_us={}",
+        "{prefix} hits={} (mem={} disk={}) misses={} compiles={} dedup_waits={} batches={} sync_writes={} evictions={} timeouts={} joint_truncated={} exact_truncated={} errors={} accepts={} conns_rejected={} p50_us={} p90_us={} p99_us={} queue_p99_us={}",
         n("hits"),
         n("mem_hits"),
         n("disk_hits"),
@@ -111,6 +111,7 @@ fn print_stats_line(prefix: &str, stats: &Json) {
         n("evictions"),
         n("timeouts"),
         n("joint_truncated"),
+        n("exact_truncated"),
         n("errors"),
         n("accepts"),
         n("conns_rejected"),

@@ -467,6 +467,9 @@ impl CachedCompiler {
             if res.joint.is_some_and(|j| !j.optimal) {
                 self.stats().joint_truncated();
             }
+            if res.exact.is_some_and(|e| !e.optimal) {
+                self.stats().exact_truncated();
+            }
             res
         })
         .map_err(|p| {

@@ -75,6 +75,7 @@ pub const AGGREGATE_SUM_FIELDS: &[&str] = &[
     "dedup_waits",
     "timeouts",
     "joint_truncated",
+    "exact_truncated",
     "errors",
     "batches",
     "sync_writes",
@@ -976,6 +977,7 @@ fn base_stats_fields(snap: &StatsSnapshot, evictions: u64) -> Vec<(&'static str,
         ("dedup_waits", Json::Num(snap.dedup_waits as f64)),
         ("timeouts", Json::Num(snap.timeouts as f64)),
         ("joint_truncated", Json::Num(snap.joint_truncated as f64)),
+        ("exact_truncated", Json::Num(snap.exact_truncated as f64)),
         ("errors", Json::Num(snap.errors as f64)),
         ("batches", Json::Num(snap.batches as f64)),
         ("sync_writes", Json::Num(snap.sync_writes as f64)),

@@ -28,6 +28,7 @@ pub struct StatsRegistry {
     dedup_waits: AtomicU64,
     timeouts: AtomicU64,
     joint_truncated: AtomicU64,
+    exact_truncated: AtomicU64,
     errors: AtomicU64,
     batches: AtomicU64,
     sync_writes: AtomicU64,
@@ -66,6 +67,10 @@ pub struct StatsSnapshot {
     /// response carried the greedy incumbent with `optimal: false` and a
     /// proven `lower_bound_ii` instead of timing out.
     pub joint_truncated: u64,
+    /// Exact-partitioner compiles whose search did not close (deadline,
+    /// explicit budget or a tripped resource pool): the response carried
+    /// the best partition found with `optimal: false`.
+    pub exact_truncated: u64,
     /// Malformed or failed requests.
     pub errors: u64,
     /// `compile_batch` requests served (each carries many entries).
@@ -149,6 +154,11 @@ impl StatsRegistry {
         self.joint_truncated.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record an exact compile whose search did not close.
+    pub fn exact_truncated(&self) {
+        self.exact_truncated.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Record a malformed or failed request.
     pub fn error(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
@@ -205,6 +215,7 @@ impl StatsRegistry {
             dedup_waits: self.dedup_waits.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             joint_truncated: self.joint_truncated.load(Ordering::Relaxed),
+            exact_truncated: self.exact_truncated.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             sync_writes: self.sync_writes.load(Ordering::Relaxed),
@@ -248,6 +259,7 @@ mod tests {
         s.dedup_wait();
         s.timeout();
         s.joint_truncated();
+        s.exact_truncated();
         s.error();
         s.batch();
         s.sync_write();
@@ -265,6 +277,7 @@ mod tests {
         assert_eq!(snap.dedup_waits, 1);
         assert_eq!(snap.timeouts, 1);
         assert_eq!(snap.joint_truncated, 1);
+        assert_eq!(snap.exact_truncated, 1);
         assert_eq!(snap.errors, 1);
         assert_eq!(snap.batches, 1);
         assert_eq!(snap.sync_writes, 1);
@@ -272,6 +285,16 @@ mod tests {
         assert_eq!(snap.conns_rejected, 1);
         assert_eq!(snap.idle_closed, 1);
         assert_eq!(snap.oversize_closed, 1);
+    }
+
+    #[test]
+    fn exact_and_joint_truncations_count_apart() {
+        let s = StatsRegistry::new();
+        s.exact_truncated();
+        s.exact_truncated();
+        s.joint_truncated();
+        let snap = s.snapshot();
+        assert_eq!((snap.exact_truncated, snap.joint_truncated), (2, 1));
     }
 
     #[test]

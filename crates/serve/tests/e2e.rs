@@ -709,6 +709,11 @@ fn pool_tripped_exact_truncation_is_never_cached() {
     let stats = client.stats().expect("stats");
     let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
     assert_eq!(n("compiles"), 2);
+    assert!(
+        n("exact_truncated") >= 1,
+        "exact_truncated={}",
+        n("exact_truncated")
+    );
 
     server.stop();
 }
