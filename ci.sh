@@ -43,6 +43,10 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+# Broken or private intra-doc links rot silently otherwise.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release
 

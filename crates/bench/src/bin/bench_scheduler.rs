@@ -242,10 +242,12 @@ fn stage_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
     j.close();
 }
 
+/// Timed repetitions of every exact sweep.
+const EXACT_RUNS: usize = 5;
+
 /// Effort totals of one sweep of exact solves.
-#[derive(Default)]
-struct ExactTotals {
-    solve_ms: f64,
+#[derive(Default, Debug, PartialEq)]
+struct ExactCounts {
     n_optimal: u64,
     nodes: u64,
     pruned: u64,
@@ -253,8 +255,10 @@ struct ExactTotals {
 }
 
 /// Unbudgeted exact solves of `loops` on `machine`, each seeded with the
-/// greedy partition it has to beat. Only the solves are timed.
-fn exact_sweep(loops: &[&Loop], machine: &MachineDesc) -> ExactTotals {
+/// greedy partition it has to beat, swept [`EXACT_RUNS`] times. The counts
+/// must repeat exactly; returns them with each sweep's solve time (ms,
+/// ascending). Only the solves are timed.
+fn exact_sweep(loops: &[&Loop], machine: &MachineDesc) -> (ExactCounts, Vec<f64>) {
     let cfg = PartitionConfig::default();
     let caps: Vec<usize> = machine.clusters.iter().map(|c| c.n_fus).collect();
     let inputs: Vec<_> = loops
@@ -267,26 +271,44 @@ fn exact_sweep(loops: &[&Loop], machine: &MachineDesc) -> ExactTotals {
         })
         .collect();
     let ecfg = vliw_exact::ExactConfig::default();
-    let mut t = ExactTotals::default();
-    let t0 = Instant::now();
-    for (g, seed) in &inputs {
-        let r = vliw_exact::solve(g, machine.n_clusters(), Some(seed), &ecfg);
-        t.nodes += r.stats.nodes_expanded;
-        t.pruned += r.stats.pruned_bound;
-        t.dominance += r.stats.dominance_assigns;
-        t.n_optimal += r.optimal as u64;
-        black_box(r.cost);
+    let mut first: Option<ExactCounts> = None;
+    let mut times = Vec::with_capacity(EXACT_RUNS);
+    for _ in 0..EXACT_RUNS {
+        let mut c = ExactCounts::default();
+        let t0 = Instant::now();
+        for (g, seed) in &inputs {
+            let r = vliw_exact::solve(g, machine.n_clusters(), Some(seed), &ecfg);
+            c.nodes += r.stats.nodes_expanded;
+            c.pruned += r.stats.pruned_bound;
+            c.dominance += r.stats.dominance_assigns;
+            c.n_optimal += r.optimal as u64;
+            black_box(r.cost);
+        }
+        times.push(t0.elapsed().as_secs_f64() * 1e3);
+        match &first {
+            None => first = Some(c),
+            Some(f) => assert_eq!(f, &c, "exact counts must repeat across sweeps"),
+        }
     }
-    t.solve_ms = t0.elapsed().as_secs_f64() * 1e3;
-    t
+    times.sort_by(f64::total_cmp);
+    (first.expect("at least one sweep"), times)
 }
 
-fn exact_totals(j: &mut Json, t: &ExactTotals) {
-    j.int("n_optimal", t.n_optimal);
-    j.num("solve_ms", t.solve_ms);
-    j.int("nodes_expanded", t.nodes);
-    j.int("pruned_bound", t.pruned);
-    j.int("dominance_assigns", t.dominance);
+/// Nearest-rank `q`-quantile of ascending `sorted`.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+fn exact_totals(j: &mut Json, (c, times): &(ExactCounts, Vec<f64>)) {
+    j.int("n_optimal", c.n_optimal);
+    j.int("runs", times.len() as u64);
+    j.num("solve_ms", quantile(times, 0.5));
+    j.num("solve_ms_p10", quantile(times, 0.1));
+    j.num("solve_ms_p90", quantile(times, 0.9));
+    j.int("nodes_expanded", c.nodes);
+    j.int("pruned_bound", c.pruned);
+    j.int("dominance_assigns", c.dominance);
 }
 
 fn exact_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
@@ -311,8 +333,8 @@ const SOLVER_MACHINES: [(&str, usize, usize); 2] = [("embedded_4x4", 4, 4), ("em
 
 fn exact_heavy_section(j: &mut Json) {
     // The solves that cost: the 13–24-vreg scaling slice, where one
-    // 24-vreg loop on 4×4 expands ~52k nodes. The ≤12-vreg slice above
-    // expands ~20k nodes in all, too few to time the per-node cost.
+    // 24-vreg loop on 4×4 expands ~26k nodes. The ≤12-vreg slice above
+    // expands ~10k nodes in all, too few to time the per-node cost.
     let slice = vliw_loopgen::scaling_slice();
     let loops: Vec<&Loop> = slice.iter().collect();
     j.open("exact_heavy");

@@ -24,6 +24,23 @@
 //! endpoint — and part 3 counts only edges with both endpoints unassigned,
 //! each in at most one clique, so the parts never double-count and the bound
 //! is admissible: it never exceeds the true cost of the best completion.
+//!
+//! A second admissible bound, the **star bound** ([`star_bound`]), prices
+//! what part 3 misses on many banks: an attraction star, a centre register
+//! attracted to two or more registers that pairwise repel (the RCG of
+//! `p = x·y; s += p` makes `p` one, with leaves `x`, `y` and `s` defined
+//! in one instruction). Keeping the attractions whole puts the leaves in
+//! one bank, where each pair pays its repulsion; splitting them cuts
+//! attractions; either way the star costs something, yet on eight banks a
+//! repulsion clique needs nine members before it counts. Once per solve,
+//! [`attraction_stars`] covers the graph with vertex-disjoint stars and
+//! [`rest_cliques`] covers the repulsion edges that are not leaf pairs of
+//! a star with cliques. The star bound is the partial cost, plus part 2
+//! for the registers in no star, plus one [`star_term`] per star (priced
+//! jointly from its members' edges to the prefix and its own edges), plus
+//! the rest cover's clique term, plus part 4. Stars share no register and
+//! the rest cover no edge with a star, so nothing is counted twice; the
+//! search takes the larger of the two bounds.
 
 /// Sentinel for "this register has no bank yet" in the search's dense
 /// assignment array (bank indices are `u8`, capped well below this).
@@ -105,6 +122,22 @@ pub fn forced_pairs(u: usize, k: usize) -> usize {
     r * (q + 1) * q / 2 + (k - r) * q * q.saturating_sub(1) / 2
 }
 
+/// The repulsion edges of `adj` as bitset rows, `n.div_ceil(64)` words per
+/// register.
+fn repulsion_rows(adj: &[Vec<(usize, f64)>]) -> Vec<u64> {
+    let n = adj.len();
+    let words = n.div_ceil(64);
+    let mut rows = vec![0u64; n * words];
+    for (v, adj_v) in adj.iter().enumerate() {
+        for &(u, w) in adj_v {
+            if w < 0.0 {
+                rows[v * words + u / 64] |= 1 << (u % 64);
+            }
+        }
+    }
+    rows
+}
+
 /// Cover the repulsion edges (`w < 0`) of `adj` with edge-disjoint cliques
 /// of more than `n_banks` registers, the cliques part 3 of the bound
 /// prices.
@@ -117,16 +150,29 @@ pub fn forced_pairs(u: usize, k: usize) -> usize {
 /// larger than `n_banks` is found. Deterministic: the result depends only
 /// on `adj` and `n_banks`.
 pub fn repulsion_cliques(adj: &[Vec<(usize, f64)>], n_banks: usize) -> Vec<Clique> {
-    let n = adj.len();
-    let words = n.div_ceil(64);
-    let mut rows = vec![0u64; n * words];
-    for (v, adj_v) in adj.iter().enumerate() {
-        for &(u, w) in adj_v {
-            if w < 0.0 {
-                rows[v * words + u / 64] |= 1 << (u % 64);
+    cover_cliques(adj, repulsion_rows(adj), n_banks)
+}
+
+/// [`repulsion_cliques`] over the repulsion edges that are not leaf pairs
+/// of `stars`: the clique cover the star bound adds, which must not price
+/// an edge a star term already prices.
+pub fn rest_cliques(adj: &[Vec<(usize, f64)>], stars: &[Star], n_banks: usize) -> Vec<Clique> {
+    let mut rows = repulsion_rows(adj);
+    let words = adj.len().div_ceil(64);
+    for s in stars {
+        for &(a, _) in &s.leaves {
+            for &(b, _) in &s.leaves {
+                rows[a * words + b / 64] &= !(1 << (b % 64));
             }
         }
     }
+    cover_cliques(adj, rows, n_banks)
+}
+
+/// The greedy cover of [`repulsion_cliques`] over the edges left in `rows`.
+fn cover_cliques(adj: &[Vec<(usize, f64)>], mut rows: Vec<u64>, n_banks: usize) -> Vec<Clique> {
+    let n = adj.len();
+    let words = n.div_ceil(64);
     let mut cliques = Vec::new();
     let (mut clique, mut cand) = (Vec::with_capacity(n), vec![0u64; words]);
     loop {
@@ -230,6 +276,291 @@ pub fn clique_bound(cliques: &[Clique], assigned: &[u8], n_banks: usize) -> f64 
         total += c.min_weight * forced_pairs(u, n_banks) as f64;
     }
     total
+}
+
+/// Most leaves a star may have. A centre's star is chosen from its
+/// heaviest attractions only (ties to the lower index), which bounds the
+/// cover's subset search at `2^MAX_LEAVES` per centre.
+pub const MAX_LEAVES: usize = 12;
+
+/// An attraction star from [`attraction_stars`]: a centre register and at
+/// least two of its attraction neighbours (the leaves) that pairwise repel.
+/// Keeping every attraction whole puts the leaves in one bank, where each
+/// pair pays its repulsion; splitting the leaves cuts attractions.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Star {
+    /// The centre register.
+    pub centre: usize,
+    /// `(leaf, w)` per leaf, ascending by register: the leaf and the weight
+    /// of its attraction to the centre.
+    pub leaves: Vec<(usize, f64)>,
+    /// Smallest `|w|` over the repulsion edges between leaves.
+    pub min_weight: f64,
+}
+
+/// A star's value with every register unassigned: `attract` holds its
+/// leaves' attraction weights in descending order, `min_weight` its weakest
+/// leaf–leaf `|w|`. The `j` heaviest leaves join the centre's bank and form
+/// `C(j, 2)` repelled pairs; the rest are cut from the centre and form at
+/// least [`forced_pairs`]`(m − j, k − 1)` pairs in the other banks.
+fn root_value(attract: &[f64], min_weight: f64, n_banks: usize) -> f64 {
+    let m = attract.len();
+    let cut: f64 = attract.iter().sum();
+    let mut best = cut + min_weight * forced_pairs(m, n_banks - 1) as f64;
+    let mut kept = 0.0;
+    for (j, &a) in (1..).zip(attract) {
+        kept += a;
+        let pairs = j * (j - 1) / 2 + forced_pairs(m - j, n_banks - 1);
+        best = best.min(cut - kept + min_weight * pairs as f64);
+    }
+    best
+}
+
+/// Cover `adj` with vertex-disjoint attraction stars, the stars the star
+/// bound prices. None with fewer than two banks.
+///
+/// Greedy and deterministic: every centre not yet in a star takes, from its
+/// [`MAX_LEAVES`] heaviest attractions to registers not yet in a star, the
+/// pairwise-repelling subset of at least two with the largest root value
+/// (the star's term with every register unassigned; the first in search
+/// order on ties). Keep the best star over all centres, ties to the lower
+/// centre, remove its members, and repeat until no centre has one. A
+/// centre's choice is recomputed only when one of its attraction
+/// neighbours joins a star.
+pub fn attraction_stars(adj: &[Vec<(usize, f64)>], n_banks: usize) -> Vec<Star> {
+    let n = adj.len();
+    if n_banks < 2 {
+        return Vec::new();
+    }
+    let mut taken = vec![false; n];
+    let mut best: Vec<Option<(f64, Star)>> = vec![None; n];
+    let mut stale = vec![true; n];
+    let mut stars = Vec::new();
+    loop {
+        let mut pick: Option<(usize, f64)> = None;
+        for c in 0..n {
+            if taken[c] {
+                continue;
+            }
+            if stale[c] {
+                best[c] = best_star(adj, c, &taken, n_banks);
+                stale[c] = false;
+            }
+            if let Some((value, _)) = &best[c] {
+                if pick.is_none_or(|(_, v)| *value > v) {
+                    pick = Some((c, *value));
+                }
+            }
+        }
+        let Some((c, _)) = pick else {
+            return stars;
+        };
+        let (_, star) = best[c].take().expect("picked centres have a star");
+        for v in std::iter::once(c).chain(star.leaves.iter().map(|&(l, _)| l)) {
+            taken[v] = true;
+            for &(u, w) in &adj[v] {
+                if w > 0.0 {
+                    stale[u] = true;
+                }
+            }
+        }
+        stars.push(star);
+    }
+}
+
+/// Centre `c`'s best star among registers not `taken`, with its root value.
+fn best_star(
+    adj: &[Vec<(usize, f64)>],
+    c: usize,
+    taken: &[bool],
+    n_banks: usize,
+) -> Option<(f64, Star)> {
+    let mut nb: Vec<(usize, f64)> = adj[c]
+        .iter()
+        .filter(|&&(u, w)| w > 0.0 && !taken[u])
+        .copied()
+        .collect();
+    nb.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+    nb.truncate(MAX_LEAVES);
+    let d = nb.len();
+    if d < 2 {
+        return None;
+    }
+    // `repel[i * d + j]` is the |w| of the repulsion between candidates i
+    // and j, 0 where they do not repel.
+    let mut repel = vec![0.0; d * d];
+    for (i, &(a, _)) in nb.iter().enumerate() {
+        for &(b, w) in &adj[a] {
+            if w < 0.0 {
+                if let Some(j) = nb.iter().position(|&(x, _)| x == b) {
+                    repel[i * d + j] = -w;
+                }
+            }
+        }
+    }
+    let mut search = StarSearch {
+        nb: &nb,
+        repel: &repel,
+        n_banks,
+        chosen: Vec::with_capacity(d),
+        attract: Vec::with_capacity(d),
+        best: None,
+    };
+    search.grow(0, f64::INFINITY);
+    let (value, members, min_weight) = search.best?;
+    let mut leaves: Vec<(usize, f64)> = members.into_iter().map(|i| nb[i]).collect();
+    leaves.sort_unstable_by_key(|&(l, _)| l);
+    Some((
+        value,
+        Star {
+            centre: c,
+            leaves,
+            min_weight,
+        },
+    ))
+}
+
+/// Depth-first search over the pairwise-repelling subsets of one centre's
+/// candidate leaves (`nb`, heaviest first), keeping the best root value.
+struct StarSearch<'a> {
+    nb: &'a [(usize, f64)],
+    repel: &'a [f64],
+    n_banks: usize,
+    /// Indices into `nb` of the current subset, ascending.
+    chosen: Vec<usize>,
+    /// Their attraction weights, in the same (descending) order.
+    attract: Vec<f64>,
+    /// Best `(root value, subset, weakest leaf–leaf |w|)` so far.
+    best: Option<(f64, Vec<usize>, f64)>,
+}
+
+impl StarSearch<'_> {
+    fn grow(&mut self, from: usize, min_weight: f64) {
+        let d = self.nb.len();
+        for i in from..d {
+            if !self.chosen.iter().all(|&c| self.repel[c * d + i] > 0.0) {
+                continue;
+            }
+            let w = self
+                .chosen
+                .iter()
+                .fold(min_weight, |m, &c| m.min(self.repel[c * d + i]));
+            self.chosen.push(i);
+            self.attract.push(self.nb[i].1);
+            if self.chosen.len() >= 2 {
+                let value = root_value(&self.attract, w, self.n_banks);
+                if self.best.as_ref().is_none_or(|(v, _, _)| value > *v) {
+                    self.best = Some((value, self.chosen.clone(), w));
+                }
+            }
+            self.grow(i + 1, w);
+            self.chosen.pop();
+            self.attract.pop();
+        }
+    }
+}
+
+/// One star's term, from scratch: the least that any completion pays for
+/// the edges of the star's unassigned members to the assigned prefix and
+/// for the star's own edges between unassigned members.
+///
+/// The centre's bank `B` is its bank if placed; otherwise every candidate
+/// bank is tried (fresh banks price alike) and the centre's own price in
+/// `B` is added. Every subset of the unassigned leaves is tried as the set
+/// that joins `B`: a joiner pays its price in `B`; any other leaf pays its
+/// cheapest price over the other banks, plus its attraction if the centre
+/// is unplaced; `j` joiners form `C(j, 2)` repelled pairs and the other
+/// `m − j` at least [`forced_pairs`]`(m − j, k − 1)`, each at the star's
+/// weakest leaf–leaf `|w|`. Exponential in the leaves, as a reference
+/// should be.
+pub fn star_term(
+    adj: &[Vec<(usize, f64)>],
+    star: &Star,
+    assigned: &[u8],
+    used: usize,
+    n_banks: usize,
+) -> f64 {
+    let price = |v: usize, b: usize| assign_edge_cost(&adj[v], assigned, b as u8);
+    let open: Vec<(usize, f64)> = star
+        .leaves
+        .iter()
+        .copied()
+        .filter(|&(l, _)| assigned[l] == UNASSIGNED)
+        .collect();
+    let m = open.len();
+    let free_centre = assigned[star.centre] == UNASSIGNED;
+    let centre_banks = if free_centre {
+        0..(used + 1).min(n_banks)
+    } else {
+        let b = assigned[star.centre] as usize;
+        b..b + 1
+    };
+    let mut best = f64::INFINITY;
+    for bank in centre_banks {
+        let centre = if free_centre {
+            price(star.centre, bank)
+        } else {
+            0.0
+        };
+        for joins in 0u32..1 << m {
+            let mut cost = centre;
+            for (i, &(l, a)) in open.iter().enumerate() {
+                if joins & (1 << i) != 0 {
+                    cost += price(l, bank);
+                } else {
+                    let elsewhere = (0..n_banks)
+                        .filter(|&b| b != bank)
+                        .map(|b| price(l, b))
+                        .fold(f64::INFINITY, f64::min);
+                    cost += elsewhere + if free_centre { a } else { 0.0 };
+                }
+            }
+            let j = joins.count_ones() as usize;
+            let pairs = j * j.saturating_sub(1) / 2 + forced_pairs(m - j, n_banks - 1);
+            best = best.min(cost + star.min_weight * pairs as f64);
+        }
+    }
+    best
+}
+
+/// The star bound without the partial cost and the balance term, from
+/// scratch: for every unassigned register in no star, its cheapest
+/// candidate bank against the prefix; one [`star_term`] per star; and the
+/// [`clique_bound`] of `rest`, the clique cover of the repulsion edges no
+/// star prices ([`rest_cliques`]).
+///
+/// Admissible by the same argument as the other parts: stars are
+/// vertex-disjoint, so every unassigned register's edges to the prefix are
+/// priced once; a star term prices only its own edges between unassigned
+/// members, and `rest` shares no edge with any star.
+pub fn star_bound(
+    adj: &[Vec<(usize, f64)>],
+    stars: &[Star],
+    rest: &[Clique],
+    assigned: &[u8],
+    used: usize,
+    n_banks: usize,
+) -> f64 {
+    let mut in_star = vec![false; adj.len()];
+    for s in stars {
+        in_star[s.centre] = true;
+        for &(l, _) in &s.leaves {
+            in_star[l] = true;
+        }
+    }
+    let cand = (used + 1).min(n_banks);
+    let mut total = 0.0;
+    for (v, adj_v) in adj.iter().enumerate() {
+        if assigned[v] == UNASSIGNED && !in_star[v] {
+            total += (0..cand)
+                .map(|b| assign_edge_cost(adj_v, assigned, b as u8))
+                .fold(f64::INFINITY, f64::min);
+        }
+    }
+    for s in stars {
+        total += star_term(adj, s, assigned, used, n_banks);
+    }
+    total + clique_bound(rest, assigned, n_banks)
 }
 
 /// Part 4 of the bound: the smallest possible *increase* of the quadratic
@@ -364,17 +695,7 @@ mod tests {
             seed in 0u64..u64::MAX,
             repel_pct in 30u64..96,
         ) {
-            let mut state = seed;
-            let adj = complete(n, |_, _| {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let z = (state ^ (state >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                let z = z ^ (z >> 32);
-                match z % 100 {
-                    p if p < repel_pct => -(((z >> 8) % 16 + 1) as f64) / 8.0,
-                    p if p < 98 => ((z >> 8) % 16 + 1) as f64 / 8.0,
-                    _ => 0.0,
-                }
-            });
+            let adj = random_complete(n, seed, repel_pct);
             let weight = |a: usize, b: usize| {
                 adj[a].iter().find(|&&(x, _)| x == b).map(|&(_, w)| w)
             };
@@ -398,6 +719,94 @@ mod tests {
                 proptest::prop_assert_eq!(c.min_weight, min_weight);
             }
             proptest::prop_assert_eq!(repulsion_cliques(&adj, n_banks), cliques);
+        }
+    }
+
+    #[test]
+    fn one_bank_has_no_stars() {
+        // Register 0 attracts 1, 2 and 3, which pairwise repel: a star on
+        // two banks, none on one, where `forced_pairs(·, 0)` is undefined.
+        let adj = complete(4, |a, _| if a == 0 { 1.0 } else { -1.0 });
+        assert_eq!(
+            attraction_stars(&adj, 2),
+            vec![Star {
+                centre: 0,
+                leaves: vec![(1, 1.0), (2, 1.0), (3, 1.0)],
+                min_weight: 1.0
+            }]
+        );
+        assert!(attraction_stars(&adj, 1).is_empty());
+    }
+
+    /// Random complete graph for the cover properties: `repel_pct` percent
+    /// of the pairs repel, the rest mostly attract; weights in eighths.
+    fn random_complete(n: usize, seed: u64, repel_pct: u64) -> Vec<Vec<(usize, f64)>> {
+        let mut state = seed;
+        complete(n, |_, _| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = z ^ (z >> 32);
+            match z % 100 {
+                p if p < repel_pct => -(((z >> 8) % 16 + 1) as f64) / 8.0,
+                p if p < 98 => ((z >> 8) % 16 + 1) as f64 / 8.0,
+                _ => 0.0,
+            }
+        })
+    }
+
+    proptest::proptest! {
+        /// On random graphs (up to 70 registers, so bitset rows span two
+        /// words), the stars are vertex-disjoint, every leaf attracts its
+        /// centre with the recorded weight, the leaves pairwise repel with
+        /// the recorded weakest `|w|`, the rest cover is a clique cover
+        /// that shares no edge with any star's leaf pairs, and both come
+        /// out the same on every call.
+        #[test]
+        fn star_cover_is_vertex_disjoint_and_priced(
+            n in 2usize..71,
+            n_banks in 1usize..9,
+            seed in 0u64..u64::MAX,
+            repel_pct in 20u64..80,
+        ) {
+            let adj = random_complete(n, seed, repel_pct);
+            let weight = |a: usize, b: usize| {
+                adj[a].iter().find(|&&(x, _)| x == b).map(|&(_, w)| w)
+            };
+            let stars = attraction_stars(&adj, n_banks);
+            proptest::prop_assert!(n_banks > 1 || stars.is_empty());
+            let mut seen = std::collections::BTreeSet::new();
+            let mut leaf_pairs = std::collections::BTreeSet::new();
+            for s in &stars {
+                proptest::prop_assert!((2..=MAX_LEAVES).contains(&s.leaves.len()));
+                proptest::prop_assert!(s.leaves.windows(2).all(|p| p[0].0 < p[1].0));
+                proptest::prop_assert!(seen.insert(s.centre), "{} in two stars", s.centre);
+                let mut min_weight = f64::INFINITY;
+                for (i, &(a, w)) in s.leaves.iter().enumerate() {
+                    proptest::prop_assert!(seen.insert(a), "{a} in two stars");
+                    proptest::prop_assert!(w > 0.0 && weight(s.centre, a) == Some(w));
+                    for &(b, _) in &s.leaves[i + 1..] {
+                        let w = weight(a, b);
+                        proptest::prop_assert!(w.is_some_and(|w| w < 0.0), "leaves {a}, {b} do not repel");
+                        min_weight = min_weight.min(-w.unwrap());
+                        leaf_pairs.insert((a, b));
+                    }
+                }
+                proptest::prop_assert_eq!(s.min_weight, min_weight);
+            }
+            let rest = rest_cliques(&adj, &stars, n_banks);
+            let mut covered = std::collections::BTreeSet::new();
+            for c in &rest {
+                proptest::prop_assert!(c.members.len() > n_banks);
+                for (i, &a) in c.members.iter().enumerate() {
+                    for &b in &c.members[i + 1..] {
+                        proptest::prop_assert!(weight(a, b).is_some_and(|w| w < 0.0));
+                        proptest::prop_assert!(!leaf_pairs.contains(&(a, b)), "{a}-{b} is a leaf pair");
+                        proptest::prop_assert!(covered.insert((a, b)), "{a}-{b} covered twice");
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(attraction_stars(&adj, n_banks), stars.clone());
+            proptest::prop_assert_eq!(rest_cliques(&adj, &stars, n_banks), rest);
         }
     }
 

@@ -15,7 +15,11 @@
 //!   against the already-assigned ones, plus a pigeonhole term over
 //!   repulsion cliques (a clique of `u` unassigned registers that pairwise
 //!   repel must put some pairs in one of the `k` banks once `u > k`), plus a
-//!   water-filling relaxation of the balance term ([`bound`]);
+//!   water-filling relaxation of the balance term; where that does not
+//!   prune, a second bound prices attraction stars (a register attracted to
+//!   registers that repel each other pays for a cut attraction or a kept
+//!   repulsion in any completion) jointly from their members' rows, and the
+//!   node takes the larger ([`bound`]);
 //! * **bank-permutation symmetry breaking** — banks are interchangeable in
 //!   the objective, so a node may only open one fresh bank: the first K
 //!   distinct nodes are effectively pinned to banks `0..K` ([`search`]);
@@ -33,7 +37,9 @@
 //! trail when it is unplaced, so a tree node costs O(unassigned × banks).
 //! The repulsion cliques are found once per solve, and the search keeps
 //! each one's count of unassigned members, so the clique term costs
-//! O(cliques) per node.
+//! O(cliques) per node. The stars and the second clique cover are found
+//! once per solve too; a star's term reads its members' table rows, so it
+//! costs O(leaves × banks) per star and node.
 //!
 //! The brute-force enumeration in [`oracle`] exists for tests: it checks the
 //! branch-and-bound against an exhaustive scan of all `banks^registers`

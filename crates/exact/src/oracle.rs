@@ -17,7 +17,7 @@ const MAX_ASSIGNMENTS: u64 = 65_536;
 /// Exhaustively find a minimum-cost partition of `g` over `n_banks` banks.
 ///
 /// Returns `(partition, cost)`. Panics if the instance would need more than
-/// [`MAX_ASSIGNMENTS`] evaluations — the oracle exists for ≤8-register test
+/// `MAX_ASSIGNMENTS` evaluations — the oracle exists for ≤8-register test
 /// graphs, not as a solver.
 pub fn brute_force(g: &RcgGraph, n_banks: usize, balance_weight: f64) -> (Partition, f64) {
     assert!(n_banks >= 1, "at least one bank");
@@ -68,7 +68,7 @@ pub fn brute_force(g: &RcgGraph, n_banks: usize, balance_weight: f64) -> (Partit
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bound::repulsion_cliques;
+    use crate::bound::{attraction_stars, repulsion_cliques};
     use crate::search::{dense_adjacency, solve, ExactConfig};
     use vliw_ir::VReg;
 
@@ -89,6 +89,38 @@ mod tests {
                 -w
             }
         })
+    }
+
+    /// Star-dense test graph, the RCG shape of `p = x·y; s += p`: the
+    /// registers fall into groups of four, in which the first attracts the
+    /// other three and those pairwise repel (weights in eighths); between
+    /// groups, about two pairs in three carry a light edge of either sign.
+    fn star_dense_graph(n: u32, seed: u64) -> RcgGraph {
+        let mut g = RcgGraph::new(n as usize);
+        let mut state = seed;
+        for a in 0..n {
+            for b in (a + 1)..n {
+                state = state.wrapping_add(0x9E3779B97F4A7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+                z ^= z >> 31;
+                let heavy = ((z >> 8) % 16 + 1) as f64 / 8.0;
+                let w = if a / 4 != b / 4 {
+                    match z % 3 {
+                        0 => continue,
+                        1 => ((z >> 8) % 8 + 1) as f64 / 8.0,
+                        _ => -(((z >> 8) % 8 + 1) as f64) / 8.0,
+                    }
+                } else if a % 4 == 0 {
+                    heavy
+                } else {
+                    -heavy
+                };
+                g.bump_edge(VReg(a), VReg(b), w);
+            }
+        }
+        g
     }
 
     fn random_graph_with(
@@ -151,7 +183,19 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cases.len(), 5 * 3 * 12 + 4 * 4 * 6);
+        // Star-dense graphs of 4–8 registers hold one or two attraction
+        // stars on every bank count above one, so they exercise the star
+        // bound (and one bank, where there is none).
+        for n in 4..=8u32 {
+            for n_banks in [1usize, 2, 3, 4] {
+                for seed in 0..6u64 {
+                    let g = star_dense_graph(n, seed * 1_000 + n as u64);
+                    let name = format!("star-dense n={n} banks={n_banks} seed={seed}");
+                    cases.push((name, g, n_banks));
+                }
+            }
+        }
+        assert_eq!(cases.len(), 5 * 3 * 12 + 4 * 4 * 6 + 5 * 4 * 6);
         let cliqued = cases
             .iter()
             .filter(|(_, g, k)| !repulsion_cliques(&dense_adjacency(g), *k).is_empty())
@@ -160,6 +204,11 @@ mod tests {
             cliqued >= 64,
             "only {cliqued} cases price a repulsion clique"
         );
+        let starred = cases
+            .iter()
+            .filter(|(_, g, k)| !attraction_stars(&dense_adjacency(g), *k).is_empty())
+            .count();
+        assert!(starred >= 180, "only {starred} cases price a star");
         for (name, g, n_banks) in &cases {
             let (_, oracle_cost) = brute_force(g, *n_banks, 0.0);
             let r = solve(g, *n_banks, None, &ExactConfig::default());

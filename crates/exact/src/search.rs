@@ -15,7 +15,14 @@
 //!   [`repulsion_cliques`] finds once per solve: `place` and `unplace` keep
 //!   each clique's count of unassigned members, and a clique of `u` such
 //!   members in `k` banks forces at least [`forced_pairs`]`(u, k)` repelled
-//!   pairs into a shared bank;
+//!   pairs into a shared bank. Where that bound does not prune, the node
+//!   tries the star bound ([`star_bound`]): the attraction stars and the
+//!   second clique cover are found once per solve, each star is priced
+//!   from its members' table rows, and the sum stops as soon as it passes
+//!   the incumbent. A node's bound is thus the larger of the two, and
+//!   neither is always the larger: stars price what eight banks hide from
+//!   the cliques, while the second cover, which skips the stars' leaf
+//!   pairs, is weaker on the 4-bank classes;
 //! * **symmetry breaking** — a register may enter an occupied bank or open
 //!   exactly one fresh bank (banks `0..used` are always the occupied ones),
 //!   collapsing the `banks!` permutations of every solution to one canonical
@@ -34,10 +41,12 @@
 //! partition — not just its cost — deterministic.
 
 use crate::bound::{
-    assign_edge_cost, balance_relaxation, clique_bound, forced_pairs, repulsion_cliques,
-    unassigned_edge_bound, Clique, UNASSIGNED,
+    assign_edge_cost, attraction_stars, balance_relaxation, clique_bound, forced_pairs,
+    repulsion_cliques, rest_cliques, star_bound, unassigned_edge_bound, Clique, Star, MAX_LEAVES,
+    UNASSIGNED,
 };
 use crate::objective::partition_cost;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 use vliw_core::{Partition, RcgGraph};
 use vliw_governor::TrackedBudget;
@@ -98,7 +107,7 @@ pub struct ExactResult {
 }
 
 /// The static half of a solve: dense adjacency, branch order, repulsion
-/// cliques, cost model.
+/// cliques, attraction stars, cost model.
 struct Problem {
     n: usize,
     n_banks: usize,
@@ -106,10 +115,22 @@ struct Problem {
     adj: Vec<Vec<(usize, f64)>>,
     /// Branch order: most-constrained first.
     order: Vec<usize>,
-    /// Edge-disjoint repulsion cliques of more than `n_banks` members.
+    /// Two covers by repulsion cliques of more than `n_banks` members, each
+    /// edge-disjoint: `cliques[..split]` covers every repulsion edge, the
+    /// first bound's term; `cliques[split..]` covers those that are not
+    /// leaf pairs of a star, the star bound's term.
     cliques: Vec<Clique>,
+    split: usize,
     /// `reg_cliques[v]` lists the indices of the cliques `v` belongs to.
     reg_cliques: Vec<Vec<usize>>,
+    /// Vertex-disjoint attraction stars (none with one bank).
+    stars: Vec<Star>,
+    /// Whether each register belongs to a star.
+    in_star: Vec<bool>,
+    /// `other_pairs[u]` = [`forced_pairs`]`(u, banks − 1)` as a float, for
+    /// `u` up to [`MAX_LEAVES`], so the star term's inner loop divides
+    /// nothing; empty without stars.
+    other_pairs: Vec<f64>,
     balance_weight: f64,
 }
 
@@ -118,7 +139,24 @@ impl Problem {
         let n = g.n_nodes();
         let adj = dense_adjacency(g);
         let order = branch_order(g);
-        let cliques = repulsion_cliques(&adj, n_banks);
+        let mut cliques = repulsion_cliques(&adj, n_banks);
+        let split = cliques.len();
+        let stars = attraction_stars(&adj, n_banks);
+        let mut in_star = vec![false; n];
+        let mut other_pairs = Vec::new();
+        if !stars.is_empty() {
+            cliques.extend(rest_cliques(&adj, &stars, n_banks));
+            cliques.shrink_to_fit();
+            for s in &stars {
+                in_star[s.centre] = true;
+                for &(l, _) in &s.leaves {
+                    in_star[l] = true;
+                }
+            }
+            other_pairs = (0..=MAX_LEAVES)
+                .map(|u| forced_pairs(u, n_banks - 1) as f64)
+                .collect();
+        }
         let mut memberships = vec![0; n];
         for c in &cliques {
             for &v in &c.members {
@@ -138,7 +176,11 @@ impl Problem {
             adj,
             order,
             cliques,
+            split,
             reg_cliques,
+            stars,
+            in_star,
+            other_pairs,
             balance_weight,
         }
     }
@@ -157,6 +199,11 @@ impl Problem {
     /// Clique memberships over all cliques (= entries over `reg_cliques`).
     fn clique_members(&self) -> usize {
         self.cliques.iter().map(|c| c.members.len()).sum()
+    }
+
+    /// Leaves over all stars.
+    fn star_leaves(&self) -> usize {
+        self.stars.iter().map(|s| s.leaves.len()).sum()
     }
 }
 
@@ -191,6 +238,14 @@ pub fn branch_order(g: &RcgGraph) -> Vec<usize> {
             .then(a.cmp(&b))
     });
     order
+}
+
+/// A table row's cheapest price over the candidate banks `0..cand`: `P`
+/// plus its smallest `M_b` (adding `P` is monotone, so this is the
+/// smallest `P + M_b`).
+#[inline]
+fn cheapest(row: &[f64], cand: usize) -> f64 {
+    row[0] + row[1..=cand].iter().fold(f64::INFINITY, |m, &x| m.min(x))
 }
 
 /// What [`Searcher::unplace`] needs to undo one [`Searcher::place`].
@@ -337,30 +392,127 @@ impl<'a> Searcher<'a> {
     }
 
     /// [`unassigned_edge_bound`] read off the cost table: per unassigned
-    /// register, `P` plus its smallest `M_b` over the candidate banks
-    /// (adding `P` is monotone, so this is the smallest `P + M_b`). Summed
-    /// in register order, like the reference.
-    fn edge_bound(&self) -> f64 {
+    /// register, its [`cheapest`] candidate bank. Summed in register order,
+    /// like the reference, in one pass with the same sum over the registers
+    /// in no star, which the star bound reads.
+    fn edge_bound(&self) -> (f64, f64) {
         let cand = (self.used + 1).min(self.p.n_banks);
-        let mut total = 0.0;
-        for (row, &a) in self.table.chunks_exact(self.p.stride()).zip(&self.assigned) {
+        let (mut total, mut loose) = (0.0, 0.0);
+        for ((row, &a), &star) in self
+            .table
+            .chunks_exact(self.p.stride())
+            .zip(&self.assigned)
+            .zip(&self.p.in_star)
+        {
             if a != UNASSIGNED {
                 continue;
             }
-            let m = row[1..=cand].iter().fold(f64::INFINITY, |m, &x| m.min(x));
-            total += row[0] + m;
+            let x = cheapest(row, cand);
+            total += x;
+            if !star {
+                loose += x;
+            }
+        }
+        (total, loose)
+    }
+
+    /// [`clique_bound`] over `cliques` (one of the two covers) read off the
+    /// per-clique counters, summed in clique order like the reference.
+    fn clique_term(&self, cliques: Range<usize>) -> f64 {
+        let mut total = 0.0;
+        for (c, &u) in self.p.cliques[cliques.clone()]
+            .iter()
+            .zip(&self.unplaced[cliques])
+        {
+            total += c.min_weight * forced_pairs(u as usize, self.p.n_banks) as f64;
         }
         total
     }
 
-    /// [`clique_bound`] read off the per-clique counters, summed in clique
-    /// order like the reference.
-    fn clique_term(&self) -> f64 {
-        let mut total = 0.0;
-        for (c, &u) in self.p.cliques.iter().zip(&self.unplaced) {
-            total += c.min_weight * forced_pairs(u as usize, self.p.n_banks) as f64;
+    /// The star bound ([`star_bound`] plus `base`, the partial cost and the
+    /// balance relaxation) given `loose`, the rows of the registers in no
+    /// star from [`Searcher::edge_bound`], read off the table and the
+    /// counters. Stops summing stars once the total passes `cap`, so a
+    /// result above `cap` may fall short of the full bound.
+    fn star_bound(&self, base: f64, loose: f64, cap: f64) -> f64 {
+        let p = self.p;
+        let mut total = base + loose + self.clique_term(p.split..p.cliques.len());
+        for s in &p.stars {
+            if total > cap {
+                break;
+            }
+            total += self.star_term(s);
         }
         total
+    }
+
+    /// [`crate::bound::star_term`] read off the table. Each unassigned
+    /// leaf's cheapest price off bank `B` is its cheapest bank's, or its
+    /// second cheapest's when that bank is `B`, so each leaf's row is
+    /// scanned once; and the best `j` joiners are the `j` whose price in
+    /// `B` exceeds their price elsewhere the least, so sorting those
+    /// differences replaces the reference's subset enumeration.
+    fn star_term(&self, s: &Star) -> f64 {
+        let p = self.p;
+        let stride = p.stride();
+        let cand = (self.used + 1).min(p.n_banks);
+        // Banks `0..scan` hold every distinct price: the occupied banks, the
+        // first fresh bank and, if there is one, a second fresh bank that
+        // stands for "another fresh bank" when `B` is fresh.
+        let scan = (self.used + 2).min(p.n_banks);
+        let centre = self.assigned[s.centre];
+        let free_centre = centre == UNASSIGNED;
+        // Per unassigned leaf: row offset, `P` plus the attraction a cut
+        // costs, cheapest bank, cheapest and second cheapest `M`.
+        let mut leaves = [(0usize, 0.0f64, 0usize, 0.0f64, 0.0f64); MAX_LEAVES];
+        let mut m = 0;
+        for &(l, a) in &s.leaves {
+            if self.assigned[l] != UNASSIGNED {
+                continue;
+            }
+            let row = l * stride;
+            let (mut lo, mut lo_bank, mut next) = (f64::INFINITY, 0, f64::INFINITY);
+            for (b, &x) in self.table[row + 1..row + 1 + scan].iter().enumerate() {
+                if x < lo {
+                    (next, lo, lo_bank) = (lo, x, b);
+                } else if x < next {
+                    next = x;
+                }
+            }
+            let cut = if free_centre { a } else { 0.0 };
+            leaves[m] = (row, self.table[row] + cut, lo_bank, lo, next);
+            m += 1;
+        }
+        let banks = if free_centre {
+            0..cand
+        } else {
+            centre as usize..centre as usize + 1
+        };
+        let mut best = f64::INFINITY;
+        let mut gain = [0.0f64; MAX_LEAVES];
+        for bank in banks {
+            let mut total = if free_centre {
+                let row = s.centre * stride;
+                self.table[row] + self.table[row + 1 + bank]
+            } else {
+                0.0
+            };
+            for (g, &(row, base, lo_bank, lo, next)) in gain.iter_mut().zip(&leaves[..m]) {
+                let elsewhere = base + if lo_bank == bank { next } else { lo };
+                total += elsewhere;
+                *g = self.table[row] + self.table[row + 1 + bank] - elsewhere;
+            }
+            let gain = &mut gain[..m];
+            gain.sort_unstable_by(f64::total_cmp);
+            let mut value = total + s.min_weight * p.other_pairs[m];
+            for (j, &g) in (1..).zip(gain.iter()) {
+                total += g;
+                let pairs = (j * (j - 1) / 2) as f64 + p.other_pairs[m - j];
+                value = value.min(total + s.min_weight * pairs);
+            }
+            best = best.min(value);
+        }
+        best
     }
 
     fn record_leaf(&mut self) {
@@ -398,30 +550,59 @@ impl<'a> Searcher<'a> {
             return;
         }
 
-        let balance = balance_relaxation(&self.counts, self.p.n - depth, self.p.balance_weight);
-        let lb = self.partial + self.edge_bound() + self.clique_term() + balance;
+        let p = self.p;
+        let balance = balance_relaxation(&self.counts, p.n - depth, p.balance_weight);
+        let (rows, loose) = self.edge_bound();
+        let lb = self.partial + rows + self.clique_term(0..p.split) + balance;
         debug_assert!(
             {
                 let reference = self.partial
-                    + unassigned_edge_bound(&self.p.adj, &self.assigned, self.used, self.p.n_banks)
-                    + clique_bound(&self.p.cliques, &self.assigned, self.p.n_banks)
+                    + unassigned_edge_bound(&p.adj, &self.assigned, self.used, p.n_banks)
+                    + clique_bound(&p.cliques[..p.split], &self.assigned, p.n_banks)
                     + balance;
                 (lb - reference).abs() <= 1e-9 * (1.0 + lb.abs())
             },
             "incremental bound {lb} drifted from the reference bound"
         );
-        if lb > self.best_cost + EPS {
+        let cap = self.best_cost + EPS;
+        if lb > cap {
             self.stats.pruned_bound += 1;
             return;
         }
+        // The node's bound is the larger of the two; the star bound is only
+        // summed where the first does not prune, and only until it does.
+        if !p.stars.is_empty() {
+            let sb = self.star_bound(self.partial + balance, loose, cap);
+            debug_assert!(
+                {
+                    let reference = self.partial
+                        + star_bound(
+                            &p.adj,
+                            &p.stars,
+                            &p.cliques[p.split..],
+                            &self.assigned,
+                            self.used,
+                            p.n_banks,
+                        )
+                        + balance;
+                    let tol = 1e-9 * (1.0 + reference.abs());
+                    sb <= reference + tol && (sb > cap || reference - sb <= tol)
+                },
+                "incremental star bound {sb} drifted from the reference bound"
+            );
+            if sb > cap {
+                self.stats.pruned_bound += 1;
+                return;
+            }
+        }
 
-        let v = self.p.order[depth];
-        let cand = (self.used + 1).min(self.p.n_banks) as u8;
+        let v = p.order[depth];
+        let cand = (self.used + 1).min(p.n_banks) as u8;
 
         // Dominance: with no balance term and no unassigned neighbour, v's
         // contribution is already fully determined — place it at its
         // cheapest bank (lowest index on ties) without branching.
-        if self.p.balance_weight == 0.0 && self.free[v] == 0 {
+        if p.balance_weight == 0.0 && self.free[v] == 0 {
             let (mut best_b, mut best_d) = (0u8, f64::INFINITY);
             for b in 0..cand {
                 let d = self.delta(v, b);
@@ -507,11 +688,12 @@ pub fn solve(
 }
 
 /// Bytes the search working set occupies for problem `p`: the adjacency
-/// mirror and branch order, the clique member lists and per-register
-/// clique lists, the searcher's assignment, count and incumbent vectors,
-/// its cost table, unassigned-neighbour and per-clique counters, the undo
-/// trail at its worst case, and one branch list per depth. Charged against
-/// the server pool before the search starts.
+/// mirror and branch order, the member lists of both clique covers and the
+/// per-register clique lists, the star and leaf lists, the star-member
+/// flags and forced-pair table, the searcher's assignment, count and
+/// incumbent vectors, its cost table, unassigned-neighbour and per-clique
+/// counters, the undo trail at its worst case, and one branch list per
+/// depth. Charged against the server pool before the search starts.
 fn working_set_bytes(p: &Problem) -> u64 {
     use std::mem::size_of;
     let adj = p.n * size_of::<Vec<(usize, f64)>>() + p.adj_entries() * size_of::<(usize, f64)>();
@@ -519,12 +701,16 @@ fn working_set_bytes(p: &Problem) -> u64 {
     let cliques = p.cliques.len() * (size_of::<Clique>() + size_of::<u32>())
         + p.n * size_of::<Vec<usize>>()
         + 2 * p.clique_members() * size_of::<usize>();
+    let stars = p.stars.len() * size_of::<Star>()
+        + p.star_leaves() * size_of::<(usize, f64)>()
+        + p.n * size_of::<bool>()
+        + (MAX_LEAVES + 1) * size_of::<f64>();
     let assign = 2 * p.n * size_of::<u8>() + p.n_banks * size_of::<u32>();
     let table = p.n * p.stride() * size_of::<f64>();
     let free = p.n * size_of::<u32>();
     let trail = 2 * p.adj_entries() * size_of::<(usize, f64)>();
     let branches = p.n * p.n_banks * size_of::<(f64, u8)>();
-    (adj + order + cliques + assign + table + free + trail + branches) as u64
+    (adj + order + cliques + stars + assign + table + free + trail + branches) as u64
 }
 
 /// [`solve`] under a server-granted [`TrackedBudget`]: the search charges
@@ -742,24 +928,81 @@ mod tests {
         g
     }
 
+    /// The RCG shape of `s += x·y` unrolled `u` times with every product in
+    /// one instruction: per copy, the product `p` attracts `x`, `y` and `s`,
+    /// and those three are defined together, so they repel. Registers come
+    /// in fours `[s, x, y, p]`; the products of different copies repel too.
+    fn dot_graph(u: u32) -> RcgGraph {
+        let mut g = RcgGraph::new(4 * u as usize);
+        for i in 0..u {
+            let (s, x, y, p) = (4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3);
+            for leaf in [s, x, y] {
+                g.bump_edge(VReg(p), VReg(leaf), 2.0 + f64::from(leaf % 3));
+            }
+            g.bump_edge(VReg(s), VReg(x), -1.0);
+            g.bump_edge(VReg(s), VReg(y), -1.5);
+            g.bump_edge(VReg(x), VReg(y), -1.0);
+            for j in 0..i {
+                g.bump_edge(VReg(p), VReg(4 * j + 3), -0.5);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn dot_products_are_stars() {
+        let g = dot_graph(3);
+        let p = Problem::new(&g, 8, 0.0);
+        let centres: Vec<usize> = p.stars.iter().map(|s| s.centre).collect();
+        assert_eq!(centres, vec![3, 7, 11], "one star per product");
+        let s = &p.stars[0];
+        assert_eq!(s.leaves, vec![(0, 2.0), (1, 3.0), (2, 4.0)]);
+        assert_eq!(s.min_weight, 1.0);
+        assert!(p.in_star.iter().all(|&x| x));
+        // No register is placed yet: keeping the star whole puts three
+        // repelling leaves together (3·1.0), cutting the lightest leaf
+        // away keeps one pair (2.0 + 1.0), and the cheapest split keeps
+        // one leaf (2.0 + 3.0); the term takes the least, 3.0, per star.
+        // The first bound prices none of it: no clique outgrows 8 banks.
+        let s = Searcher::new(&p, f64::INFINITY, vec![0; 12], None, None);
+        assert_eq!(s.star_term(&p.stars[0]), 3.0);
+        assert_eq!(s.edge_bound(), (0.0, 0.0));
+        assert_eq!(s.clique_term(0..p.split), 0.0);
+        assert_eq!(s.star_bound(0.0, 0.0, f64::INFINITY), 9.0);
+        assert_eq!(
+            star_bound(&p.adj, &p.stars, &p.cliques[p.split..], &s.assigned, 0, 8),
+            9.0
+        );
+    }
+
     #[test]
     fn working_set_charge_covers_allocations() {
         fn held<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        // A complete repulsion graph gives every bank count cliques to hold.
+        // A complete repulsion graph gives every bank count cliques to hold,
+        // and the dot graph gives every count above one stars.
         let mut repulsive = RcgGraph::new(10);
         for a in 0..10u32 {
             for b in (a + 1)..10u32 {
                 repulsive.bump_edge(VReg(a), VReg(b), -1.0 - f64::from((a * b) % 3));
             }
         }
-        for (g, cliqued) in [(dense_graph(10, 3), false), (repulsive, true)] {
+        let graphs = [
+            (dense_graph(10, 3), false, false),
+            (repulsive, true, false),
+            (dot_graph(3), false, true),
+        ];
+        for (g, cliqued, starred) in graphs {
             for n_banks in [1, 2, 4, 8] {
                 let p = Problem::new(&g, n_banks, 0.0);
                 assert!(
                     !cliqued || !p.cliques.is_empty(),
                     "{n_banks} banks: no repulsion clique to charge"
+                );
+                assert!(
+                    !starred || n_banks == 1 || !p.stars.is_empty(),
+                    "{n_banks} banks: no star to charge"
                 );
                 let (seed_cost, seed_assign) = seed_incumbent(&g, n_banks, None, 0.0);
                 let mut s = Searcher::new(&p, seed_cost, seed_assign, None, None);
@@ -778,6 +1021,10 @@ mod tests {
                     + p.cliques.iter().map(|c| held(&c.members)).sum::<usize>()
                     + held(&p.reg_cliques)
                     + p.reg_cliques.iter().map(held).sum::<usize>()
+                    + held(&p.stars)
+                    + p.stars.iter().map(|s| held(&s.leaves)).sum::<usize>()
+                    + held(&p.in_star)
+                    + held(&p.other_pairs)
                     + held(&s.unplaced)
                     + held(&s.assigned)
                     + held(&s.best_assign)
@@ -858,7 +1105,7 @@ mod tests {
             let p = Problem::new(&g, n_banks, 0.0);
             let mut s = Searcher::new(&p, 0.0, vec![0; n], None, None);
             for &(pick, bank) in &picks[..=n] {
-                let lb = s.partial + s.edge_bound() + s.clique_term();
+                let lb = s.partial + s.edge_bound().0 + s.clique_term(0..p.split);
                 let mut completion = s.assigned.clone();
                 let best = best_completion(&g, &mut completion, n_banks);
                 proptest::prop_assert!(
@@ -939,7 +1186,7 @@ mod tests {
                     proptest::prop_assert_eq!(s.free[u] as usize, open_nbrs);
                 }
                 let (got, want) = (
-                    s.edge_bound(),
+                    s.edge_bound().0,
                     unassigned_edge_bound(&p.adj, &s.assigned, s.used, n_banks),
                 );
                 proptest::prop_assert!(close(got, want), "bound {got} vs {want}");
@@ -948,8 +1195,88 @@ mod tests {
                         c.members.iter().filter(|&&x| s.assigned[x] == UNASSIGNED).count();
                     proptest::prop_assert_eq!(u as usize, open_members);
                 }
-                let (got, want) = (s.clique_term(), clique_bound(&p.cliques, &s.assigned, n_banks));
-                proptest::prop_assert!(close(got, want), "clique term {got} vs {want}");
+                for cover in [0..p.split, p.split..p.cliques.len()] {
+                    let (got, want) = (
+                        s.clique_term(cover.clone()),
+                        clique_bound(&p.cliques[cover], &s.assigned, n_banks),
+                    );
+                    proptest::prop_assert!(close(got, want), "clique term {got} vs {want}");
+                }
+                for star in &p.stars {
+                    let (got, want) = (
+                        s.star_term(star),
+                        crate::bound::star_term(&p.adj, star, &s.assigned, s.used, n_banks),
+                    );
+                    proptest::prop_assert!(close(got, want), "star term {got} vs {want}");
+                }
+            }
+        }
+    }
+
+    /// Cases `star_bound_is_admissible_on_attraction_dense_graphs` runs,
+    /// and how many of them held a star so far.
+    const STAR_CASES: u32 = 64;
+    static STARRED: [std::sync::atomic::AtomicU32; 2] = [
+        std::sync::atomic::AtomicU32::new(0),
+        std::sync::atomic::AtomicU32::new(0),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: STAR_CASES,
+            ..Default::default()
+        })]
+
+        /// On attraction-dense graphs, where stars abound, the star bound
+        /// at every prefix of a reachable placement sequence matches its
+        /// reference and never exceeds the cheapest completion of that
+        /// prefix; at least half the cases hold a star.
+        #[test]
+        fn star_bound_is_admissible_on_attraction_dense_graphs(
+            n in 3usize..9,
+            n_banks in 2usize..5,
+            weights in proptest::collection::vec(-12i32..17, 28..29),
+            picks in proptest::collection::vec((0usize..8, 0u8..4), 9..10),
+        ) {
+            use std::sync::atomic::Ordering::Relaxed;
+            let mut g = RcgGraph::new(n);
+            let mut k = 0;
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    if weights[k] != 0 {
+                        g.bump_edge(VReg(a as u32), VReg(b as u32), f64::from(weights[k]) / 8.0);
+                    }
+                    k += 1;
+                }
+            }
+            let p = Problem::new(&g, n_banks, 0.0);
+            let mut s = Searcher::new(&p, 0.0, vec![0; n], None, None);
+            for &(pick, bank) in &picks[..=n] {
+                let sb = s.star_bound(s.partial, s.edge_bound().1, f64::INFINITY);
+                let reference = s.partial
+                    + star_bound(&p.adj, &p.stars, &p.cliques[p.split..], &s.assigned, s.used, n_banks);
+                proptest::prop_assert!((sb - reference).abs() <= 1e-9, "{sb} vs reference {reference}");
+                let mut completion = s.assigned.clone();
+                let best = best_completion(&g, &mut completion, n_banks);
+                proptest::prop_assert!(
+                    sb <= best + 1e-9,
+                    "star bound {sb} > best completion {best} at {:?}",
+                    s.assigned
+                );
+                let open: Vec<usize> = (0..n).filter(|&v| s.assigned[v] == UNASSIGNED).collect();
+                if open.is_empty() {
+                    break;
+                }
+                let v = open[pick % open.len()];
+                let b = bank % (s.used + 1).min(n_banks) as u8;
+                let d = s.delta(v, b);
+                s.place(v, b, d);
+            }
+            let cases = STARRED[0].fetch_add(1, Relaxed) + 1;
+            let starred = STARRED[1].fetch_add(u32::from(!p.stars.is_empty()), Relaxed)
+                + u32::from(!p.stars.is_empty());
+            if cases == STAR_CASES {
+                proptest::prop_assert!(2 * starred >= cases, "only {starred} of {cases} cases hold a star");
             }
         }
     }

@@ -103,10 +103,10 @@ fn exact_search_tree_is_pinned() {
         solves += 1;
         nodes += r.stats.nodes_expanded;
     }
-    assert_eq!((solves, nodes), (405, 190_139), "pinned slice changed size");
+    assert_eq!((solves, nodes), (405, 91_965), "pinned slice changed size");
     assert_eq!(
         format!("{:016x}", d.0),
-        "31c98868e2672b9e",
+        "2428d4b06bcf61c0",
         "exact search tree drifted from the pin"
     );
 }

@@ -82,7 +82,7 @@ impl TrackedBudget {
         false
     }
 
-    /// `Err(BudgetExceeded)` variant of [`exceeded`] for `?`-style exits.
+    /// `Err(BudgetExceeded)` variant of [`exceeded`](Self::exceeded) for `?`-style exits.
     #[inline]
     pub fn check(&self) -> Result<(), BudgetExceeded> {
         if self.exceeded() {
@@ -98,7 +98,8 @@ impl TrackedBudget {
     }
 
     /// Whether a trip has already been *observed* — the deadline latched
-    /// by an [`exceeded`] poll, a failed [`charge`], or a [`cancel`].
+    /// by an [`exceeded`](Self::exceeded) poll, a failed
+    /// [`charge`](Self::charge), or a [`cancel`](Self::cancel).
     /// Unlike `exceeded`, this is a pure read: checking it after a solve
     /// does not arm the deadline retroactively, so a solve that finished
     /// without ever seeing the budget reports untripped even if the

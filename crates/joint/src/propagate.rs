@@ -191,8 +191,8 @@ pub fn copy_extras(body: &Loop, machine: &MachineDesc) -> Vec<i64> {
 /// A violated capacity constraint, expressed as a replayable conflict.
 #[derive(Debug, Clone)]
 pub struct CapacityConflict {
-    /// Decisions forcing the overflow (may exceed [`MAX_LITERALS`]; the
-    /// store filters).
+    /// Decisions forcing the overflow (may exceed the store's literal cap,
+    /// `MAX_LITERALS`; the store filters).
     pub literals: Vec<(u32, u8)>,
     /// First II with enough slots for the counted demand.
     pub min_ii: u32,

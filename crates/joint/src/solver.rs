@@ -7,7 +7,7 @@
 //!   partition and a load-balance-aware seed), machine-level II lower bound
 //!   sharpened by the water-fill forced-copy floor, ascending II loop with
 //!   honest anytime semantics and a conflict store shared across the ladder;
-//! * [`BankSearcher`](struct@self) (private) — DFS over bank assignments in
+//! * `BankSearcher` (private) — DFS over bank assignments in
 //!   `vliw-exact`'s most-constrained-first order. Decisions are checked
 //!   before the child is expanded: replayed no-goods veto branches outright,
 //!   the capacity propagator and an admissible future-copy bound price the

@@ -5,7 +5,7 @@
 //! order, or (dependence-respecting) statement order never share a cache
 //! entry. This crate closes that gap with a *static* equivalence engine:
 //!
-//! * [`canonicalize`] — rewrite a [`Loop`] into a deterministic
+//! * [`canonicalize`] — rewrite a [`Loop`](vliw_ir::Loop) into a deterministic
 //!   **alpha-normal form**: statements in a canonical order chosen among the
 //!   dependence-legal permutations, commutative operands sorted
 //!   structurally, virtual registers densely renamed from the canonical

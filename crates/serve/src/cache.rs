@@ -315,7 +315,7 @@ enum WriteCmd {
 /// Bounded write-behind queue in front of a [`DiskStore`].
 ///
 /// `put` enqueues and returns immediately; one writer thread journals the
-/// entries and compacts them into per-key files (see [`writer_loop`]). A
+/// entries and compacts them into per-key files (see `writer_loop`). A
 /// full queue falls back to a synchronous write in the caller (counted in
 /// [`StatsRegistry`] as `sync_writes`) — results are never dropped.
 /// [`WriteBehind::flush`] is a barrier: when it returns, every earlier put

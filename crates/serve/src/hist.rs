@@ -10,8 +10,8 @@
 //! [`Hist`] fixes both: values land in fixed log-linear buckets
 //! (`fetch_add` on a relaxed atomic, no lock), and bucket counts are
 //! additive, so any number of peers' histograms sum into one honest
-//! distribution. Resolution is exact below [`LINEAR_MAX`] and within
-//! 1/[`SUB_BUCKETS`] (≈6%) above it, which is far inside the noise floor
+//! distribution. Resolution is exact below `LINEAR_MAX` and within
+//! 1/`SUB_BUCKETS` (≈6%) above it, which is far inside the noise floor
 //! of a latency percentile.
 //!
 //! Bucket layout (values are `u64` microseconds, but the type is unit-

@@ -96,7 +96,7 @@ pub enum Json {
     /// An array.
     Arr(Vec<Json>),
     /// An object; key order is sorted, so rendering is deterministic. Keys
-    /// are `Cow` so the fixed wire vocabulary (see [`intern_key`]) is
+    /// are `Cow` so the fixed wire vocabulary (see `intern_key`) is
     /// stored allocation-free.
     Obj(BTreeMap<Cow<'static, str>, Json>),
     /// A pre-rendered JSON document, spliced verbatim into the output.

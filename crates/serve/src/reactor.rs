@@ -6,7 +6,7 @@
 //! for every open socket, so a few hundred idle clients exhaust the pool
 //! while zero compiles run. Here sockets are non-blocking and registered
 //! with epoll (or `poll(2)` as a portable fallback); the reactor thread
-//! owns all socket I/O and protocol parsing (via [`crate::conn::Conn`]),
+//! owns all socket I/O and protocol parsing (via `crate::conn::Conn`),
 //! and hands complete compile jobs to `workers` pool threads through a
 //! queue. Completions come back through a wake-list drained after each
 //! poll round, woken by a socketpair [`crate::sys::Waker`] — which is also
