@@ -179,6 +179,31 @@ target/release/vliw-client --peers "$PEERS" --shutdown \
 wait "$PEER2_PID" 2>/dev/null || true
 PEER2_PID=""
 
+echo "==> vliw-serve crash-restart smoke (kill -9 loses no acknowledged compile)"
+# A compile's record is appended to the disk store before its reply is
+# sent, so a server killed without any shutdown still has every compile it
+# acknowledged: a restart over the same directory recompiles nothing.
+serve_peer "$SMOKE_DIR/crash" "$SMOKE_DIR/crash1.log"; SERVED_PID=$!
+ADDR=$(peer_addr "$SMOKE_DIR/crash1.log")
+target/release/vliw-client --addr "$ADDR" --batch --gen-range 0:32 \
+    > "$SMOKE_DIR/crash-cold.log"
+[ "$(grep -c 'served=compiled' "$SMOKE_DIR/crash-cold.log")" -eq 32 ] \
+    || { echo "cold batch did not compile all 32 entries"; cat "$SMOKE_DIR/crash-cold.log"; exit 1; }
+kill -9 "$SERVED_PID"
+wait "$SERVED_PID" 2>/dev/null || true
+serve_peer "$SMOKE_DIR/crash" "$SMOKE_DIR/crash2.log"; SERVED_PID=$!
+ADDR=$(peer_addr "$SMOKE_DIR/crash2.log")
+target/release/vliw-client --addr "$ADDR" --batch --gen-range 0:32 \
+    > "$SMOKE_DIR/crash-warm.log"
+if grep -q 'served=compiled' "$SMOKE_DIR/crash-warm.log"; then
+    echo "$(grep -c 'served=compiled' "$SMOKE_DIR/crash-warm.log") of 32 entries recompiled after kill -9"
+    exit 1
+fi
+target/release/vliw-client --addr "$ADDR" --stats --shutdown | tee "$SMOKE_DIR/crash-stats.log"
+grep -q ' compiles=0 ' "$SMOKE_DIR/crash-stats.log"
+wait "$SERVED_PID"
+SERVED_PID=""
+
 echo "==> repro --cache (cached corpus driver, truncated run)"
 target/release/repro --table1 --loops 8 --cache --cache-dir "$SMOKE_DIR/repro-cache" \
     | grep -q '^cache: hits='

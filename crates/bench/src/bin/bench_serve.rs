@@ -22,6 +22,7 @@
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,6 +70,23 @@ impl Json {
         self.buf.push_str("\n}\n");
         self.buf
     }
+}
+
+/// Files under `dir` (recursively) and their total size in bytes.
+fn store_size(dir: &Path) -> (u64, u64) {
+    let (mut files, mut bytes) = (0, 0);
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let Ok(meta) = entry.metadata() else { continue };
+        if meta.is_dir() {
+            let (f, b) = store_size(&entry.path());
+            files += f;
+            bytes += b;
+        } else {
+            files += 1;
+            bytes += meta.len();
+        }
+    }
+    (files, bytes)
 }
 
 fn cached_sweep(
@@ -309,7 +327,7 @@ fn main() {
     let baseline: Vec<Vec<LoopResult>> = grid;
 
     // Cold: every request misses, compiles, and populates both tiers (the
-    // disk tier through the write-behind queue, off the request path).
+    // disk tier by one segment append per record on the compiling thread).
     let engine = CachedCompiler::new(TieredCache::new(8192, Some(DiskStore::new(&root))));
     let cold_ms = cached_sweep(&engine, &corpus, &machines, &cfg);
     let cold_snap = engine.stats().snapshot();
@@ -330,9 +348,15 @@ fn main() {
         "warm sweep compiles nothing"
     );
 
-    // Warm disk: a fresh engine over the populated store (cold memory).
-    // Flush first so every write-behind entry is on disk.
+    // The flush barrier makes every record of the two sweeps durable (one
+    // fdatasync of the engine's segment); what it leaves on disk is the
+    // store's footprint.
+    let t0 = Instant::now();
     engine.flush();
+    let flush_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (store_files, store_bytes) = store_size(&root);
+
+    // Warm disk: a fresh engine over the populated store (cold memory).
     let fresh = CachedCompiler::new(TieredCache::new(8192, Some(DiskStore::new(&root))));
     let warm_disk_ms = cached_sweep(&fresh, &corpus, &machines, &cfg);
     let disk_snap = fresh.stats().snapshot();
@@ -612,6 +636,9 @@ fn main() {
     j.num("cold_cache_ms", cold_ms);
     j.num("warm_mem_ms", warm_mem_ms);
     j.num("warm_disk_ms", warm_disk_ms);
+    j.num("flush_ms", flush_ms);
+    j.int("store_files", store_files);
+    j.int("store_bytes", store_bytes);
     j.num("cold_overhead_ratio", cold_ms / direct_ms);
     j.num("warm_mem_speedup_vs_cold", cold_ms / warm_mem_ms);
     j.num("warm_disk_speedup_vs_cold", cold_ms / warm_disk_ms);

@@ -99,7 +99,7 @@ fn print_stats_line(prefix: &str, stats: &Json) {
             .unwrap_or(0)
     };
     println!(
-        "{prefix} hits={} (mem={} disk={}) misses={} compiles={} dedup_waits={} batches={} sync_writes={} evictions={} timeouts={} joint_truncated={} exact_truncated={} errors={} accepts={} conns_rejected={} p50_us={} p90_us={} p99_us={} queue_p99_us={}",
+        "{prefix} hits={} (mem={} disk={}) misses={} compiles={} dedup_waits={} batches={} evictions={} timeouts={} joint_truncated={} exact_truncated={} errors={} accepts={} conns_rejected={} p50_us={} p90_us={} p99_us={} queue_p99_us={}",
         n("hits"),
         n("mem_hits"),
         n("disk_hits"),
@@ -107,7 +107,6 @@ fn print_stats_line(prefix: &str, stats: &Json) {
         n("compiles"),
         n("dedup_waits"),
         n("batches"),
-        n("sync_writes"),
         n("evictions"),
         n("timeouts"),
         n("joint_truncated"),

@@ -4,7 +4,7 @@
 //! vliw-served [--addr HOST:PORT] [--workers N] [--mem-capacity N]
 //!             [--cache-dir PATH | --no-disk] [--timeout-ms N]
 //!             [--batch-parallelism N] [--max-conns N]
-//!             [--idle-timeout-ms N] [--core reactor|threads] [--force-poll]
+//!             [--idle-timeout-ms N] [--core reactor|threads]
 //!             [--mem-budget BYTES] [--heavy-lane-workers N]
 //!             [--shed-policy never|depth:N|adaptive]
 //! ```
@@ -19,7 +19,7 @@
 //! connection), `--max-conns` caps concurrent connections, and
 //! `--idle-timeout-ms` evicts idle connections (0 disables; default 5
 //! minutes). `--core threads` selects the legacy thread-per-connection
-//! core; `--force-poll` pins the reactor to the portable `poll(2)` backend.
+//! core. The server is Linux-only (the reactor waits in `epoll`).
 //!
 //! The reactor core runs a resource governor (DESIGN.md §15):
 //! `--mem-budget` caps solver memory across all in-flight heavy compiles
@@ -68,7 +68,7 @@ fn usage() -> ! {
          \x20                  [--cache-dir PATH | --no-disk] [--timeout-ms N]\n\
          \x20                  [--batch-parallelism N] [--max-conns N]\n\
          \x20                  [--idle-timeout-ms N] [--core reactor|threads]\n\
-         \x20                  [--force-poll] [--mem-budget BYTES[k|m|g]]\n\
+         \x20                  [--mem-budget BYTES[k|m|g]]\n\
          \x20                  [--heavy-lane-workers N]\n\
          \x20                  [--shed-policy never|depth:N|adaptive]"
     );
@@ -97,7 +97,6 @@ fn main() {
     let mut max_conns = 4096usize;
     let mut idle_timeout_ms = 300_000u64; // 5 minutes; 0 disables
     let mut core = ServerCore::Reactor;
-    let mut force_poll = false;
     let mut mem_budget = 256u64 << 20;
     let mut heavy_lane_workers = 0usize;
     let mut shed_policy = ShedPolicy::Adaptive;
@@ -124,7 +123,6 @@ fn main() {
                     _ => usage(),
                 }
             }
-            "--force-poll" => force_poll = true,
             "--mem-budget" => mem_budget = parse_bytes(&value()).unwrap_or_else(|| usage()),
             "--heavy-lane-workers" => {
                 heavy_lane_workers = value().parse().unwrap_or_else(|_| usage())
@@ -151,7 +149,6 @@ fn main() {
             core,
             idle_timeout: (idle_timeout_ms > 0).then(|| Duration::from_millis(idle_timeout_ms)),
             max_conns,
-            force_poll,
             mem_budget,
             heavy_lane_workers,
             shed_policy,

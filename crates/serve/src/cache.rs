@@ -1,25 +1,31 @@
-//! Two-tier artifact cache: sharded in-memory LRU over an on-disk
-//! content-addressed store.
+//! Two-tier artifact cache: a sharded in-memory LRU over an append-only
+//! on-disk store.
 //!
 //! * **Memory tier** — [`MemCache`]: N mutex-guarded shards (key-sharded by
 //!   the first hex byte of the SHA-256 key, which is uniformly distributed),
 //!   each an exact LRU bounded by entry count. Eviction order is tracked
 //!   with a monotone tick per shard and a `BTreeMap<tick, key>`, so the
 //!   oldest untouched entry pops in O(log n) without a linked list.
-//! * **Disk tier** — [`DiskStore`]: one single-line JSON file per key under
-//!   `<root>/ab/<key>.json` (two-hex-char fan-out). Writes go to a unique
-//!   temp file in the same directory and are published with an atomic
-//!   rename, so readers never observe a torn file. Reads tolerate
-//!   corruption: any unparseable file is deleted and reported as a miss.
-//! * **Write-behind** — [`WriteBehind`]: persistence is off the request
-//!   path. Puts enqueue onto a bounded channel drained by one writer
-//!   thread; a full queue degrades to a synchronous write (results are
-//!   never dropped), and drop/[`WriteBehind::flush`] drain every pending
-//!   write before returning, so shutdown never loses artifacts. The writer
-//!   appends to a per-process journal file (cheap even on one core) and
-//!   fans it out into fsynced per-key files at every flush barrier, at
-//!   shutdown, and past a size threshold; journals abandoned by crashed
-//!   processes are compacted on the next startup.
+//! * **Disk tier** — [`DiskStore`]: append-only *segments* under the root,
+//!   named `seg-<pid>-<n>.log`. A segment holds one line per cached result,
+//!   `<key> <crc> <json>\n`: `<json>` is the rendered [`CompileResult`]
+//!   envelope and `<crc>` its CRC-32 (IEEE) as eight hex digits. Only the
+//!   handle that created a segment ever appends to it; it creates the
+//!   segment on its first put. Opening a handle reads every segment once
+//!   and indexes each complete line whose CRC matches by its key (the
+//!   first such line wins). A last line without a newline is a torn tail
+//!   and is skipped, never cut. Every read goes through that index: one
+//!   positional read, then the key field, the CRC, the envelope decode and
+//!   the envelope's own key are checked. Any failure drops the entry and
+//!   reports a miss, so the next compile appends it again.
+//!
+//! A put appends its whole line with one write on the caller's thread, so
+//! a result is in the page cache before its reply is sent.
+//! [`DiskStore::flush`] and drop fdatasync the handle's segment (and fsync
+//! the root once after the segment is created). A handle sees the records
+//! on disk when it opened plus its own. No record is ever superseded, so
+//! there is no lock file, truncation or compaction. Files of any other
+//! layout in the root are never read.
 //!
 //! [`TieredCache`] composes the tiers with read-through promotion and keeps
 //! hit/miss/eviction counters in [`crate::stats::StatsRegistry`].
@@ -27,11 +33,11 @@
 use crate::envelope::{CacheKey, CompileResult};
 use crate::stats::StatsRegistry;
 use std::collections::{BTreeMap, HashMap};
-use std::fs;
-use std::io::Write as _;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Read as _, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 
 /// Number of LRU shards. Sixteen matches the first hex digit of the key, so
@@ -140,18 +146,101 @@ impl MemCache {
     }
 }
 
-/// On-disk content-addressed store of compile results.
+/// Where one record's line lives: segment number, byte offset and length
+/// (newline included).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Loc {
+    seg: usize,
+    offset: u64,
+    len: usize,
+}
+
+/// The segment this handle appends to.
+struct Own {
+    file: Arc<File>,
+    seg: usize,
+    /// Bytes appended so far: the next record's offset.
+    len: u64,
+    /// Whether the root has been fsynced since the segment was created.
+    dir_synced: bool,
+}
+
+impl Own {
+    /// Make every appended line durable; the first call also fsyncs the
+    /// root so the segment's directory entry survives a power cut.
+    fn sync(&mut self, root: &Path) {
+        let _ = self.file.sync_data();
+        if !self.dir_synced {
+            self.dir_synced = File::open(root).and_then(|d| d.sync_all()).is_ok();
+        }
+    }
+}
+
+struct Segments {
+    /// Every segment this handle reads, its own included.
+    files: Vec<Arc<File>>,
+    index: HashMap<CacheKey, Loc>,
+    own: Option<Own>,
+}
+
+/// On-disk store of compile results: append-only segments plus an
+/// in-memory key index (see the module docs for the format).
 pub struct DiskStore {
     root: PathBuf,
-    seq: AtomicU64,
+    segs: Mutex<Segments>,
 }
 
 impl DiskStore {
-    /// A store rooted at `root` (created on first write).
+    /// Open the store rooted at `root`, indexing the records of every
+    /// segment already there. The directory is created on the first put.
     pub fn new(root: impl Into<PathBuf>) -> Self {
+        let root = root.into();
+        let mut paths: Vec<PathBuf> = fs::read_dir(&root)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|entry| entry.path())
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with("seg-") && n.ends_with(".log"))
+            })
+            .collect();
+        paths.sort();
+        let mut segs = Segments {
+            files: Vec::new(),
+            index: HashMap::new(),
+            own: None,
+        };
+        for path in paths {
+            let Ok(mut file) = File::open(&path) else {
+                continue;
+            };
+            let mut bytes = Vec::new();
+            if file.read_to_end(&mut bytes).is_err() {
+                continue;
+            }
+            let seg = segs.files.len();
+            let mut offset = 0;
+            for line in bytes.split_inclusive(|&b| b == b'\n') {
+                let key = line
+                    .strip_suffix(b"\n")
+                    .and_then(record)
+                    .and_then(|(key, _)| std::str::from_utf8(key).ok());
+                if let Some(key) = key {
+                    segs.index.entry(key.to_string()).or_insert(Loc {
+                        seg,
+                        offset,
+                        len: line.len(),
+                    });
+                }
+                offset += line.len() as u64;
+            }
+            segs.files.push(Arc::new(file));
+        }
         DiskStore {
-            root: root.into(),
-            seq: AtomicU64::new(0),
+            root,
+            segs: Mutex::new(segs),
         }
     }
 
@@ -161,305 +250,188 @@ impl DiskStore {
         PathBuf::from("target/vliw-cache")
     }
 
-    fn path_for(&self, key: &str) -> PathBuf {
-        // Two-hex-char fan-out keeps directory sizes bounded on large
-        // corpora. Keys are validated hex, but fall back gracefully.
-        let prefix = if key.len() >= 2 { &key[..2] } else { "xx" };
-        self.root.join(prefix).join(format!("{key}.json"))
+    fn lock(&self) -> std::sync::MutexGuard<'_, Segments> {
+        self.segs.lock().expect("disk store poisoned")
     }
 
-    /// A fresh, collision-free journal path for one writer instance.
-    fn new_journal_path(&self) -> PathBuf {
-        static JOURNAL_SEQ: AtomicU64 = AtomicU64::new(0);
-        self.root.join(format!(
-            "journal-{}-{}.jsonl",
-            std::process::id(),
-            JOURNAL_SEQ.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
-
-    /// Journal files abandoned by crashed writers: any `journal-<pid>-*`
-    /// whose process is gone. Journals of live processes (including this
-    /// one) are skipped — their writers still hold the file open.
-    fn stale_journals(&self) -> Vec<PathBuf> {
-        let mut out = Vec::new();
-        if let Ok(entries) = fs::read_dir(&self.root) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                let pid = name
-                    .strip_prefix("journal-")
-                    .and_then(|rest| rest.split('-').next())
-                    .and_then(|pid| pid.parse::<u32>().ok());
-                let Some(pid) = pid else { continue };
-                if !name.ends_with(".jsonl") || pid == std::process::id() {
-                    continue;
-                }
-                let proc_root = Path::new("/proc");
-                if proc_root.exists() && proc_root.join(pid.to_string()).exists() {
-                    continue; // writer still running
-                }
-                out.push(entry.path());
-            }
-        }
-        out
-    }
-
-    /// Fan a journal's entries out into per-key files (fsynced), then
-    /// remove the journal. Idempotent: a crash mid-compaction leaves the
-    /// journal in place and the rewrites are content-addressed.
-    fn compact_journal(&self, journal: &Path) {
-        let text = match fs::read_to_string(journal) {
-            Ok(t) => t,
-            Err(_) => return,
-        };
-        let mut dirty = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Ok(res) = CompileResult::from_json_text(line) {
-                if self.put_with_sync(&res.key, &res, false) {
-                    dirty.push(self.path_for(&res.key));
-                }
-            }
-        }
-        for path in dirty {
-            if let Ok(f) = fs::File::open(&path) {
-                let _ = f.sync_all();
-            }
-        }
-        let _ = fs::remove_file(journal);
-    }
-
-    /// Read the result stored under `key`. A missing file is a miss; an
-    /// unreadable or unparseable file is deleted and reported as a miss.
+    /// Read the result stored under `key`. An unindexed key is a miss; an
+    /// unreadable, corrupt or mislabelled record is dropped from the index
+    /// and reported as a miss.
     pub fn get(&self, key: &str) -> Option<CompileResult> {
-        let path = self.path_for(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => return None,
+        let (loc, file) = {
+            let segs = self.lock();
+            let loc = *segs.index.get(key)?;
+            (loc, Arc::clone(&segs.files[loc.seg]))
         };
-        match CompileResult::from_json_text(&text) {
-            Ok(res) if res.key == key => Some(res),
-            _ => {
-                // Corrupt or mislabelled entry: drop it so the slot heals.
-                let _ = fs::remove_file(&path);
-                None
+        let mut line = vec![0; loc.len];
+        let res = file
+            .read_exact_at(&mut line, loc.offset)
+            .ok()
+            .and_then(|()| decode(&line, key));
+        if res.is_none() {
+            let mut segs = self.lock();
+            if segs.index.get(key) == Some(&loc) {
+                segs.index.remove(key);
             }
         }
+        res
     }
 
-    /// Store `value` under `key` atomically (temp file + rename + fsync).
-    /// Returns `false` if the filesystem rejected the write; the cache then
-    /// simply degrades to memory-only for this entry.
+    /// Append `value` under `key` to this handle's segment, unless the key
+    /// is already indexed. Returns `false` if the filesystem rejected the
+    /// write: the entry then stays memory-only, and the segment is retired
+    /// so a partial line never runs into a later record.
     pub fn put(&self, key: &str, value: &CompileResult) -> bool {
-        self.put_with_sync(key, value, true)
-    }
-
-    /// Like [`DiskStore::put`] but leaves the data in the page cache; the
-    /// write-behind writer batches one fsync pass per flush instead of
-    /// paying one per entry.
-    fn put_with_sync(&self, key: &str, value: &CompileResult, sync: bool) -> bool {
-        let path = self.path_for(key);
-        let dir = match path.parent() {
-            Some(d) => d,
-            None => return false,
-        };
-        if fs::create_dir_all(dir).is_err() {
-            return false;
+        let json = value.to_json().render();
+        let line = format!("{key} {:08x} {json}\n", crc32(json.as_bytes()));
+        let mut segs = self.lock();
+        if segs.index.contains_key(key) {
+            return true;
         }
-        let unique = self.seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = dir.join(format!(".{key}.{}.{unique}.tmp", std::process::id()));
-        let write = (|| -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(value.to_json().render().as_bytes())?;
-            f.write_all(b"\n")?;
-            if sync {
-                f.sync_all()?;
+        match segs.append(&self.root, line.as_bytes()) {
+            Ok(loc) => {
+                segs.index.insert(key.to_string(), loc);
+                true
             }
-            Ok(())
-        })();
-        if write.is_err() {
-            let _ = fs::remove_file(&tmp);
-            return false;
-        }
-        if fs::rename(&tmp, &path).is_err() {
-            let _ = fs::remove_file(&tmp);
-            return false;
-        }
-        true
-    }
-
-    /// The store root.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-}
-
-/// Entries the write-behind queue buffers before degrading to synchronous
-/// writes. Sized so a corpus-scale burst fits while the writer drains.
-const WRITE_QUEUE_CAP: usize = 1024;
-
-/// Journal size that triggers an inline compaction pass, bounding both
-/// replay cost after a crash and duplicate storage.
-const JOURNAL_COMPACT_BYTES: u64 = 8 * 1024 * 1024;
-
-enum WriteCmd {
-    /// The result carries its own content-addressed key.
-    Put(CompileResult),
-    /// Barrier: acknowledged only after every earlier `Put` is on disk.
-    Flush(SyncSender<()>),
-}
-
-/// Bounded write-behind queue in front of a [`DiskStore`].
-///
-/// `put` enqueues and returns immediately; one writer thread journals the
-/// entries and compacts them into per-key files (see `writer_loop`). A
-/// full queue falls back to a synchronous write in the caller (counted in
-/// [`StatsRegistry`] as `sync_writes`) — results are never dropped.
-/// [`WriteBehind::flush`] is a barrier: when it returns, every earlier put
-/// is an fsynced per-key file. Dropping the queue joins the writer after
-/// draining and compacting everything still pending, so shutdown persists
-/// all completed compiles.
-pub struct WriteBehind {
-    store: Arc<DiskStore>,
-    tx: Option<SyncSender<WriteCmd>>,
-    writer: Option<std::thread::JoinHandle<()>>,
-    stats: Arc<StatsRegistry>,
-}
-
-impl WriteBehind {
-    /// Wrap `store`, spawning the writer thread.
-    pub fn new(store: DiskStore, stats: Arc<StatsRegistry>) -> Self {
-        let store = Arc::new(store);
-        let (tx, rx) = sync_channel::<WriteCmd>(WRITE_QUEUE_CAP);
-        let writer_store = Arc::clone(&store);
-        let writer = std::thread::spawn(move || writer_loop(&writer_store, &rx));
-        WriteBehind {
-            store,
-            tx: Some(tx),
-            writer: Some(writer),
-            stats,
+            Err(_) => false,
         }
     }
 
-    /// The underlying store (reads bypass the queue; the memory tier holds
-    /// every entry newer than the writer's progress).
-    pub fn store(&self) -> &DiskStore {
-        &self.store
-    }
-
-    /// Enqueue a persistence request; degrade to a synchronous write if the
-    /// queue is full or the writer is gone.
-    pub fn put(&self, key: &str, value: &CompileResult) {
-        let tx = self.tx.as_ref().expect("writer alive until drop");
-        match tx.try_send(WriteCmd::Put(value.clone())) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_) | TrySendError::Disconnected(_)) => {
-                self.stats.sync_write();
-                self.store.put(key, value);
-            }
-        }
-    }
-
-    /// Block until every previously enqueued write is on disk.
+    /// Barrier: every put so far is durable when this returns.
     pub fn flush(&self) {
-        let (ack_tx, ack_rx) = sync_channel(1);
-        if let Some(tx) = &self.tx {
-            if tx.send(WriteCmd::Flush(ack_tx)).is_ok() {
-                let _ = ack_rx.recv();
-            }
+        if let Some(own) = &mut self.lock().own {
+            own.sync(&self.root);
         }
     }
 }
 
-impl Drop for WriteBehind {
+impl Drop for DiskStore {
     fn drop(&mut self) {
-        drop(self.tx.take()); // close the channel; the writer drains and exits
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
+        // A poisoned lock skips the sync: drop must not panic.
+        if let Ok(Segments { own: Some(own), .. }) = self.segs.get_mut() {
+            own.sync(&self.root);
         }
     }
 }
 
-/// The write-behind writer: appends results to a per-process journal
-/// (one buffered file — cheap on the request path even on a single core)
-/// and fans the journal out into fsynced per-key files on every flush
-/// barrier, at shutdown, and whenever the journal grows past
-/// [`JOURNAL_COMPACT_BYTES`]. On startup any journal left behind by a
-/// crashed process is compacted first, so no acknowledged result is ever
-/// lost.
-fn writer_loop(store: &DiskStore, rx: &std::sync::mpsc::Receiver<WriteCmd>) {
-    for journal in store.stale_journals() {
-        store.compact_journal(&journal);
-    }
-    let journal_path = store.new_journal_path();
-    let mut journal: Option<std::io::BufWriter<fs::File>> = None;
-    let mut journal_bytes = 0u64;
-
-    let compact = |journal: &mut Option<std::io::BufWriter<fs::File>>, journal_bytes: &mut u64| {
-        if let Some(mut w) = journal.take() {
-            let _ = w.flush();
-            let _ = w.into_inner().map(|f| f.sync_all());
+impl Segments {
+    /// Append one whole line to this handle's segment, creating it first if
+    /// there is none.
+    fn append(&mut self, root: &Path, line: &[u8]) -> io::Result<Loc> {
+        if self.own.is_none() {
+            let file = Arc::new(create_segment(root)?);
+            self.files.push(Arc::clone(&file));
+            self.own = Some(Own {
+                file,
+                seg: self.files.len() - 1,
+                len: 0,
+                dir_synced: false,
+            });
         }
-        store.compact_journal(&journal_path);
-        *journal_bytes = 0;
-    };
-
-    // `recv` drains every buffered command before reporting the channel
-    // closed, so dropping the sender flushes the queue.
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            WriteCmd::Put(value) => {
-                if journal.is_none() {
-                    if fs::create_dir_all(store.root()).is_err() {
-                        continue;
-                    }
-                    journal = fs::OpenOptions::new()
-                        .create(true)
-                        .append(true)
-                        .open(&journal_path)
-                        .ok()
-                        .map(std::io::BufWriter::new);
-                }
-                if let Some(w) = &mut journal {
-                    let mut line = value.to_json().render();
-                    line.push('\n');
-                    if w.write_all(line.as_bytes()).is_ok() {
-                        journal_bytes += line.len() as u64;
-                    }
-                }
-                if journal_bytes >= JOURNAL_COMPACT_BYTES {
-                    compact(&mut journal, &mut journal_bytes);
-                }
+        let own = self.own.as_mut().expect("segment created above");
+        let loc = Loc {
+            seg: own.seg,
+            offset: own.len,
+            len: line.len(),
+        };
+        match (&*own.file).write_all(line) {
+            Ok(()) => {
+                own.len += line.len() as u64;
+                Ok(loc)
             }
-            WriteCmd::Flush(ack) => {
-                compact(&mut journal, &mut journal_bytes);
-                let _ = ack.send(());
+            Err(e) => {
+                // Retire the segment: its earlier lines stay valid and are
+                // synced now, and the next put starts a new one.
+                own.sync(root);
+                self.own = None;
+                Err(e)
             }
         }
     }
-    compact(&mut journal, &mut journal_bytes);
 }
 
-/// Memory LRU in front of the write-behind disk store, with shared
-/// statistics.
+/// Create a new segment `seg-<pid>-<n>.log`, with the first `n` whose name
+/// is free.
+fn create_segment(root: &Path) -> io::Result<File> {
+    fs::create_dir_all(root)?;
+    let mut n = 0u64;
+    loop {
+        let path = root.join(format!("seg-{}-{n}.log", std::process::id()));
+        match OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create_new(true)
+            .open(path)
+        {
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => n += 1,
+            created => return created,
+        }
+    }
+}
+
+/// Split a segment line (newline stripped) into its key and envelope
+/// fields, if it has three fields and the CRC field matches the envelope.
+fn record(line: &[u8]) -> Option<(&[u8], &[u8])> {
+    let mut fields = line.splitn(3, |&b| b == b' ');
+    let (key, crc, json) = (fields.next()?, fields.next()?, fields.next()?);
+    let crc = std::str::from_utf8(crc).ok().filter(|c| c.len() == 8)?;
+    (u32::from_str_radix(crc, 16).ok()? == crc32(json)).then_some((key, json))
+}
+
+/// Decode the record line read for `key`: complete, CRC-clean, labelled
+/// `key` in both its key field and its envelope, and of the current format.
+fn decode(line: &[u8], key: &str) -> Option<CompileResult> {
+    let (k, json) = record(line.strip_suffix(b"\n")?)?;
+    if k != key.as_bytes() {
+        return None;
+    }
+    let res = CompileResult::from_json_text(std::str::from_utf8(json).ok()?).ok()?;
+    (res.key == key).then_some(res)
+}
+
+/// CRC-32/IEEE lookup table (reflected polynomial `0xEDB88320`).
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32/IEEE (the zlib/PNG checksum) of `bytes`.
+fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |c, &b| {
+        CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+    })
+}
+
+/// Memory LRU in front of the disk store, with shared statistics.
 pub struct TieredCache {
     mem: MemCache,
-    disk: Option<WriteBehind>,
-    stats: Arc<StatsRegistry>,
+    disk: Option<DiskStore>,
+    stats: StatsRegistry,
 }
 
 impl TieredCache {
     /// A tiered cache with `mem_capacity` in-memory entries over `disk`
     /// (pass `None` for a memory-only cache).
     pub fn new(mem_capacity: usize, disk: Option<DiskStore>) -> Self {
-        let stats = Arc::new(StatsRegistry::new());
         TieredCache {
             mem: MemCache::new(mem_capacity),
-            disk: disk.map(|d| WriteBehind::new(d, Arc::clone(&stats))),
-            stats,
+            disk,
+            stats: StatsRegistry::new(),
         }
     }
 
@@ -482,7 +454,7 @@ impl TieredCache {
             return Some(hit);
         }
         if let Some(disk) = &self.disk {
-            if let Some(hit) = disk.store().get(key) {
+            if let Some(hit) = disk.get(key) {
                 self.stats.disk_hit();
                 self.mem.put(key.to_string(), hit.clone());
                 return Some(hit);
@@ -494,8 +466,8 @@ impl TieredCache {
         None
     }
 
-    /// Store `value` in both tiers. The disk write is asynchronous
-    /// (write-behind); use [`TieredCache::flush`] to force persistence.
+    /// Store `value` in both tiers. The disk append runs on the caller's
+    /// thread; use [`TieredCache::flush`] to make it durable.
     pub fn put(&self, key: &str, value: &CompileResult) {
         self.mem.put(key.to_string(), value.clone());
         if let Some(disk) = &self.disk {
@@ -503,7 +475,7 @@ impl TieredCache {
         }
     }
 
-    /// Barrier: every completed `put` is on disk when this returns.
+    /// Barrier: every completed `put` is durable when this returns.
     pub fn flush(&self) {
         if let Some(disk) = &self.disk {
             disk.flush();
@@ -552,6 +524,30 @@ mod tests {
         dir
     }
 
+    /// The root's segment files, in name order.
+    fn segments(root: &Path) -> Vec<PathBuf> {
+        let mut segs: Vec<PathBuf> = fs::read_dir(root)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "log"))
+            .collect();
+        segs.sort();
+        segs
+    }
+
+    /// A segment line holding `json` under `key`, with a valid CRC.
+    fn line(key: &str, json: &str) -> String {
+        format!("{key} {:08x} {json}\n", crc32(json.as_bytes()))
+    }
+
+    /// Byte offset just past each line's newline.
+    fn line_ends(bytes: &[u8]) -> Vec<usize> {
+        (0..bytes.len())
+            .filter(|&i| bytes[i] == b'\n')
+            .map(|i| i + 1)
+            .collect()
+    }
+
     #[test]
     fn mem_cache_hits_and_evicts_lru() {
         let results = make_results(8);
@@ -597,122 +593,237 @@ mod tests {
     }
 
     #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
     fn disk_store_round_trips_and_heals_corruption() {
         let root = tmpdir("disk");
+        let results = make_results(3);
+        {
+            let store = DiskStore::new(&root);
+            assert!(store.get(&results[0].key).is_none(), "cold store misses");
+            for r in &results {
+                assert!(store.put(&r.key, r));
+            }
+            assert_eq!(store.get(&results[0].key).unwrap(), results[0]);
+        }
+
+        // Change the last digit of the middle line's op count: its JSON
+        // still decodes to an envelope for the same key, so only the CRC
+        // can tell. That line misses and its neighbours are still served.
+        let seg = &segments(&root)[0];
+        let mut bytes = fs::read(seg).unwrap();
+        let start = line_ends(&bytes)[0];
+        let field = b"\"n_ops\":";
+        let at = start
+            + bytes[start..]
+                .windows(field.len())
+                .position(|w| w == field)
+                .unwrap();
+        let digits = bytes[at + field.len()..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit());
+        let digit = at + field.len() + digits.count() - 1;
+        bytes[digit] = if bytes[digit] == b'0' { b'1' } else { b'0' };
+        fs::write(seg, &bytes).unwrap();
         let store = DiskStore::new(&root);
-        let results = make_results(2);
-        let r = &results[0];
-        assert!(store.get(&r.key).is_none(), "cold store misses");
+        assert!(store.get(&results[1].key).is_none(), "corrupt line misses");
+        assert_eq!(store.get(&results[0].key).unwrap(), results[0]);
+        assert_eq!(store.get(&results[2].key).unwrap(), results[2]);
+
+        // The next put heals the slot, here and after a reopen (a line whose
+        // CRC fails is never indexed, so it cannot shadow the new copy).
+        assert!(store.put(&results[1].key, &results[1]));
+        assert_eq!(store.get(&results[1].key).unwrap(), results[1]);
+        drop(store);
+        let store = DiskStore::new(&root);
+        assert_eq!(store.get(&results[1].key).unwrap(), results[1]);
+        drop(store);
+        let _ = fs::remove_dir_all(&root);
+
+        // A mislabelled line (valid CRC, envelope of another key) misses
+        // under both keys, and a put heals it.
+        let root = tmpdir("disk-mislabelled");
+        let (r, other) = (&results[0], &results[1]);
+        fs::create_dir_all(&root).unwrap();
+        fs::write(
+            root.join("seg-1-0.log"),
+            line(&r.key, &other.to_json().render()),
+        )
+        .unwrap();
+        let store = DiskStore::new(&root);
+        assert!(store.get(&r.key).is_none());
+        assert!(store.get(&other.key).is_none());
         assert!(store.put(&r.key, r));
         assert_eq!(store.get(&r.key).unwrap(), *r);
-
-        // Corrupt the file: the next read must miss and delete it.
-        let path = root.join(&r.key[..2]).join(format!("{}.json", r.key));
-        fs::write(&path, b"{ not json").unwrap();
-        assert!(store.get(&r.key).is_none());
-        assert!(!path.exists(), "corrupt entry should be removed");
-
-        // A mislabelled entry (valid JSON, wrong key) is also healed.
-        let other = &results[1];
-        fs::write(&path, other.to_json().render()).unwrap();
-        assert!(store.get(&r.key).is_none());
-        assert!(!path.exists());
+        drop(store);
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// A disk entry written by an older format (no `v` field, or an
-    /// explicit `v: 3`) must fail closed: the read misses and the entry is
-    /// deleted so the slot heals with a fresh compile.
+    /// A line written by an older envelope format (no `v` field, or a `v`
+    /// below the current 6) must fail closed: the read misses and the next
+    /// put heals the slot with a fresh record.
     #[test]
     fn disk_store_rejects_and_heals_pre_v4_entries() {
-        let root = tmpdir("disk-v3");
-        let store = DiskStore::new(&root);
         let r = &make_results(1)[0];
-        let path = root.join(&r.key[..2]).join(format!("{}.json", r.key));
         let mut doc = match r.to_json() {
             crate::Json::Obj(m) => m,
             _ => unreachable!(),
         };
-
-        // v3-era layout: no version field at all.
         doc.remove("v");
-        store.put(&r.key, r);
-        fs::write(&path, crate::Json::Obj(doc.clone()).render()).unwrap();
-        assert!(store.get(&r.key).is_none(), "versionless entry must miss");
-        assert!(!path.exists(), "versionless entry must be deleted");
+        let mut old = vec![("versionless", crate::Json::Obj(doc.clone()).render())];
+        for (tag, v) in [("v3", 3.0), ("v5", 5.0)] {
+            doc.insert("v".into(), crate::Json::Num(v));
+            old.push((tag, crate::Json::Obj(doc.clone()).render()));
+        }
+        for (tag, json) in old {
+            let root = tmpdir(&format!("disk-{tag}"));
+            fs::create_dir_all(&root).unwrap();
+            fs::write(root.join("seg-1-0.log"), line(&r.key, &json)).unwrap();
+            let store = DiskStore::new(&root);
+            assert!(store.get(&r.key).is_none(), "{tag} entry must miss");
+            assert!(store.put(&r.key, r));
+            assert_eq!(store.get(&r.key).unwrap(), *r, "{tag} slot heals");
+            drop(store);
+            let _ = fs::remove_dir_all(&root);
+        }
+    }
 
-        // Explicitly versioned foreign entry.
-        doc.insert("v".into(), crate::Json::Num(3.0));
-        store.put(&r.key, r);
-        fs::write(&path, crate::Json::Obj(doc).render()).unwrap();
-        assert!(store.get(&r.key).is_none(), "v3 entry must miss");
-        assert!(!path.exists(), "v3 entry must be deleted");
+    /// Cut a two-segment store at every byte offset of its last three
+    /// lines, or zero-fill it from there as a power cut can: on reopen
+    /// every line that ends before the cut is served, the cut line misses
+    /// and nothing panics. A later put lands in a new segment.
+    #[test]
+    fn torn_segment_tails_serve_every_complete_line() {
+        let root = tmpdir("torn");
+        let results = make_results(5);
+        let (first, last_three) = results.split_at(2);
+        for batch in [first, last_three] {
+            let store = DiskStore::new(&root);
+            for r in batch {
+                assert!(store.put(&r.key, r));
+            }
+        }
+        let segs = segments(&root);
+        assert_eq!(segs.len(), 2, "one segment per handle");
+        let last = &segs[1];
+        let bytes = fs::read(last).unwrap();
+        let ends = line_ends(&bytes);
+        assert_eq!(ends.len(), 3);
+        for cut in 0..bytes.len() {
+            let mut zeroed = bytes.clone();
+            zeroed[cut..].fill(0);
+            for torn in [&bytes[..cut], &zeroed[..]] {
+                fs::write(last, torn).unwrap();
+                let store = DiskStore::new(&root);
+                for r in first {
+                    assert_eq!(store.get(&r.key).as_ref(), Some(r), "cut at {cut}");
+                }
+                for (r, &end) in last_three.iter().zip(&ends) {
+                    let want = (end <= cut).then_some(r);
+                    assert_eq!(store.get(&r.key).as_ref(), want, "cut at {cut}");
+                }
+            }
+        }
 
-        // The current format still round-trips through the same slot.
-        store.put(&r.key, r);
-        assert_eq!(store.get(&r.key).unwrap(), *r);
+        // Cut inside the last line: the torn segment is never written
+        // again, and the re-put record is served after one more reopen.
+        let cut = ends[1] + 10;
+        fs::write(last, &bytes[..cut]).unwrap();
+        let r = &last_three[2];
+        {
+            let store = DiskStore::new(&root);
+            assert!(store.get(&r.key).is_none());
+            assert!(store.put(&r.key, r));
+        }
+        assert_eq!(segments(&root).len(), 3, "the put starts a new segment");
+        assert_eq!(fs::read(last).unwrap().len(), cut, "torn tail left as is");
+        assert_eq!(DiskStore::new(&root).get(&r.key).unwrap(), *r);
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// Stale journals left by a crashed pre-v4 writer compact without
-    /// resurrecting old-format lines: undecodable entries are dropped on
-    /// the floor, current-format lines fan out normally.
+    /// Only `seg-*.log` files are read: the per-key files of older stores
+    /// (`ab/<key>.json`), their per-process `*.jsonl` logs, and bare
+    /// envelope lines under a segment name are never served, even though
+    /// each holds a current envelope.
     #[test]
-    fn stale_journal_compaction_drops_pre_v4_lines() {
-        let root = tmpdir("journal-v3");
-        let store = DiskStore::new(&root);
-        let results = make_results(2);
-        let (current, old) = (&results[0], &results[1]);
-        let mut old_doc = match old.to_json() {
-            crate::Json::Obj(m) => m,
-            _ => unreachable!(),
-        };
-        old_doc.insert("v".into(), crate::Json::Num(3.0));
-        fs::create_dir_all(&root).unwrap();
-        let journal = root.join("journal-99999-0.jsonl");
+    fn older_store_layouts_are_never_served() {
+        let root = tmpdir("old-layouts");
+        let results = make_results(3);
+        let envelope = |r: &CompileResult| format!("{}\n", r.to_json().render());
+        let fan_out = root.join(&results[0].key[..2]);
+        fs::create_dir_all(&fan_out).unwrap();
         fs::write(
-            &journal,
-            format!(
-                "{}\n{}\nnot json at all\n",
-                current.to_json().render(),
-                crate::Json::Obj(old_doc).render()
-            ),
+            fan_out.join(format!("{}.json", results[0].key)),
+            envelope(&results[0]),
         )
         .unwrap();
-
-        store.compact_journal(&journal);
-        assert!(!journal.exists(), "journal must be consumed");
-        assert_eq!(store.get(&current.key).unwrap(), *current);
-        assert!(
-            store.get(&old.key).is_none(),
-            "pre-v4 journal line must not be resurrected"
-        );
+        fs::write(root.join("wal-99999-0.jsonl"), envelope(&results[1])).unwrap();
+        fs::write(root.join("seg-99999-0.log"), envelope(&results[2])).unwrap();
+        let store = DiskStore::new(&root);
+        for r in &results {
+            assert!(store.get(&r.key).is_none(), "old layout served");
+        }
+        drop(store);
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// A flush makes every earlier put readable by a handle opened after
+    /// it, and dropping a handle without a flush loses nothing either.
     #[test]
-    fn write_behind_persists_on_drop_and_flush() {
-        let root = tmpdir("wb");
+    fn disk_store_persists_on_drop_and_flush() {
+        let root = tmpdir("persist");
         let results = make_results(4);
         {
-            let wb = WriteBehind::new(DiskStore::new(&root), Arc::new(StatsRegistry::new()));
+            let store = DiskStore::new(&root);
             for r in &results[..2] {
-                wb.put(&r.key, r);
+                assert!(store.put(&r.key, r));
             }
-            // Flush is a barrier: both writes are observable immediately.
-            wb.flush();
+            store.flush();
+            let reader = DiskStore::new(&root);
             for r in &results[..2] {
-                assert_eq!(wb.store().get(&r.key).unwrap(), *r);
+                assert_eq!(reader.get(&r.key).unwrap(), *r);
             }
             for r in &results[2..] {
-                wb.put(&r.key, r);
+                assert!(store.put(&r.key, r));
             }
-            // No flush: drop must drain the queue before joining.
         }
         let store = DiskStore::new(&root);
         for r in &results {
             assert_eq!(store.get(&r.key).unwrap(), *r, "{} lost on drop", r.key);
         }
+        drop(store);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Two live handles on one root append to their own segments. Each
+    /// serves the records on disk when it opened plus its own, and a
+    /// handle opened after both serves everything.
+    #[test]
+    fn live_handles_share_a_root() {
+        let root = tmpdir("shared");
+        let results = make_results(4);
+        let a = DiskStore::new(&root);
+        assert!(a.put(&results[0].key, &results[0]));
+        a.flush();
+        let b = DiskStore::new(&root);
+        assert_eq!(b.get(&results[0].key).unwrap(), results[0]);
+        assert!(b.put(&results[1].key, &results[1]));
+        assert!(a.put(&results[2].key, &results[2]));
+        assert!(b.put(&results[3].key, &results[3]));
+        assert!(a.get(&results[1].key).is_none(), "opened before b's put");
+        assert_eq!(a.get(&results[2].key).unwrap(), results[2]);
+        assert_eq!(b.get(&results[3].key).unwrap(), results[3]);
+        assert_eq!(segments(&root).len(), 2);
+        drop((a, b));
+        let c = DiskStore::new(&root);
+        for r in &results {
+            assert_eq!(c.get(&r.key).unwrap(), *r);
+        }
+        drop(c);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -731,8 +842,7 @@ mod tests {
         let snap = warm.stats().snapshot();
         assert_eq!((snap.mem_hits, snap.disk_hits, snap.misses), (1, 0, 1));
 
-        // The disk write is behind the queue; barrier before reading the
-        // store from a second cache instance.
+        // Barrier, then read the store through a second cache instance.
         warm.flush();
         let fresh = TieredCache::new(64, Some(DiskStore::new(&root)));
         assert_eq!(fresh.get(&r.key).unwrap(), *r, "disk hit");

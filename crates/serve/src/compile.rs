@@ -369,7 +369,8 @@ impl CachedCompiler {
     /// matches is then served the equivalence class representative's
     /// compilation, mapped back into the caller's names through the
     /// caller's own witness — no witness ever needs persisting, and the
-    /// alias entries ride the ordinary mem/disk tiers, journal and all.
+    /// alias entries ride the ordinary mem/disk tiers as records of their
+    /// own.
     fn compile_missed(
         self: &Arc<Self>,
         body: &Loop,
@@ -676,7 +677,7 @@ mod tests {
         let first = {
             let engine = CachedCompiler::new(TieredCache::new(8, Some(DiskStore::new(&root))));
             engine.compile(&req, None).unwrap().0
-            // Dropping the engine drains the write-behind queue.
+            // The compile appended its record before returning.
         };
         let engine = CachedCompiler::new(TieredCache::new(8, Some(DiskStore::new(&root))));
         let (second, src) = engine.compile(&req, None).unwrap();

@@ -63,7 +63,6 @@ fn intern_key(key: &str) -> Option<&'static str> {
         "timeouts" => "timeouts",
         "errors" => "errors",
         "batches" => "batches",
-        "sync_writes" => "sync_writes",
         "evictions" => "evictions",
         "samples" => "samples",
         "p50_us" => "p50_us",

@@ -19,7 +19,7 @@
 //!   (`vliw-served`) and client CLI (`vliw-client`), including the
 //!   `compile_batch` op (N requests, one wire round trip);
 //! * [`sys`] / [`reactor`] — the default event-driven serving core: a
-//!   libc-free epoll/poll readiness facility and the reactor that
+//!   libc-free epoll readiness facility (Linux-only) and the reactor that
 //!   multiplexes every connection on one thread while a worker pool runs
 //!   the compiles (a thread-per-connection core remains as baseline);
 //! * [`hist`] — lock-free log-linear latency histograms whose buckets are
@@ -48,7 +48,7 @@ pub mod shard;
 pub mod stats;
 pub mod sys;
 
-pub use cache::{DiskStore, MemCache, TieredCache, WriteBehind};
+pub use cache::{DiskStore, MemCache, TieredCache};
 pub use client::{Client, ClientError, ServedResult};
 pub use compile::{CachedCompiler, CompileError, Source};
 pub use envelope::{CacheKey, CompileRequest, CompileResult, RequestError, CACHE_FORMAT_VERSION};

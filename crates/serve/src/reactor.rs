@@ -5,14 +5,13 @@
 //! The thread-per-connection core holds a thread (and its stack) hostage
 //! for every open socket, so a few hundred idle clients exhaust the pool
 //! while zero compiles run. Here sockets are non-blocking and registered
-//! with epoll (or `poll(2)` as a portable fallback); the reactor thread
-//! owns all socket I/O and protocol parsing (via `crate::conn::Conn`),
-//! and hands complete compile jobs to `workers` pool threads through a
-//! queue. Completions come back through a wake-list drained after each
-//! poll round, woken by a socketpair [`crate::sys::Waker`] — which is also
-//! how `shutdown` (the wire op or a signal via
-//! [`crate::server::ShutdownHandle`]) interrupts a sleeping reactor with
-//! no polling loop anywhere.
+//! with epoll; the reactor thread owns all socket I/O and protocol parsing
+//! (via `crate::conn::Conn`), and hands complete compile jobs to `workers`
+//! pool threads through a queue. Completions come back through a
+//! wake-list drained after each poll round, woken by a socketpair
+//! [`crate::sys::Waker`] — which is also how `shutdown` (the wire op or a
+//! signal via [`crate::server::ShutdownHandle`]) interrupts a sleeping
+//! reactor with no polling loop anywhere.
 //!
 //! Connection slots live in a slab; tokens encode `(epoch << 32) | slot+2`
 //! so a completion addressed to a closed-and-recycled slot is recognised
@@ -29,7 +28,7 @@ use crate::server::{
     compile_entry_ctx, doc_is_shed, error_response, handle_line_ctx, reject_response,
     shed_response, RequestCtx, ServeOptions,
 };
-use crate::sys::{Interest, Poller, PollerConfig, Waker};
+use crate::sys::{Interest, Poller, Waker};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -67,8 +66,6 @@ pub(crate) struct ReactorConfig {
     pub max_line_bytes: usize,
     /// Concurrent connection cap; excess accepts get a typed error.
     pub max_conns: usize,
-    /// Use the `poll(2)` backend even where epoll is available.
-    pub force_poll: bool,
     /// Resource governor: lane classification, admission policy, and the
     /// memory pool heavy compiles draw budgets from.
     pub governor: Arc<Governor>,
@@ -408,9 +405,7 @@ pub(crate) fn run(
     config: ReactorConfig,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
-    let mut poller = Poller::with_config(PollerConfig {
-        force_poll: config.force_poll,
-    })?;
+    let mut poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
     poller.register(waker.fd(), WAKER_TOKEN, Interest::READ)?;
     let workers = config.workers.max(1);

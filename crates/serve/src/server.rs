@@ -37,7 +37,7 @@
 //!
 //! Two serving cores share this protocol (selected by
 //! [`ServerConfig::core`]). The default [`ServerCore::Reactor`] multiplexes
-//! every connection over an epoll/poll readiness loop on one thread and
+//! every connection over an epoll readiness loop on one thread and
 //! runs compiles on a small worker pool (see [`crate::reactor`]), so
 //! thousands of mostly-idle connections cost file descriptors rather than
 //! threads. [`ServerCore::ThreadPool`] is the original
@@ -45,7 +45,7 @@
 //! loop blocks in the poller (no sleeps) and is interrupted by the same
 //! [`ShutdownHandle`] wake. Either way a drain is graceful: the listener
 //! stops accepting, in-flight requests finish and flush, and the engine's
-//! write-behind queue is flushed before `run` returns.
+//! disk store is synced before `run` returns.
 
 use crate::compile::{CachedCompiler, CompileError};
 use crate::envelope::CompileRequest;
@@ -78,7 +78,6 @@ pub const AGGREGATE_SUM_FIELDS: &[&str] = &[
     "exact_truncated",
     "errors",
     "batches",
-    "sync_writes",
     "evictions",
     "samples",
     "accepts",
@@ -98,15 +97,13 @@ pub const AGGREGATE_SUM_FIELDS: &[&str] = &[
 /// Selects the connection-serving engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServerCore {
-    /// Event-driven readiness loop (epoll, or `poll(2)` as fallback): one
-    /// reactor thread multiplexes every connection and `workers` pool
-    /// threads run the compiles. Idle connections cost a file descriptor,
-    /// not a thread.
+    /// Event-driven readiness loop over epoll: one reactor thread
+    /// multiplexes every connection and `workers` pool threads run the
+    /// compiles. Idle connections cost a file descriptor, not a thread.
     #[default]
     Reactor,
     /// The original blocking core: a worker thread owns each connection
-    /// for its lifetime. Kept as a benchmark baseline and portability
-    /// hedge.
+    /// for its lifetime. Kept as a benchmark baseline.
     ThreadPool,
 }
 
@@ -134,9 +131,6 @@ pub struct ServerConfig {
     /// Reactor core: concurrent-connection cap; excess accepts receive a
     /// typed error and are closed immediately.
     pub max_conns: usize,
-    /// Reactor core: use the portable `poll(2)` backend even where epoll
-    /// is available (tests exercise both).
-    pub force_poll: bool,
     /// Reactor core: global solver-memory budget in bytes (the governor's
     /// resource pool). Heavy solves charge their working sets against it;
     /// exhaustion truncates solves and sheds admissions instead of growing
@@ -161,7 +155,6 @@ impl Default for ServerConfig {
             idle_timeout: None,
             max_line_bytes: 8 << 20,
             max_conns: 4096,
-            force_poll: false,
             mem_budget: 256 << 20,
             heavy_lane_workers: 0,
             shed_policy: ShedPolicy::Adaptive,
@@ -258,7 +251,7 @@ impl Server {
     }
 
     /// Serve until shutdown is signalled, then drain in-flight work and
-    /// flush the engine's write-behind queue.
+    /// sync the engine's disk store.
     pub fn run(self) {
         let options = ServeOptions {
             default_timeout: self.config.default_timeout,
@@ -282,7 +275,6 @@ impl Server {
                     idle_timeout: self.config.idle_timeout,
                     max_line_bytes: self.config.max_line_bytes.max(1024),
                     max_conns: self.config.max_conns.max(1),
-                    force_poll: self.config.force_poll,
                     governor,
                 };
                 if let Err(e) = reactor::run(
@@ -980,7 +972,6 @@ fn base_stats_fields(snap: &StatsSnapshot, evictions: u64) -> Vec<(&'static str,
         ("exact_truncated", Json::Num(snap.exact_truncated as f64)),
         ("errors", Json::Num(snap.errors as f64)),
         ("batches", Json::Num(snap.batches as f64)),
-        ("sync_writes", Json::Num(snap.sync_writes as f64)),
         ("evictions", Json::Num(evictions as f64)),
         ("samples", Json::Num(snap.samples as f64)),
         ("p50_us", Json::Num(snap.p50_us as f64)),

@@ -31,7 +31,6 @@ pub struct StatsRegistry {
     exact_truncated: AtomicU64,
     errors: AtomicU64,
     batches: AtomicU64,
-    sync_writes: AtomicU64,
     accepts: AtomicU64,
     conns_rejected: AtomicU64,
     idle_closed: AtomicU64,
@@ -75,9 +74,6 @@ pub struct StatsSnapshot {
     pub errors: u64,
     /// `compile_batch` requests served (each carries many entries).
     pub batches: u64,
-    /// Disk writes that ran synchronously because the write-behind queue
-    /// was full (degraded mode — results are never dropped).
-    pub sync_writes: u64,
     /// Connections accepted over the server's lifetime.
     pub accepts: u64,
     /// Connections refused at the `max_conns` cap.
@@ -169,11 +165,6 @@ impl StatsRegistry {
         self.batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a synchronous disk write forced by a full write-behind queue.
-    pub fn sync_write(&self) {
-        self.sync_writes.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record an accepted connection.
     pub fn accept(&self) {
         self.accepts.fetch_add(1, Ordering::Relaxed);
@@ -218,7 +209,6 @@ impl StatsRegistry {
             exact_truncated: self.exact_truncated.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            sync_writes: self.sync_writes.load(Ordering::Relaxed),
             accepts: self.accepts.load(Ordering::Relaxed),
             conns_rejected: self.conns_rejected.load(Ordering::Relaxed),
             idle_closed: self.idle_closed.load(Ordering::Relaxed),
@@ -262,7 +252,6 @@ mod tests {
         s.exact_truncated();
         s.error();
         s.batch();
-        s.sync_write();
         s.accept();
         s.conn_rejected();
         s.idle_close();
@@ -280,7 +269,6 @@ mod tests {
         assert_eq!(snap.exact_truncated, 1);
         assert_eq!(snap.errors, 1);
         assert_eq!(snap.batches, 1);
-        assert_eq!(snap.sync_writes, 1);
         assert_eq!(snap.accepts, 1);
         assert_eq!(snap.conns_rejected, 1);
         assert_eq!(snap.idle_closed, 1);

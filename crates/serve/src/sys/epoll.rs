@@ -1,11 +1,9 @@
-//! Linux `epoll(7)` backend: O(ready) readiness waits.
+//! Linux `epoll(7)`: O(ready) readiness waits.
 //!
 //! Level-triggered (the reactor re-arms interest explicitly, so edge
 //! triggering would only add lost-wakeup hazards). The `epoll_event`
 //! struct is packed on x86-64 — that is the kernel ABI — and `repr(C)`
 //! elsewhere.
-
-#![cfg(target_os = "linux")]
 
 use super::{timeout_ms, Event, Interest};
 use std::io;
@@ -54,21 +52,22 @@ fn mask(interest: Interest) -> u32 {
     m
 }
 
-/// An epoll instance plus its scratch event buffer.
-pub struct Epoll {
+/// A level-triggered readiness poller: an epoll instance plus its scratch
+/// event buffer.
+pub struct Poller {
     epfd: RawFd,
     buf: Vec<EpollEvent>,
 }
 
-impl Epoll {
+impl Poller {
     /// A fresh epoll instance.
-    pub fn new() -> io::Result<Epoll> {
+    pub fn new() -> io::Result<Poller> {
         // SAFETY: plain syscall; a negative return is checked below.
         let epfd = unsafe { epoll_create1(0) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
         }
-        Ok(Epoll {
+        Ok(Poller {
             epfd,
             buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
         })
@@ -87,7 +86,8 @@ impl Epoll {
         Ok(())
     }
 
-    /// Watch `fd` under `token`.
+    /// Start watching `fd` under `token`. The fd must stay open until
+    /// [`Poller::deregister`].
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, interest, token)
     }
@@ -97,13 +97,16 @@ impl Epoll {
         self.ctl(EPOLL_CTL_MOD, fd, interest, token)
     }
 
-    /// Stop watching `fd`.
+    /// Stop watching `fd`. Safe to call with an fd that is about to close.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, Interest::NONE, 0)
     }
 
-    /// Wait for events (see [`super::Poller::wait`]).
+    /// Block until at least one registration is ready or `timeout` elapses
+    /// (`None` blocks indefinitely). Ready events are appended to `events`
+    /// (cleared first). Spurious wakeups are allowed; EINTR is swallowed.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        events.clear();
         // SAFETY: `buf` is a live, correctly sized array of EpollEvent.
         let n = unsafe {
             epoll_wait(
@@ -141,7 +144,7 @@ impl Epoll {
     }
 }
 
-impl Drop for Epoll {
+impl Drop for Poller {
     fn drop(&mut self) {
         // SAFETY: epfd came from epoll_create1 and is closed exactly once.
         unsafe {

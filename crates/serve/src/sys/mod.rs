@@ -3,21 +3,18 @@
 //! The container vendors no `libc` crate, but every Rust binary links the
 //! platform C library, so the handful of syscall wrappers the reactor needs
 //! are declared directly (the same trick `vliw-served` uses for `signal`).
-//! Two interchangeable backends implement [`Poller`]:
+//! The server is Linux-only: [`Poller`] is Linux `epoll(7)` (O(ready)
+//! wakeups, see [`epoll`]).
 //!
-//! * [`epoll`] — Linux `epoll(7)`, O(ready) wakeups, the default on Linux;
-//! * [`poll`] — portable `poll(2)`, O(registered) per wait, the fallback on
-//!   other Unixes and selectable everywhere for tests
-//!   ([`PollerConfig::force_poll`]).
-//!
-//! Both speak the same token-based interface: register a file descriptor
-//! with a `u64` token and an [`Interest`] mask, wait for [`Event`]s, and the
-//! reactor never touches a raw fd outside this module. A [`Waker`]
-//! (nonblocking socketpair, write end async-signal-safe) lets worker
-//! threads and signal handlers interrupt a blocked wait.
+//! The interface is token-based: register a file descriptor with a `u64`
+//! token and an [`Interest`] mask, wait for [`Event`]s, and the reactor
+//! never touches a raw fd outside this module. A [`Waker`] (nonblocking
+//! socketpair, write end async-signal-safe) lets worker threads and signal
+//! handlers interrupt a blocked wait.
 
 pub mod epoll;
-pub mod poll;
+
+pub use epoll::Poller;
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -69,92 +66,7 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// Backend selection for [`Poller::with_config`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PollerConfig {
-    /// Use the portable `poll(2)` backend even where `epoll` is available
-    /// (exercised by tests so the fallback cannot rot).
-    pub force_poll: bool,
-}
-
-/// A level-triggered readiness poller over one of the two backends.
-pub enum Poller {
-    /// Linux `epoll(7)`.
-    #[cfg(target_os = "linux")]
-    Epoll(epoll::Epoll),
-    /// Portable `poll(2)`.
-    Poll(poll::PollSet),
-}
-
-impl Poller {
-    /// The platform-preferred backend (`epoll` on Linux, `poll` elsewhere).
-    pub fn new() -> io::Result<Poller> {
-        Self::with_config(PollerConfig::default())
-    }
-
-    /// A poller honouring `config.force_poll`.
-    pub fn with_config(config: PollerConfig) -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        {
-            if !config.force_poll {
-                return Ok(Poller::Epoll(epoll::Epoll::new()?));
-            }
-        }
-        let _ = config;
-        Ok(Poller::Poll(poll::PollSet::new()))
-    }
-
-    /// The backend's name, for logs and tests.
-    pub fn backend(&self) -> &'static str {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(_) => "epoll",
-            Poller::Poll(_) => "poll",
-        }
-    }
-
-    /// Start watching `fd` under `token`. The fd must stay open until
-    /// [`Poller::deregister`].
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(e) => e.register(fd, token, interest),
-            Poller::Poll(p) => p.register(fd, token, interest),
-        }
-    }
-
-    /// Change the interest mask of an existing registration.
-    pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(e) => e.reregister(fd, token, interest),
-            Poller::Poll(p) => p.reregister(fd, token, interest),
-        }
-    }
-
-    /// Stop watching `fd`. Safe to call with an fd that is about to close.
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(e) => e.deregister(fd),
-            Poller::Poll(p) => p.deregister(fd),
-        }
-    }
-
-    /// Block until at least one registration is ready or `timeout` elapses
-    /// (`None` blocks indefinitely). Ready events are appended to `events`
-    /// (cleared first). Spurious wakeups are allowed; EINTR is swallowed.
-    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        events.clear();
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(e) => e.wait(events, timeout),
-            Poller::Poll(p) => p.wait(events, timeout),
-        }
-    }
-}
-
-/// Clamp a `Duration` to the millisecond argument `poll`/`epoll_wait` take.
+/// Clamp a `Duration` to the millisecond argument `epoll_wait` takes.
 /// `None` means "block forever" (-1); sub-millisecond waits round up so a
 /// short timeout never busy-spins at 0ms.
 pub(crate) fn timeout_ms(timeout: Option<Duration>) -> i32 {
@@ -279,110 +191,95 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
 
-    fn backends() -> Vec<Poller> {
-        let mut v = vec![Poller::with_config(PollerConfig { force_poll: true }).unwrap()];
-        if cfg!(target_os = "linux") {
-            v.push(Poller::new().unwrap());
-        }
-        v
-    }
-
     #[test]
     fn waker_wakes_a_blocked_wait_on_every_backend() {
-        for mut poller in backends() {
-            let waker = Waker::new().unwrap();
-            poller.register(waker.fd(), 7, Interest::READ).unwrap();
-            waker.wake();
-            waker.wake(); // coalesces, never errors
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 7 && e.readable),
-                "{}: waker event missing: {events:?}",
-                poller.backend()
-            );
-            waker.drain();
-            // Drained: a short wait now times out with no events.
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{}: {events:?}", poller.backend());
-        }
+        let mut poller = Poller::new().unwrap();
+        let waker = Waker::new().unwrap();
+        poller.register(waker.fd(), 7, Interest::READ).unwrap();
+        waker.wake();
+        waker.wake(); // coalesces, never errors
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 7 && e.readable),
+            "waker event missing: {events:?}"
+        );
+        waker.drain();
+        // Drained: a short wait now times out with no events.
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty(), "{events:?}");
     }
 
     #[test]
     fn socket_readiness_and_reregister() {
-        for mut poller in backends() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (sock, _) = listener.accept().unwrap();
-            sock.set_nonblocking(true).unwrap();
-            poller
-                .register(sock.as_raw_fd(), 42, Interest::READ)
-                .unwrap();
+        let mut poller = Poller::new().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (sock, _) = listener.accept().unwrap();
+        sock.set_nonblocking(true).unwrap();
+        poller
+            .register(sock.as_raw_fd(), 42, Interest::READ)
+            .unwrap();
 
-            let mut events = Vec::new();
-            // Nothing sent yet: no readable event.
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.iter().all(|e| e.token != 42));
+        let mut events = Vec::new();
+        // Nothing sent yet: no readable event.
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.iter().all(|e| e.token != 42));
 
-            (&peer).write_all(b"x").unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 42 && e.readable),
-                "{}: expected readable, got {events:?}",
-                poller.backend()
-            );
+        (&peer).write_all(b"x").unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 42 && e.readable),
+            "expected readable, got {events:?}"
+        );
 
-            // Writable interest on an idle socket fires immediately.
-            poller
-                .reregister(sock.as_raw_fd(), 42, Interest::WRITE)
-                .unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 42 && e.writable),
-                "{}: expected writable, got {events:?}",
-                poller.backend()
-            );
+        // Writable interest on an idle socket fires immediately.
+        poller
+            .reregister(sock.as_raw_fd(), 42, Interest::WRITE)
+            .unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 42 && e.writable),
+            "expected writable, got {events:?}"
+        );
 
-            poller.deregister(sock.as_raw_fd()).unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{}: {events:?}", poller.backend());
-        }
+        poller.deregister(sock.as_raw_fd()).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty(), "{events:?}");
     }
 
     #[test]
     fn hangup_is_reported() {
-        for mut poller in backends() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (sock, _) = listener.accept().unwrap();
-            sock.set_nonblocking(true).unwrap();
-            poller
-                .register(sock.as_raw_fd(), 9, Interest::READ)
-                .unwrap();
-            drop(peer);
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events
-                    .iter()
-                    .any(|e| e.token == 9 && (e.hangup || e.readable)),
-                "{}: hangup not visible: {events:?}",
-                poller.backend()
-            );
-        }
+        let mut poller = Poller::new().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (sock, _) = listener.accept().unwrap();
+        sock.set_nonblocking(true).unwrap();
+        poller
+            .register(sock.as_raw_fd(), 9, Interest::READ)
+            .unwrap();
+        drop(peer);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events
+                .iter()
+                .any(|e| e.token == 9 && (e.hangup || e.readable)),
+            "hangup not visible: {events:?}"
+        );
     }
 }

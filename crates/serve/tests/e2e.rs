@@ -520,26 +520,6 @@ fn oversized_request_line_is_rejected_and_closed() {
     server.stop();
 }
 
-#[test]
-fn poll_backend_serves_the_same_protocol() {
-    let server = TestServer::start_with(None, |c| c.force_poll = true);
-    let mut client = server.client();
-    client.ping().expect("ping over poll backend");
-    let out = client
-        .compile(&sample_request(4), None)
-        .expect("compile over poll backend");
-    assert_eq!(out.served, "compiled");
-    let reqs: Vec<CompileRequest> = (0..3).map(sample_request).collect();
-    let results = client
-        .compile_batch(&reqs, None, Some(2))
-        .expect("batch over poll backend");
-    assert_eq!(results.len(), 3);
-    for r in &results {
-        r.as_ref().expect("entry compiles");
-    }
-    server.stop();
-}
-
 /// daxpy unrolled 6×: 30 ops over 25 vregs. On `embedded(4,4)` the II=2
 /// rung is a deep refutation (seconds even in release), so any sub-second
 /// joint budget reliably truncates — the anytime path's canonical hard
