@@ -37,6 +37,16 @@ for f in crates/exact/src/search.rs crates/joint/src/solver.rs; do
         || { echo "error: $f no longer polls the resource budget"; exit 1; }
 done
 
+echo "==> request paths compile only on the worker pool"
+# Every request, and every entry of a batch, reaches a compile through the
+# reactor's lanes, admission and worker pool, under the heavy-lane quota.
+# A thread spawned on a request path would run compiles outside all of it.
+if grep -n 'thread::scope\|thread::spawn' crates/serve/src/server.rs crates/serve/src/conn.rs; then
+    echo "error: a request path spawns threads (see above); dispatch work"
+    echo "through the reactor's worker pool instead."
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

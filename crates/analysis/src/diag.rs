@@ -408,8 +408,8 @@ impl Diagnostic {
         )
     }
 
-    /// Render as a JSON object (hand-rolled: the offline build has no serde
-    /// runtime).
+    /// Render as a JSON object (hand-rolled: the offline build has no
+    /// serialisation crate).
     pub fn render_json(&self) -> String {
         let mut fields = vec![
             format!("\"code\":{}", json_str(self.code.code())),

@@ -7,17 +7,19 @@
 //! runs a variant corpus (a generated isomorphic renaming of every loop,
 //! which must warm-hit the semantic alias instead of compiling), then
 //! measures the wire protocol over a real loopback server: per-line
-//! `compile` round trips vs one `compile_batch`, and a two-peer sharded
-//! sweep (semantic routing, renamed variants included). Results are
-//! written as JSON, the checked-in `BENCH_serve.json` at the repo root.
+//! `compile` round trips vs one `compile_batch`, a two-peer sharded sweep
+//! (semantic routing, renamed variants included), warm round trips over
+//! 1/64/512 connections, and a heavy flood against the governor. Results
+//! are written as JSON, the checked-in `BENCH_serve.json` at the repo root.
 //! Rerun with
 //!
 //! ```text
 //! cargo run --release -p vliw-bench --bin bench_serve
 //! ```
 //!
-//! The exits double as regression gates: the cold-path overhead ratio and
-//! the batch-vs-per-line speedup are asserted, not just recorded.
+//! The exits double as regression gates: the cold-path overhead ratio, the
+//! batch-vs-per-line speedup, the concurrency and the overload floors are
+//! asserted, not just recorded.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as _};
@@ -32,8 +34,16 @@ use vliw_machine::MachineDesc;
 use vliw_pipeline::{run_corpus_grid_with, run_loop, LoopResult, PipelineConfig};
 use vliw_serve::{
     CachedCompiler, Client, CompileRequest, DiskStore, Json as WireJson, Server, ServerConfig,
-    ServerCore, ShardedClient, ShedPolicy, TieredCache,
+    ShardedClient, ShedPolicy, TieredCache,
 };
+
+/// Floor on warm round trips per second over 512 connections: four times
+/// the most the deleted thread-per-connection core ever served in this
+/// phase (495.71 rps, the best of ten runs on a 2-vCPU host and of its last
+/// checked-in `BENCH_serve.json`; DESIGN §13 records its final numbers).
+/// It replaces the floor "4x that core's throughput in the same run" and
+/// is no weaker than it.
+const CONC_512_FLOOR_RPS: f64 = 4.0 * 495.71;
 
 struct Json {
     buf: String,
@@ -128,30 +138,6 @@ fn spawn_server(engine: Arc<CachedCompiler>) -> (String, std::thread::JoinHandle
     (addr, thread)
 }
 
-/// Like [`spawn_server`], but with an explicit serving core and room for
-/// the 512-connection concurrency runs.
-fn spawn_server_core(
-    engine: Arc<CachedCompiler>,
-    core: ServerCore,
-) -> (String, std::thread::JoinHandle<()>) {
-    let server = Server::bind(
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 2,
-            default_timeout: Duration::from_secs(60),
-            batch_parallelism: 8,
-            core,
-            max_conns: 2048,
-            ..ServerConfig::default()
-        },
-        engine,
-    )
-    .expect("bind loopback server");
-    let addr = server.local_addr().expect("bound address").to_string();
-    let thread = std::thread::spawn(move || server.run());
-    (addr, thread)
-}
-
 /// The canonical per-line `compile` wire line for `req`.
 fn compile_line(req: &CompileRequest) -> String {
     let mut line = WireJson::obj([
@@ -166,73 +152,47 @@ fn compile_line(req: &CompileRequest) -> String {
 struct ConcRun {
     rps: f64,
     p99_us: f64,
-    served: u64,
+    /// Responses that were typed sheds (the governor must never shed
+    /// interactive work).
+    sheds: u64,
 }
 
 /// `total` warm requests round-robined over `k` connections, one request in
-/// flight at a time, so the numbers isolate how each core multiplexes
-/// connections rather than raw compile throughput.
-///
-/// A connection whose response does not arrive within a second is written
-/// off as dead: the thread-pool baseline pins one worker to one connection
-/// for its lifetime, so with 2 workers it starves the other `k - 2`
-/// connections forever. Four consecutive write-offs write off every
-/// connection that has never answered, so the baseline finishes in seconds
-/// instead of hours while `served` records honestly how few of the `k`
-/// connections it actually multiplexed.
+/// flight at a time, so the numbers isolate how the server multiplexes
+/// connections rather than raw compile throughput. Every request must be
+/// answered: a read that times out fails the bench.
 fn concurrency_run(addr: &str, k: usize, total: usize, line: &[u8]) -> ConcRun {
-    let mut conns: Vec<Option<BufReader<TcpStream>>> = (0..k)
+    let mut conns: Vec<BufReader<TcpStream>> = (0..k)
         .map(|_| {
             let s = TcpStream::connect(addr).expect("connect bench connection");
-            s.set_read_timeout(Some(Duration::from_secs(1)))
+            s.set_read_timeout(Some(Duration::from_secs(10)))
                 .expect("set read timeout");
-            Some(BufReader::new(s))
+            BufReader::new(s)
         })
         .collect();
-    let mut ever_ok = vec![false; k];
     let mut lat_us: Vec<f64> = Vec::with_capacity(total);
-    let mut streak = 0u32;
+    let mut sheds = 0u64;
     let t0 = Instant::now();
-    let mut sent = 0usize;
-    let mut next = 0usize;
-    while sent < total && conns.iter().any(Option::is_some) {
-        let slot = next % k;
-        next += 1;
-        let Some(conn) = conns[slot].as_mut() else {
-            continue;
-        };
-        sent += 1;
+    for i in 0..total {
+        let conn = &mut conns[i % k];
         let t = Instant::now();
         let mut resp = String::new();
-        let ok = conn.get_mut().write_all(line).is_ok()
-            && matches!(conn.read_line(&mut resp), Ok(n) if n > 0);
-        if ok {
-            lat_us.push(t.elapsed().as_secs_f64() * 1e6);
-            ever_ok[slot] = true;
-            streak = 0;
-        } else {
-            conns[slot] = None;
-            streak += 1;
-            if streak >= 4 {
-                for (s, conn) in conns.iter_mut().enumerate() {
-                    if !ever_ok[s] {
-                        *conn = None;
-                    }
-                }
-            }
+        conn.get_mut().write_all(line).expect("bench write");
+        let n = conn
+            .read_line(&mut resp)
+            .unwrap_or_else(|e| panic!("request {i} over {k} connections unanswered: {e}"));
+        assert!(n > 0, "bench connection closed by the server");
+        lat_us.push(t.elapsed().as_secs_f64() * 1e6);
+        if resp.contains("\"error_kind\":\"shed\"") {
+            sheds += 1;
         }
     }
     let elapsed = t0.elapsed().as_secs_f64();
-    let served = lat_us.len() as u64;
     lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    let p99_us = match lat_us.len() {
-        0 => f64::INFINITY,
-        n => lat_us[((n - 1) as f64 * 0.99).round() as usize],
-    };
     ConcRun {
-        rps: served as f64 / elapsed,
-        p99_us,
-        served,
+        rps: total as f64 / elapsed,
+        p99_us: lat_us[((total - 1) as f64 * 0.99).round() as usize],
+        sheds,
     }
 }
 
@@ -259,53 +219,6 @@ fn heavy_joint_request(budget_ms: u64) -> CompileRequest {
         ..PipelineConfig::default()
     };
     CompileRequest::from_parts(&body, &MachineDesc::embedded(4, 4), &cfg)
-}
-
-struct OverloadInteractive {
-    p99_us: f64,
-    served: u64,
-    sheds: u64,
-}
-
-/// Warm round trips round-robined over `k` connections while the heavy
-/// flood runs, counting any typed shed in the responses (the governor
-/// must never shed interactive work).
-fn overload_interactive_run(
-    addr: &str,
-    k: usize,
-    total: usize,
-    line: &[u8],
-) -> OverloadInteractive {
-    let mut conns: Vec<BufReader<TcpStream>> = (0..k)
-        .map(|_| {
-            let s = TcpStream::connect(addr).expect("connect interactive connection");
-            s.set_read_timeout(Some(Duration::from_secs(10)))
-                .expect("set read timeout");
-            BufReader::new(s)
-        })
-        .collect();
-    let mut lat_us: Vec<f64> = Vec::with_capacity(total);
-    let mut sheds = 0u64;
-    for i in 0..total {
-        let conn = &mut conns[i % k];
-        let t = Instant::now();
-        let mut resp = String::new();
-        conn.get_mut().write_all(line).expect("interactive write");
-        let n = conn.read_line(&mut resp).expect("interactive read");
-        assert!(n > 0, "interactive connection closed under load");
-        lat_us.push(t.elapsed().as_secs_f64() * 1e6);
-        if resp.contains("\"error_kind\":\"shed\"") {
-            sheds += 1;
-        }
-    }
-    let served = lat_us.len() as u64;
-    lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    let p99_us = lat_us[((lat_us.len() - 1) as f64 * 0.99).round() as usize];
-    OverloadInteractive {
-        p99_us,
-        served,
-        sheds,
-    }
 }
 
 fn main() {
@@ -519,32 +432,22 @@ fn main() {
     thread_a.join().expect("peer A exits");
     thread_b.join().expect("peer B exits");
 
-    // ---- concurrency: 1 vs 64 vs 512 clients, reactor vs thread pool -----
+    // ---- concurrency: 1 vs 64 vs 512 clients ----------------------------
     // Warm cache-hit round trips over the same 2-worker engine, so the
-    // comparison isolates connection multiplexing: the reactor holds all
-    // 512 sockets on one thread, the thread-pool baseline can only ever
-    // serve as many connections as it has workers.
+    // numbers isolate connection multiplexing: the reactor holds all 512
+    // sockets on one thread.
     let conc_total = 2048usize;
     let line = compile_line(&reqs[0]);
 
-    let (addr_r, thread_r) = spawn_server_core(Arc::clone(&engine), ServerCore::Reactor);
+    let (addr_r, thread_r) = spawn_server(Arc::clone(&engine));
     let r1 = concurrency_run(&addr_r, 1, conc_total, line.as_bytes());
     let r64 = concurrency_run(&addr_r, 64, conc_total, line.as_bytes());
     let r512 = concurrency_run(&addr_r, 512, conc_total, line.as_bytes());
     Client::connect(&addr_r)
         .expect("connect for shutdown")
         .shutdown()
-        .expect("shutdown reactor server");
-    thread_r.join().expect("reactor server exits");
-
-    let (addr_t, thread_t) = spawn_server_core(Arc::clone(&engine), ServerCore::ThreadPool);
-    let t1 = concurrency_run(&addr_t, 1, conc_total, line.as_bytes());
-    let t512 = concurrency_run(&addr_t, 512, conc_total, line.as_bytes());
-    Client::connect(&addr_t)
-        .expect("connect for shutdown")
-        .shutdown()
-        .expect("shutdown thread-pool server");
-    thread_t.join().expect("thread-pool server exits");
+        .expect("shutdown concurrency server");
+    thread_r.join().expect("concurrency server exits");
 
     // ---- overload: governed lanes under a heavy flood --------------------
     // 512 client connections against a 2-worker reactor with a 1-worker
@@ -563,8 +466,6 @@ fn main() {
             workers: 2,
             default_timeout: Duration::from_secs(60),
             batch_parallelism: 8,
-            core: ServerCore::Reactor,
-            max_conns: 2048,
             heavy_lane_workers: 1,
             shed_policy: ShedPolicy::Depth(4),
             ..ServerConfig::default()
@@ -610,7 +511,8 @@ fn main() {
 
     // Let the flood saturate the heavy lane, then measure interactive.
     std::thread::sleep(Duration::from_millis(100));
-    let inter = overload_interactive_run(&addr_o, interactive_conns, 4096, line.as_bytes());
+    let inter_total = 4096usize;
+    let inter = concurrency_run(&addr_o, interactive_conns, inter_total, line.as_bytes());
 
     for f in flood {
         f.join().expect("heavy flood thread");
@@ -665,14 +567,9 @@ fn main() {
     j.num("conc_reactor_rps_512", r512.rps);
     j.num("conc_reactor_p99_us_1", r1.p99_us);
     j.num("conc_reactor_p99_us_512", r512.p99_us);
-    j.int("conc_reactor_served_512", r512.served);
-    j.num("conc_threadpool_rps_1", t1.rps);
-    j.num("conc_threadpool_rps_512", t512.rps);
-    j.int("conc_threadpool_served_512", t512.served);
-    j.num("conc_512_speedup_vs_threadpool", r512.rps / t512.rps);
     j.int("overload_conns", overload_conns as u64);
     j.int("overload_heavy_requests", heavy_total as u64);
-    j.int("overload_interactive_requests", inter.served);
+    j.int("overload_interactive_requests", inter_total as u64);
     j.num("overload_unloaded_p99_us", unloaded.p99_us);
     j.num("overload_interactive_p99_us", inter.p99_us);
     j.int("overload_interactive_sheds", inter.sheds);
@@ -696,12 +593,9 @@ fn main() {
          (got {:.2}x, baseline 3.83x)",
         cold_ms / direct_ms
     );
-    // Under the thread-per-connection core a dedicated blocked thread
-    // served per-line round trips with zero handoffs, so batching's
-    // amortisation was worth >=3x. The reactor core routes per-line and
-    // batch work through the same readiness loop + worker pool, which
-    // narrows the structural gap (both now pay one pool handoff); batch
-    // must still win clearly, it just wins less.
+    // Per-line and batch work share the readiness loop and the worker
+    // pool, so both pay pool handoffs; one batch must still win clearly
+    // over a round trip per request.
     assert!(
         per_line_ms / batch_ms >= 1.5,
         "one compile_batch must beat {} per-line round trips by >=1.5x (got {:.1}x)",
@@ -724,17 +618,11 @@ fn main() {
         "semantic routing must land every renamed variant on its \
          representative's peer cache ({sharded_variant_hits}/{sharded_variant_total} hit)"
     );
-    assert_eq!(
-        r512.served, conc_total as u64,
-        "the reactor must serve every request across 512 connections \
-         (served {} of {conc_total})",
-        r512.served
-    );
     assert!(
-        r512.rps / t512.rps >= 4.0,
-        "reactor warm throughput at 512 connections must beat the \
-         thread-pool baseline by >=4x (got {:.1}x)",
-        r512.rps / t512.rps
+        r512.rps >= CONC_512_FLOOR_RPS,
+        "warm throughput at 512 connections must reach {CONC_512_FLOOR_RPS:.0} rps \
+         (got {:.0})",
+        r512.rps
     );
     assert!(
         r512.p99_us <= (2.0 * r1.p99_us).max(2000.0),

@@ -2,10 +2,9 @@
 
 use crate::op::{OpId, Operation};
 use crate::reg::{RegClass, VReg};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an array (a named region of memory the loop accesses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArrayId(pub u32);
 
 impl ArrayId {
@@ -17,7 +16,7 @@ impl ArrayId {
 }
 
 /// Simulation metadata for one array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayInfo {
     /// Human-readable name (`x`, `y`, …).
     pub name: String,
@@ -31,7 +30,7 @@ pub struct ArrayInfo {
 /// Initial value of a live-in register, used by the simulator and the scalar
 /// reference oracle. Floats are stored as bits so `Loop` can derive `Eq`-like
 /// semantics through `PartialEq` deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InitVal {
     /// Integer initial value.
     Int(i64),
@@ -69,7 +68,7 @@ impl InitVal {
 /// iteration's value (live-in value on iteration 0) — this encodes
 /// loop-carried recurrences without SSA phi nodes, matching the three-address
 /// code the paper's Rocket compiler hands to its backend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Loop {
     /// Name for reports (e.g. `daxpy_u4_017`).
     pub name: String,

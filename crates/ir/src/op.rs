@@ -2,12 +2,11 @@
 
 use crate::looprep::ArrayId;
 use crate::reg::{RegClass, VReg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an operation within a [`crate::Loop`] body (its position in
 /// program order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub u32);
 
 impl OpId {
@@ -32,7 +31,7 @@ impl fmt::Display for OpId {
 /// partitioner inserts. Latencies live in `vliw-machine`, not here — the IR
 /// is machine-independent, exactly as the paper's retargetability argument
 /// requires (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// Integer add/subtract/logical — "other integer instructions" (1 cycle).
     IntAlu,
@@ -133,7 +132,7 @@ impl fmt::Display for Opcode {
 /// guarantees that this metadata agrees with the explicit address arithmetic
 /// in the loop body, so dependence analysis (which uses this metadata) and
 /// simulation (which uses the register-held address) agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRef {
     /// The array being accessed.
     pub array: ArrayId,
@@ -145,7 +144,7 @@ pub struct MemRef {
 
 /// Arithmetic interpretation of an [`Opcode::IntAlu`] / [`Opcode::FAlu`] op,
 /// used by the simulator. Scheduling and partitioning never inspect this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluKind {
     /// `dst = a + b` (or `a + imm`).
     Add,
@@ -162,7 +161,7 @@ pub enum AluKind {
 /// At most one def; zero, one or two uses. Copies inserted by the partitioner
 /// are ordinary operations with [`Opcode::is_copy`] true, so the clustered
 /// rescheduling pass (§4, step 4) treats them uniformly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Operation {
     /// Identifier (== position in the loop body).
     pub id: OpId,

@@ -1,6 +1,5 @@
 //! Virtual registers and register classes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The register class of a value.
@@ -9,7 +8,7 @@ use std::fmt;
 /// only through latencies (integer copies take 2 cycles, floating-point
 /// copies 3; §6.1). Register banks in this reproduction hold both classes,
 /// with independently configurable capacities per class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RegClass {
     /// Integer (and address) values.
     Int,
@@ -54,7 +53,7 @@ impl fmt::Display for RegClass {
 /// Virtual registers are dense indices into the owning [`crate::Loop`]'s
 /// register table; the class of a register is recorded there. The RCG
 /// partitioner in `vliw-core` operates on these indices directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VReg(pub u32);
 
 impl VReg {

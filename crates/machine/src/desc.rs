@@ -1,11 +1,10 @@
 //! Machine descriptions: clusters, register banks, copy models.
 
 use crate::latency::LatencyTable;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a cluster (and of its register bank — they are one-to-one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClusterId(pub u32);
 
 impl ClusterId {
@@ -24,7 +23,7 @@ impl fmt::Display for ClusterId {
 
 /// One cluster: a group of general-purpose functional units sharing a
 /// register bank.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterDesc {
     /// Number of general-purpose functional units in the cluster.
     pub n_fus: usize,
@@ -36,7 +35,7 @@ pub struct ClusterDesc {
 }
 
 /// How cross-bank copies are supported (§6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CopyModel {
     /// Explicit copy operations scheduled on the destination cluster's
     /// functional units, consuming issue slots.
@@ -62,7 +61,7 @@ impl CopyModel {
 }
 
 /// A complete machine description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineDesc {
     /// Name for reports, e.g. `16w-4x4-copyunit`.
     pub name: String,

@@ -1,12 +1,11 @@
 //! Operation latencies (§6.1 of the paper).
 
-use serde::{Deserialize, Serialize};
 use vliw_ir::Opcode;
 
 /// Cycle latencies per opcode. `latency` cycles elapse between issuing an
 /// operation and its result being readable; an operation issued at cycle `c`
 /// produces a value readable at cycle `c + latency`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyTable {
     /// Integer inter-bank copy.
     pub copy_int: u32,

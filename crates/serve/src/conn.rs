@@ -19,19 +19,21 @@
 //! reassembled into request-order slots; the aggregate response renders
 //! once the wire side is fully parsed and every slot is filled.
 //!
-//! Lines that cannot take the streaming path (non-canonical field order,
-//! unknown control fields) fall back to whole-line accumulation and are
-//! served by the ordinary dispatcher, exactly as the thread-pool core
-//! serves them.
+//! Every other line waits for its newline. If it is a batch in another
+//! spelling — `requests` before `op`, whitespace between tokens — it is
+//! rewritten into the canonical spelling (`canonical_batch`) and streamed
+//! exactly like a canonical line, so each entry of every batch gets its
+//! own lane, admission decision and worker-pool slot. Any other line is
+//! handed to the reactor whole ([`Action::Line`]).
 
-use crate::json::{self as js, Json, Scan};
+use crate::json::{self as js, Json, JsonParseError, Scan};
 use crate::server::{error_response, ServeOptions};
 use crate::stats::StatsRegistry;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The exact first bytes of a canonical batch line (matching the check in
-/// `handle_line`, so both cores agree on what is streamable).
+/// The exact first bytes of a canonical batch line. Every other spelling
+/// of a batch is rewritten to start with them before it streams.
 const BATCH_PREFIX: &[u8] = b"{\"op\":\"compile_batch\"";
 
 /// Per-connection parsing limits and dispatch knobs.
@@ -82,7 +84,8 @@ pub(crate) enum Action {
 enum Mode {
     /// Accumulating a line; still deciding whether it streams as a batch.
     Line,
-    /// The current line cannot stream; wait for its newline and emit whole.
+    /// The line does not open with the canonical batch prefix: wait for its
+    /// newline, then rewrite it if it is a batch, else emit it whole.
     WholeLine,
     /// Streaming a canonical batch body (state in `Conn::batch`).
     Batch,
@@ -127,7 +130,8 @@ struct BatchState {
 enum Header {
     /// Undecidable yet; wait for more bytes.
     NeedMore,
-    /// Not a canonical streaming batch; serve the whole line normally.
+    /// A second `op` key names another op. `parse_json` keeps the last of
+    /// duplicate keys, so the whole line decides what this request is.
     Fallback,
     /// A batch-level protocol error; respond and drain the line.
     Error(Json),
@@ -315,7 +319,7 @@ impl Conn {
             return false;
         }
         // Blank space between lines (including the newlines themselves) is
-        // skipped, mirroring the thread-pool core's trim-and-skip.
+        // skipped.
         let lead = self
             .buf
             .iter()
@@ -386,9 +390,15 @@ impl Conn {
                 false
             }
             Some(i) => {
+                self.mode = Mode::Line;
+                if let Some(canonical) = canonical_batch(&self.buf[..i]) {
+                    // Never longer than the line it replaces; `step_line`
+                    // streams it on the next turn.
+                    self.buf.splice(..i, canonical);
+                    return true;
+                }
                 let line = String::from_utf8_lossy(&self.buf[..i]).trim().to_string();
                 self.buf.drain(..=i);
-                self.mode = Mode::Line;
                 if !line.is_empty() {
                     actions.push(Action::Line(line));
                 }
@@ -556,8 +566,7 @@ impl Conn {
                     .iter()
                     .map(|r| r.as_ref().map_or(0, |d| d.len() + 1))
                     .sum();
-                // Same key order the tree handler's sorted-map rendering
-                // produces, so clients see one response shape.
+                // Keys in sorted order, as every other response renders.
                 let mut out = String::with_capacity(body + 64);
                 out.push_str("{\"n\":");
                 out.push_str(&n.to_string());
@@ -593,44 +602,52 @@ impl Conn {
 
 /// Parse the control-field prefix of a canonical batch line. `strict` means
 /// the slice is a complete line (a newline followed it), so parse failures
-/// are final; otherwise failures mean "wait for more bytes".
+/// are final; otherwise failures mean "wait for more bytes". The walk
+/// follows `parse_json`'s grammar, so a syntax error reads as `parse_json`
+/// would report it. Unknown control fields are skipped unparsed. A complete
+/// line always commits or errors, unless a second `op` key names another op.
 fn header_of(bytes: &[u8], limits: &ConnLimits, strict: bool) -> Header {
-    fn undecided(strict: bool) -> Header {
+    let syntax = |e: JsonParseError| {
         if strict {
-            Header::Fallback
+            Header::Error(error_response(e.to_string()))
         } else {
             Header::NeedMore
         }
-    }
-    let mut pos = 0usize;
-    js::skip_ws(bytes, &mut pos);
-    if js::expect(bytes, &mut pos, b'{').is_err() {
-        return undecided(strict);
-    }
+    };
+    let missing_requests =
+        || Header::Error(error_response("compile_batch op missing `requests` array"));
+    let mut pos = BATCH_PREFIX.len();
     let mut timeout_ms: Option<u64> = None;
     let mut requested = limits.opts.batch_parallelism;
     let mut defaults = BatchDefaults::default();
-    let mut saw_op = false;
     loop {
         js::skip_ws(bytes, &mut pos);
-        if pos >= bytes.len() {
-            return undecided(strict);
+        match bytes.get(pos) {
+            Some(b',') => pos += 1,
+            Some(b'}') => {
+                pos += 1;
+                js::skip_ws(bytes, &mut pos);
+                return match (strict, pos == bytes.len()) {
+                    (false, _) => Header::NeedMore,
+                    (true, true) => missing_requests(),
+                    (true, false) => syntax(js::fail(pos, "trailing characters after document")),
+                };
+            }
+            _ => return syntax(js::fail(pos, "expected `,` or `}`")),
         }
+        js::skip_ws(bytes, &mut pos);
         let key = match js::parse_key(bytes, &mut pos) {
             Ok(k) => k,
-            Err(_) => return undecided(strict),
+            Err(e) => return syntax(e),
         };
         js::skip_ws(bytes, &mut pos);
-        if js::expect(bytes, &mut pos, b':').is_err() {
-            return undecided(strict);
+        if let Err(e) = js::expect(bytes, &mut pos, b':') {
+            return syntax(e);
         }
         if key.as_ref() == "requests" {
-            if !saw_op {
-                return Header::Fallback;
-            }
             js::skip_ws(bytes, &mut pos);
             return match bytes.get(pos) {
-                None => undecided(strict),
+                None => syntax(js::fail(pos, "unexpected end of input")),
                 Some(b'[') => {
                     let cap = requested.min(limits.opts.batch_parallelism).max(1);
                     Header::Commit {
@@ -648,27 +665,30 @@ fn header_of(bytes: &[u8], limits: &ConnLimits, strict: bool) -> Header {
                         },
                     }
                 }
-                Some(_) => {
-                    Header::Error(error_response("compile_batch op missing `requests` array"))
-                }
+                Some(_) => missing_requests(),
             };
         }
-        // Control values must be complete before they can be interpreted.
+        let control = matches!(
+            key.as_ref(),
+            "op" | "timeout_ms" | "parallelism" | "defaults"
+        );
+        // A value must be complete before it is interpreted or skipped; on
+        // a complete line the parser below reports what is wrong with it.
         match js::scan_value(bytes, pos) {
-            Err(_) | Ok(Scan::Partial) => return undecided(strict),
+            Ok(Scan::Complete(end)) if !control => {
+                pos = end;
+                continue;
+            }
             Ok(Scan::Complete(_)) => {}
+            _ if !strict => return Header::NeedMore,
+            _ => {}
         }
         let value = match js::parse_value(bytes, &mut pos) {
             Ok(v) => v,
-            Err(_) => return undecided(strict),
+            Err(e) => return syntax(e),
         };
         match key.as_ref() {
-            "op" => {
-                if value.as_str() != Some("compile_batch") {
-                    return Header::Fallback;
-                }
-                saw_op = true;
-            }
+            "op" if value.as_str() != Some("compile_batch") => return Header::Fallback,
             "timeout_ms" => match value.as_f64() {
                 Some(ms) if ms >= 0.0 => timeout_ms = Some(ms as u64),
                 _ => return Header::Error(error_response("bad `timeout_ms`")),
@@ -689,18 +709,77 @@ fn header_of(bytes: &[u8], limits: &ConnLimits, strict: bool) -> Header {
                         .map(str::to_string),
                 };
             }
-            // Unrecognised control field: let the tree handler decide.
-            _ => return Header::Fallback,
-        }
-        js::skip_ws(bytes, &mut pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            None => return undecided(strict),
-            // The object ended without `requests`; the tree handler
-            // reports it.
-            Some(_) => return Header::Fallback,
+            _ => {}
         }
     }
+}
+
+/// The canonical spelling of a complete `compile_batch` line written with
+/// another key order or layout, or `None` when the line is not a batch.
+///
+/// The top-level values are found with [`js::scan_value`] and copied as
+/// bytes, so only `op` is parsed here; [`header_of`] then checks the
+/// control values as it does on a canonical line. `op` is decoded as
+/// `parse_json` decodes it, the last of duplicate keys winning, except that
+/// a first key `op` naming another op settles the line at once: a
+/// `{"op":"compile",…}` line costs one short decode, not a pass. The kept
+/// fields follow [`BATCH_PREFIX`] with `requests` last; other keys are
+/// dropped. The result is never longer than `line` and holds one `op` key,
+/// so [`header_of`] commits or errors on it and never hands it back.
+fn canonical_batch(line: &[u8]) -> Option<Vec<u8>> {
+    const KEPT: [&str; 4] = ["timeout_ms", "parallelism", "defaults", "requests"];
+    let mut spans: [Option<(usize, usize)>; 4] = [None; 4];
+    let mut is_batch = false;
+    let mut first = true;
+    let mut pos = 0;
+    js::skip_ws(line, &mut pos);
+    js::expect(line, &mut pos, b'{').ok()?;
+    loop {
+        js::skip_ws(line, &mut pos);
+        let key = js::parse_key(line, &mut pos).ok()?;
+        js::skip_ws(line, &mut pos);
+        js::expect(line, &mut pos, b':').ok()?;
+        js::skip_ws(line, &mut pos);
+        let start = pos;
+        if key.as_ref() == "op" {
+            is_batch = js::parse_value(line, &mut pos).ok()?.as_str() == Some("compile_batch");
+            if first && !is_batch {
+                return None;
+            }
+        } else {
+            match js::scan_value(line, pos) {
+                Ok(Scan::Complete(end)) => pos = end,
+                _ => return None,
+            }
+        }
+        if let Some(k) = KEPT.iter().position(|k| *k == key.as_ref()) {
+            spans[k] = Some((start, pos));
+        }
+        first = false;
+        js::skip_ws(line, &mut pos);
+        match line.get(pos) {
+            Some(b',') => pos += 1,
+            Some(b'}') => break,
+            _ => return None,
+        }
+    }
+    pos += 1;
+    js::skip_ws(line, &mut pos);
+    if !is_batch || pos != line.len() {
+        return None;
+    }
+    let mut out = Vec::with_capacity(line.len());
+    out.extend_from_slice(BATCH_PREFIX);
+    for (name, span) in KEPT.iter().zip(spans) {
+        if let Some((a, b)) = span {
+            out.extend_from_slice(b",\"");
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b"\":");
+            out.extend_from_slice(&line[a..b]);
+        }
+    }
+    out.push(b'}');
+    Some(out)
 }
 
 #[cfg(test)]
@@ -850,26 +929,175 @@ mod tests {
         );
     }
 
-    #[test]
-    fn non_canonical_batch_falls_back_to_whole_line() {
+    /// One dispatched batch entry: slot, parsed text, timeout, defaults.
+    type Dispatched = (usize, Json, Option<u64>, Option<String>, Option<String>);
+
+    /// Drive one batch line through a fresh connection, delivered whole or
+    /// one byte at a time. Entries are answered `{"r":idx}` only once the
+    /// wire side has stalled, so the peak in-flight count is the cap.
+    /// Returns the dispatched entries, that peak, the response bytes and
+    /// the `batches` count.
+    fn stream_batch(line: &[u8], bytewise: bool) -> (Vec<Dispatched>, usize, String, u64) {
         let (limits, stats) = (limits(), StatsRegistry::new());
         let mut conn = Conn::new();
-        // `op` is not the first field: not streamable; served as one line.
-        conn.push_bytes(b"{\"requests\":[],\"op\":\"compile_batch\"}\n");
-        let actions = conn.advance(&limits, &stats);
-        assert!(
-            matches!(actions.as_slice(), [Action::Line(_)]),
-            "{actions:?}"
+        let mut dispatched = Vec::new();
+        let mut pending = Vec::new();
+        let mut peak = 0;
+        let mut take = |actions: Vec<Action>, pending: &mut Vec<(u64, usize)>| {
+            for action in actions {
+                match action {
+                    Action::Entry {
+                        gen,
+                        idx,
+                        text,
+                        timeout_ms,
+                        defaults,
+                    } => {
+                        dispatched.push((
+                            idx,
+                            js::parse_json(&text).expect("entry text is one JSON value"),
+                            timeout_ms,
+                            defaults.machine.clone(),
+                            defaults.config.clone(),
+                        ));
+                        pending.push((gen, idx));
+                    }
+                    other => panic!("expected only entries, got {other:?}"),
+                }
+            }
+        };
+        let chunks: Vec<&[u8]> = if bytewise {
+            line.chunks(1).collect()
+        } else {
+            vec![line]
+        };
+        for chunk in chunks {
+            conn.push_bytes(chunk);
+            take(conn.advance(&limits, &stats), &mut pending);
+            peak = peak.max(pending.len());
+        }
+        while !pending.is_empty() {
+            let (gen, idx) = pending.remove(0);
+            conn.on_entry_result(gen, idx, Arc::from(format!("{{\"r\":{idx}}}")));
+            take(conn.advance(&limits, &stats), &mut pending);
+            peak = peak.max(pending.len());
+        }
+        (dispatched, peak, out_str(&conn), stats.snapshot().batches)
+    }
+
+    #[test]
+    fn non_canonical_batches_stream_like_the_canonical_line() {
+        let canonical: &[u8] = b"{\"op\":\"compile_batch\",\"timeout_ms\":100,\"parallelism\":2,\
+            \"defaults\":{\"config\":\"c\",\"machine\":\"m\"},\
+            \"requests\":[{\"loop\":\"a\"},{\"loop\":\"b\"},{\"loop\":\"c\"}]}\n";
+        let spellings: [&[u8]; 3] = [
+            // `requests` first, the control fields and `op` after it.
+            b"{\"requests\":[{\"loop\":\"a\"},{\"loop\":\"b\"},{\"loop\":\"c\"}],\
+              \"timeout_ms\":100,\"parallelism\":2,\
+              \"defaults\":{\"config\":\"c\",\"machine\":\"m\"},\"op\":\"compile_batch\"}\n",
+            // Spaced JSON, as Python's default `json.dumps` writes it.
+            b"{\"op\": \"compile_batch\", \"timeout_ms\": 100, \"parallelism\": 2, \
+              \"defaults\": {\"config\": \"c\", \"machine\": \"m\"}, \
+              \"requests\": [{\"loop\": \"a\"}, {\"loop\": \"b\"}, {\"loop\": \"c\"}]}\n",
+            // An unknown control field after the canonical prefix.
+            b"{\"op\":\"compile_batch\",\"zzz\":1,\"timeout_ms\":100,\"parallelism\":2,\
+              \"defaults\":{\"config\":\"c\",\"machine\":\"m\"},\
+              \"requests\":[{\"loop\":\"a\"},{\"loop\":\"b\"},{\"loop\":\"c\"}]}\n",
+        ];
+        let expected = stream_batch(canonical, false);
+        let (entries, peak, out, batches) = &expected;
+        assert_eq!(entries.len(), 3);
+        for (i, (idx, _, timeout_ms, machine, config)) in entries.iter().enumerate() {
+            assert_eq!(*idx, i);
+            assert_eq!(*timeout_ms, Some(100));
+            assert_eq!(machine.as_deref(), Some("m"));
+            assert_eq!(config.as_deref(), Some("c"));
+        }
+        assert_eq!(*peak, 2, "parallelism caps the entries in flight");
+        assert_eq!(
+            out,
+            "{\"n\":3,\"ok\":true,\"op\":\"compile_batch\",\
+             \"results\":[{\"r\":0},{\"r\":1},{\"r\":2}]}\n"
         );
-        // Unknown control field: same fallback.
-        conn.on_line_response("{}");
-        let mut conn2 = Conn::new();
-        conn2.push_bytes(b"{\"op\":\"compile_batch\",\"zzz\":1,\"requests\":[]}\n");
-        let actions = conn2.advance(&limits, &stats);
-        assert!(
-            matches!(actions.as_slice(), [Action::Line(_)]),
-            "{actions:?}"
-        );
+        assert_eq!(*batches, 1);
+        for line in spellings {
+            for bytewise in [false, true] {
+                assert_eq!(
+                    stream_batch(line, bytewise),
+                    expected,
+                    "{} (bytewise: {bytewise})",
+                    String::from_utf8_lossy(line)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_batch_lines_stay_whole_lines() {
+        let (limits, stats) = (limits(), StatsRegistry::new());
+        for line in [
+            // A non-batch line whose `op` is not first.
+            "{\"request\":{\"loop\":\"x\"},\"op\":\"compile\"}",
+            "{\"op\": \"ping\"}",
+            // `parse_json` keeps the last of duplicate keys: not a batch.
+            "{\"op\":\"compile_batch\",\"op\":\"ping\",\"requests\":[]}",
+            "not json",
+        ] {
+            let mut conn = Conn::new();
+            conn.push_bytes(format!("{line}\n").as_bytes());
+            let actions = conn.advance(&limits, &stats);
+            assert!(
+                matches!(actions.as_slice(), [Action::Line(l)] if l == line),
+                "{line}: {actions:?}"
+            );
+        }
+        assert_eq!(stats.snapshot().batches, 0);
+    }
+
+    #[test]
+    fn non_canonical_batches_keep_the_bad_field_errors() {
+        let (limits, stats) = (limits(), StatsRegistry::new());
+        for (line, error) in [
+            (
+                "{\"timeout_ms\":-3,\"requests\":[],\"op\":\"compile_batch\"}",
+                "bad `timeout_ms`",
+            ),
+            (
+                "{\"requests\":[], \"parallelism\": 0, \"op\": \"compile_batch\"}",
+                "bad `parallelism`",
+            ),
+            (
+                "{\"requests\":5,\"op\":\"compile_batch\"}",
+                "compile_batch op missing `requests` array",
+            ),
+            // No `requests` key at all, in both spellings: an error, never a
+            // whole line for a worker and never a rewrite loop.
+            (
+                "{\"op\": \"compile_batch\"}",
+                "compile_batch op missing `requests` array",
+            ),
+            (
+                "{\"op\":\"compile_batch\",\"timeout_ms\":5}",
+                "compile_batch op missing `requests` array",
+            ),
+        ] {
+            let mut conn = Conn::new();
+            conn.push_bytes(format!("{line}\n{{\"op\":\"ping\"}}\n").as_bytes());
+            let actions = conn.advance(&limits, &stats);
+            let out = out_str(&conn);
+            assert_eq!(
+                out,
+                format!("{{\"error\":\"{error}\",\"ok\":false}}\n"),
+                "{line}"
+            );
+            // The connection survives: the next line is a plain request.
+            assert!(
+                matches!(actions.as_slice(), [Action::Line(l)] if l.contains("ping")),
+                "{line}: {actions:?}"
+            );
+        }
+        assert_eq!(stats.snapshot().errors, 5);
+        assert_eq!(stats.snapshot().batches, 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Minimal JSON value type, parser and writer.
 //!
-//! The wire protocol is JSON-lines and the vendored `serde` is an offline
-//! no-op stub, so the service carries its own small JSON implementation.
+//! The wire protocol is JSON-lines and the offline build has no
+//! serialisation crate, so the service carries its own small JSON
+//! implementation.
 //! Objects use [`BTreeMap`] so rendering is deterministic — the same
 //! requirement that drives the canonical request encodings — and numbers are
 //! kept as `f64` with integral values rendered without a fractional part.
@@ -267,7 +268,7 @@ pub fn parse_json(text: &str) -> Result<Json, JsonParseError> {
     Ok(value)
 }
 
-fn fail(offset: usize, message: impl Into<String>) -> JsonParseError {
+pub(crate) fn fail(offset: usize, message: impl Into<String>) -> JsonParseError {
     JsonParseError {
         offset,
         message: message.into(),

@@ -9,8 +9,8 @@
 //!
 //! * [`envelope`] — request/result envelopes, canonicalisation, cache key;
 //! * [`hash`] — hand-rolled SHA-256 (offline container, no crypto crate);
-//! * [`json`] — minimal JSON value/parser/writer (the vendored `serde` is a
-//!   no-op stub);
+//! * [`json`] — minimal JSON value/parser/writer (the build is offline and
+//!   has no serialisation crate);
 //! * [`cache`] — the two tiers and their composition;
 //! * [`compile`] — [`compile::CachedCompiler`], the cache plus in-flight
 //!   dedup of concurrent identical requests;
@@ -18,10 +18,9 @@
 //! * [`server`] / [`client`] — JSON-lines protocol over TCP, server
 //!   (`vliw-served`) and client CLI (`vliw-client`), including the
 //!   `compile_batch` op (N requests, one wire round trip);
-//! * [`sys`] / [`reactor`] — the default event-driven serving core: a
-//!   libc-free epoll readiness facility (Linux-only) and the reactor that
-//!   multiplexes every connection on one thread while a worker pool runs
-//!   the compiles (a thread-per-connection core remains as baseline);
+//! * [`sys`] / [`reactor`] — the event-driven serving core: a libc-free
+//!   epoll readiness facility (Linux-only) and the reactor that multiplexes
+//!   every connection on one thread while a worker pool runs the compiles;
 //! * [`hist`] — lock-free log-linear latency histograms whose buckets are
 //!   additive, so sharded stats merge into honest percentiles;
 //! * [`ring`] / [`shard`] — consistent-hash routing over multiple peers
@@ -55,10 +54,7 @@ pub use envelope::{CacheKey, CompileRequest, CompileResult, RequestError, CACHE_
 pub use hash::sha256_hex;
 pub use json::{parse_json, Json, JsonParseError};
 pub use ring::{HashRing, VNODES_PER_PEER};
-pub use server::{
-    handle_line, ServeOptions, Server, ServerConfig, ServerCore, ShutdownHandle,
-    AGGREGATE_SUM_FIELDS,
-};
+pub use server::{ServeOptions, Server, ServerConfig, ShutdownHandle, AGGREGATE_SUM_FIELDS};
 pub use shard::{PeerStats, ShardedClient};
 pub use stats::{StatsRegistry, StatsSnapshot};
 

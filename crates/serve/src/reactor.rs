@@ -2,16 +2,15 @@
 //! connection over an OS readiness facility ([`crate::sys::Poller`]), plus
 //! a small compile worker pool.
 //!
-//! The thread-per-connection core holds a thread (and its stack) hostage
-//! for every open socket, so a few hundred idle clients exhaust the pool
-//! while zero compiles run. Here sockets are non-blocking and registered
-//! with epoll; the reactor thread owns all socket I/O and protocol parsing
-//! (via `crate::conn::Conn`), and hands complete compile jobs to `workers`
-//! pool threads through a queue. Completions come back through a
-//! wake-list drained after each poll round, woken by a socketpair
-//! [`crate::sys::Waker`] — which is also how `shutdown` (the wire op or a
-//! signal via [`crate::server::ShutdownHandle`]) interrupts a sleeping
-//! reactor with no polling loop anywhere.
+//! Sockets are non-blocking and registered with epoll; the reactor thread
+//! owns all socket I/O and protocol parsing (via `crate::conn::Conn`), and
+//! hands complete compile jobs to `workers` pool threads through a queue,
+//! so an idle connection costs a file descriptor, not a thread.
+//! Completions come back through a wake-list drained after each poll
+//! round, woken by a socketpair [`crate::sys::Waker`] — which is also how
+//! `shutdown` (the wire op or a signal via
+//! [`crate::server::ShutdownHandle`]) interrupts a sleeping reactor with no
+//! polling loop anywhere.
 //!
 //! Connection slots live in a slab; tokens encode `(epoch << 32) | slot+2`
 //! so a completion addressed to a closed-and-recycled slot is recognised
@@ -25,8 +24,8 @@ use crate::conn::{Action, BatchDefaults, Conn, ConnLimits};
 use crate::envelope::CompileRequest;
 use crate::json as js;
 use crate::server::{
-    compile_entry_ctx, doc_is_shed, error_response, handle_line_ctx, reject_response,
-    shed_response, RequestCtx, ServeOptions,
+    compile_entry, doc_is_shed, error_response, handle_line, reject_response, shed_response,
+    RequestCtx, ServeOptions,
 };
 use crate::sys::{Interest, Poller, Waker};
 use std::io::{self, Read, Write};
@@ -271,11 +270,11 @@ fn worker_loop(
                 engine.stats().observe_queue_us(wait.as_micros() as u64);
                 let ctx = RequestCtx {
                     queue_wait: wait,
-                    lane: Some(lane),
-                    governor: Some(Arc::clone(&shared.governor)),
+                    lane,
+                    governor: Arc::clone(&shared.governor),
                 };
                 let served = Instant::now();
-                let doc = handle_line_ctx(&line, &engine, &shutdown, opts, &ctx).render();
+                let doc = handle_line(&line, &engine, &shutdown, opts, &ctx).render();
                 // A shed renders in microseconds; feeding that to the
                 // classifier would demote genuinely heavy shapes into the
                 // interactive lane.
@@ -296,8 +295,8 @@ fn worker_loop(
                 engine.stats().observe_queue_us(wait.as_micros() as u64);
                 let ctx = RequestCtx {
                     queue_wait: wait,
-                    lane: Some(lane),
-                    governor: Some(Arc::clone(&shared.governor)),
+                    lane,
+                    governor: Arc::clone(&shared.governor),
                 };
                 for e in entries {
                     let served = Instant::now();
@@ -329,8 +328,8 @@ fn worker_loop(
 }
 
 /// Compile one streamed batch entry into its rendered slot document.
-/// Per-entry failures (parse or compile) fail that entry alone, matching
-/// the tree batch handler's contract.
+/// Per-entry failures (parse or compile) fail that entry alone, never its
+/// batch-mates.
 fn run_entry(
     engine: &Arc<CachedCompiler>,
     opts: ServeOptions,
@@ -355,7 +354,7 @@ fn run_entry(
             let timeout = timeout_ms
                 .map(Duration::from_millis)
                 .unwrap_or(opts.default_timeout);
-            compile_entry_ctx(engine, &req, timeout, "compile", ctx)
+            compile_entry(engine, &req, timeout, ctx)
         }
         Err(m) => {
             engine.stats().error();

@@ -10,8 +10,8 @@ use vliw_loopgen::{corpus_with, CorpusSpec};
 use vliw_machine::MachineDesc;
 use vliw_pipeline::PipelineConfig;
 use vliw_serve::{
-    CachedCompiler, Client, ClientError, CompileRequest, DiskStore, Json, Server, ServerConfig,
-    ServerCore, ShardedClient, TieredCache,
+    parse_json, CachedCompiler, Client, ClientError, CompileRequest, CompileResult, DiskStore,
+    Json, Server, ServerConfig, ShardedClient, TieredCache,
 };
 
 struct TestServer {
@@ -26,7 +26,7 @@ impl TestServer {
     }
 
     /// Like [`TestServer::start`], with a config hook for per-test knobs
-    /// (core selection, worker count, idle timeout, line cap, ...).
+    /// (worker count, idle timeout, line cap, ...).
     fn start_with(disk: Option<DiskStore>, tweak: impl FnOnce(&mut ServerConfig)) -> TestServer {
         let engine = CachedCompiler::new(TieredCache::new(1024, disk));
         let mut config = ServerConfig {
@@ -397,7 +397,7 @@ fn entry_json(req: &CompileRequest) -> String {
 
 #[test]
 fn reactor_holds_512_mostly_idle_connections_on_two_workers() {
-    // The thread-pool core would need 512 threads for this; the reactor
+    // A thread per connection would need 512 threads for this; the reactor
     // holds them all on one thread with a 2-worker compile pool.
     let server = TestServer::start_with(None, |c| {
         c.workers = 2;
@@ -448,6 +448,118 @@ fn byte_at_a_time_requests_assemble_correctly() {
     assert!(resp.contains("\"n\":2"), "{resp}");
     assert!(resp.contains("\"op\":\"compile_batch\""), "{resp}");
     assert_eq!(resp.matches("\"served\"").count(), 2, "{resp}");
+    server.stop();
+}
+
+/// Send one raw line and read its one-line response.
+fn round_trip_raw(stream: &mut TcpStream, line: &str) -> String {
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send line");
+    read_line_raw(stream)
+}
+
+#[test]
+fn every_batch_spelling_answers_like_the_canonical_line() {
+    let server = TestServer::start(None);
+    let mut s = TcpStream::connect(&server.addr).expect("raw connect");
+    let base = sample_request(0);
+    let quote = |text: &str| Json::Str(text.to_string()).render();
+    let (machine, config) = (quote(&base.machine_text), quote(&base.config_text));
+    // Two good entries that take their sections from `defaults`, and one
+    // that fails alone.
+    let loops = [
+        quote(&sample_request(0).loop_text),
+        quote(&sample_request(1).loop_text),
+        quote("not a loop"),
+    ];
+    let entries = |sep: &str| {
+        loops
+            .iter()
+            .map(|l| format!("{{\"loop\":{sep}{l}}}"))
+            .collect::<Vec<_>>()
+            .join(&format!(",{sep}"))
+    };
+    let requests = entries("");
+    let defaults = format!("{{\"config\":{config},\"machine\":{machine}}}");
+    let canonical = format!(
+        "{{\"op\":\"compile_batch\",\"timeout_ms\":30000,\"parallelism\":2,\
+         \"defaults\":{defaults},\"requests\":[{requests}]}}"
+    );
+    let spellings = [
+        format!(
+            "{{\"requests\":[{requests}],\"timeout_ms\":30000,\"parallelism\":2,\
+             \"defaults\":{defaults},\"op\":\"compile_batch\"}}"
+        ),
+        format!(
+            "{{\"op\": \"compile_batch\", \"timeout_ms\": 30000, \"parallelism\": 2, \
+             \"defaults\": {{\"config\": {config}, \"machine\": {machine}}}, \
+             \"requests\": [{}]}}",
+            entries(" ")
+        ),
+        format!(
+            "{{\"op\":\"compile_batch\",\"zzz\":1,\"timeout_ms\":30000,\"parallelism\":2,\
+             \"defaults\":{defaults},\"requests\":[{requests}]}}"
+        ),
+    ];
+
+    // The first batch compiles; every later one is served from cache.
+    let cold = round_trip_raw(&mut s, &canonical);
+    assert_eq!(cold.matches("\"served\":\"compiled\"").count(), 2, "{cold}");
+    let warm = round_trip_raw(&mut s, &canonical);
+    assert_eq!(warm.matches("\"served\":\"cache\"").count(), 2, "{warm}");
+    assert_eq!(warm.matches("\"ok\":false").count(), 1, "{warm}");
+    for line in &spellings {
+        assert_eq!(round_trip_raw(&mut s, line), warm, "{line}");
+    }
+
+    let stats = server.client().stats().expect("stats");
+    let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
+    assert_eq!(n("batches"), 5);
+    assert_eq!(n("errors"), 5, "the bad entry fails once per batch");
+    assert_eq!(n("compiles"), 2);
+    server.stop();
+}
+
+/// A batch's heavy entries queue for the heavy lane one entry at a time,
+/// whatever the batch's key order: with one heavy worker, four joint
+/// solves that each run out a 400 ms budget take four budgets end to end,
+/// not two at a time on threads outside the worker pool.
+#[test]
+fn non_canonical_batch_entries_respect_the_heavy_lane_quota() {
+    let server = TestServer::start_with(None, |c| {
+        c.workers = 2;
+        c.heavy_lane_workers = 1;
+        c.shed_policy = vliw_serve::ShedPolicy::Never;
+    });
+    let budget_ms = 400;
+    // Distinct budgets give distinct cache keys, so no entry dedups onto
+    // another.
+    let entries: Vec<String> = (0..4)
+        .map(|i| hard_joint_request(budget_ms + i).to_json().render())
+        .collect();
+    let line = format!(
+        "{{\"requests\":[{}],\"op\":\"compile_batch\"}}",
+        entries.join(",")
+    );
+    let mut s = TcpStream::connect(&server.addr).expect("raw connect");
+    let t0 = std::time::Instant::now();
+    let resp = round_trip_raw(&mut s, &line);
+    let elapsed = t0.elapsed();
+
+    let doc = parse_json(&resp).expect("batch response");
+    let results = doc.get("results").and_then(Json::as_arr).expect("results");
+    assert_eq!(results.len(), 4, "{resp}");
+    for r in results {
+        let result =
+            CompileResult::from_json(r.get("result").expect("entry result")).expect("decodes");
+        let joint = result.joint.expect("joint claims");
+        assert!(!joint.optimal, "each entry must run out its budget");
+    }
+    assert!(
+        elapsed >= Duration::from_millis(3 * budget_ms),
+        "four heavy entries finished in {elapsed:?}: they ran beside each other"
+    );
     server.stop();
 }
 
@@ -759,18 +871,6 @@ fn interactive_exact_compiles_are_pool_accounted() {
     }
     assert_eq!(used, 0, "all grants returned");
 
-    server.stop();
-}
-
-#[test]
-fn thread_pool_core_still_serves() {
-    let server = TestServer::start_with(None, |c| c.core = ServerCore::ThreadPool);
-    let mut client = server.client();
-    client.ping().expect("ping over thread-pool core");
-    let out = client
-        .compile(&sample_request(5), None)
-        .expect("compile over thread-pool core");
-    assert_eq!(out.served, "compiled");
     server.stop();
 }
 
