@@ -39,9 +39,19 @@ done
 
 echo "==> request paths compile only on the worker pool"
 # Every request, and every entry of a batch, reaches a compile through the
-# reactor's lanes, admission and worker pool, under the heavy-lane quota.
-# A thread spawned on a request path would run compiles outside all of it.
-if grep -n 'thread::scope\|thread::spawn' crates/serve/src/server.rs crates/serve/src/conn.rs; then
+# reactor's lanes, admission and worker pool, under the heavy-lane quota,
+# and the engine compiles a miss on the thread that asked. A thread
+# spawned on a request path would run compiles outside all of it. The
+# engine files are checked up to their first `#[cfg(test)]`: their tests
+# race requests on scoped threads.
+SPAWNS=$(
+    grep -n 'thread::scope\|thread::spawn' crates/serve/src/server.rs crates/serve/src/conn.rs
+    for f in crates/serve/src/compile.rs crates/serve/src/cache.rs; do
+        awk -v f="$f" '/#\[cfg\(test\)\]/ { exit } /thread::(scope|spawn)/ { print f ":" NR ":" $0 }' "$f"
+    done
+) || true
+if [ -n "$SPAWNS" ]; then
+    echo "$SPAWNS"
     echo "error: a request path spawns threads (see above); dispatch work"
     echo "through the reactor's worker pool instead."
     exit 1

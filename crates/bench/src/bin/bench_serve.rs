@@ -278,10 +278,8 @@ fn main() {
     // Cached results agree with the direct path on every scalar the
     // experiment harness consumes.
     let runner_check = |l: &Loop, m: &MachineDesc, c: &PipelineConfig| -> LoopResult {
-        let req = CompileRequest::from_parts(l, m, c);
-        let key = req.cache_key();
         fresh
-            .compile_canonical(&req, &key, None)
+            .compile(&CompileRequest::from_parts(l, m, c), None)
             .expect("cached compile")
             .0
             .to_loop_result()

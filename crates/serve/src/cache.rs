@@ -27,8 +27,12 @@
 //! there is no lock file, truncation or compaction. Files of any other
 //! layout in the root are never read.
 //!
+//! Each entry of either tier holds its rendered envelope ([`Cached`]): a
+//! segment line stores those same bytes, and a disk hit keeps the bytes it
+//! read, so no put or hit renders.
+//!
 //! [`TieredCache`] composes the tiers with read-through promotion and keeps
-//! hit/miss/eviction counters in [`crate::stats::StatsRegistry`].
+//! hit and eviction counters in [`crate::stats::StatsRegistry`].
 
 use crate::envelope::{CacheKey, CompileResult};
 use crate::stats::StatsRegistry;
@@ -40,13 +44,32 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// One cached result and its rendered envelope, shared by both tiers and
+/// by every response that serves it.
+#[derive(Debug, PartialEq)]
+pub struct Cached {
+    /// The result.
+    pub result: CompileResult,
+    /// The result's envelope, `result.to_json().render()`: the bytes a
+    /// response splices in and a segment line stores.
+    pub json: Arc<str>,
+}
+
+impl Cached {
+    /// Wrap `result`, rendering its envelope once.
+    pub fn new(result: CompileResult) -> Arc<Cached> {
+        let json = result.to_json().render().into();
+        Arc::new(Cached { result, json })
+    }
+}
+
 /// Number of LRU shards. Sixteen matches the first hex digit of the key, so
 /// sharding is a single nibble extraction.
 const N_SHARDS: usize = 16;
 
 struct Shard {
     /// key → (value, tick of last touch).
-    map: HashMap<CacheKey, (CompileResult, u64)>,
+    map: HashMap<CacheKey, (Arc<Cached>, u64)>,
     /// tick of last touch → key; the smallest tick is the LRU victim.
     order: BTreeMap<u64, CacheKey>,
     tick: u64,
@@ -102,15 +125,15 @@ impl MemCache {
     }
 
     /// Look up `key`, refreshing its recency on hit.
-    pub fn get(&self, key: &str) -> Option<CompileResult> {
+    pub fn get(&self, key: &str) -> Option<Arc<Cached>> {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         shard.touch(key);
-        shard.map.get(key).map(|(v, _)| v.clone())
+        shard.map.get(key).map(|(v, _)| Arc::clone(v))
     }
 
     /// Insert (or refresh) `key`, evicting the least recently used entry of
     /// the shard if it is full.
-    pub fn put(&self, key: CacheKey, value: CompileResult) {
+    pub fn put(&self, key: CacheKey, value: Arc<Cached>) {
         let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
         if let Some((_, old)) = shard.map.remove(&key) {
             shard.order.remove(&old);
@@ -254,10 +277,11 @@ impl DiskStore {
         self.segs.lock().expect("disk store poisoned")
     }
 
-    /// Read the result stored under `key`. An unindexed key is a miss; an
+    /// Read the entry stored under `key`: the decoded result with the
+    /// envelope bytes it was decoded from. An unindexed key is a miss; an
     /// unreadable, corrupt or mislabelled record is dropped from the index
     /// and reported as a miss.
-    pub fn get(&self, key: &str) -> Option<CompileResult> {
+    pub fn get(&self, key: &str) -> Option<Arc<Cached>> {
         let (loc, file) = {
             let segs = self.lock();
             let loc = *segs.index.get(key)?;
@@ -277,12 +301,12 @@ impl DiskStore {
         res
     }
 
-    /// Append `value` under `key` to this handle's segment, unless the key
-    /// is already indexed. Returns `false` if the filesystem rejected the
-    /// write: the entry then stays memory-only, and the segment is retired
-    /// so a partial line never runs into a later record.
-    pub fn put(&self, key: &str, value: &CompileResult) -> bool {
-        let json = value.to_json().render();
+    /// Append the rendered envelope `json` under `key` to this handle's
+    /// segment, unless the key is already indexed. Returns `false` if the
+    /// filesystem rejected the write: the entry then stays memory-only, and
+    /// the segment is retired so a partial line never runs into a later
+    /// record.
+    pub fn put(&self, key: &str, json: &str) -> bool {
         let line = format!("{key} {:08x} {json}\n", crc32(json.as_bytes()));
         let mut segs = self.lock();
         if segs.index.contains_key(key) {
@@ -380,13 +404,20 @@ fn record(line: &[u8]) -> Option<(&[u8], &[u8])> {
 
 /// Decode the record line read for `key`: complete, CRC-clean, labelled
 /// `key` in both its key field and its envelope, and of the current format.
-fn decode(line: &[u8], key: &str) -> Option<CompileResult> {
+/// The entry keeps the envelope bytes it was decoded from.
+fn decode(line: &[u8], key: &str) -> Option<Arc<Cached>> {
     let (k, json) = record(line.strip_suffix(b"\n")?)?;
     if k != key.as_bytes() {
         return None;
     }
-    let res = CompileResult::from_json_text(std::str::from_utf8(json).ok()?).ok()?;
-    (res.key == key).then_some(res)
+    let json = std::str::from_utf8(json).ok()?;
+    let result = CompileResult::from_json_text(json).ok()?;
+    (result.key == key).then(|| {
+        Arc::new(Cached {
+            result,
+            json: json.into(),
+        })
+    })
 }
 
 /// CRC-32/IEEE lookup table (reflected polynomial `0xEDB88320`).
@@ -436,42 +467,25 @@ impl TieredCache {
     }
 
     /// Look up `key` in memory, then on disk (promoting a disk hit into
-    /// memory). Updates hit/miss counters.
-    pub fn get(&self, key: &str) -> Option<CompileResult> {
-        self.get_impl(key, true)
-    }
-
-    /// Like [`TieredCache::get`] but a miss is not counted: used for the
-    /// raw-key fast path, where the canonical lookup that follows is the
-    /// authoritative miss.
-    pub fn probe(&self, key: &str) -> Option<CompileResult> {
-        self.get_impl(key, false)
-    }
-
-    fn get_impl(&self, key: &str, count_miss: bool) -> Option<CompileResult> {
+    /// memory), counting the hit. A miss is not counted here: the engine
+    /// counts one only after every key it probes has missed.
+    pub fn get(&self, key: &str) -> Option<Arc<Cached>> {
         if let Some(hit) = self.mem.get(key) {
             self.stats.mem_hit();
             return Some(hit);
         }
-        if let Some(disk) = &self.disk {
-            if let Some(hit) = disk.get(key) {
-                self.stats.disk_hit();
-                self.mem.put(key.to_string(), hit.clone());
-                return Some(hit);
-            }
-        }
-        if count_miss {
-            self.stats.miss();
-        }
-        None
+        let hit = self.disk.as_ref()?.get(key)?;
+        self.stats.disk_hit();
+        self.mem.put(key.to_string(), Arc::clone(&hit));
+        Some(hit)
     }
 
-    /// Store `value` in both tiers. The disk append runs on the caller's
+    /// Store `entry` in both tiers. The disk append runs on the caller's
     /// thread; use [`TieredCache::flush`] to make it durable.
-    pub fn put(&self, key: &str, value: &CompileResult) {
-        self.mem.put(key.to_string(), value.clone());
+    pub fn put(&self, key: &str, entry: &Arc<Cached>) {
+        self.mem.put(key.to_string(), Arc::clone(entry));
         if let Some(disk) = &self.disk {
-            disk.put(key, value);
+            disk.put(key, &entry.json);
         }
     }
 
@@ -540,6 +554,16 @@ mod tests {
         format!("{key} {:08x} {json}\n", crc32(json.as_bytes()))
     }
 
+    /// Append `r`'s rendered envelope under its key.
+    fn put(store: &DiskStore, r: &CompileResult) -> bool {
+        store.put(&r.key, &r.to_json().render())
+    }
+
+    /// The result `store` serves under `key`.
+    fn get(store: &DiskStore, key: &str) -> Option<CompileResult> {
+        store.get(key).map(|hit| hit.result.clone())
+    }
+
     /// Byte offset just past each line's newline.
     fn line_ends(bytes: &[u8]) -> Vec<usize> {
         (0..bytes.len())
@@ -555,13 +579,13 @@ mod tests {
         // the older one.
         let cache = MemCache::new(1);
         for r in &results {
-            cache.put(r.key.clone(), r.clone());
+            cache.put(r.key.clone(), Cached::new(r.clone()));
         }
         assert!(cache.len() <= N_SHARDS);
         // Most recent insertions are present unless a same-shard collision
         // evicted them; at minimum the last one must be live.
         let last = results.last().unwrap();
-        assert_eq!(cache.get(&last.key).unwrap(), *last);
+        assert_eq!(cache.get(&last.key).unwrap().result, *last);
         assert!(cache.get("0".repeat(64).as_str()).is_none());
     }
 
@@ -574,8 +598,8 @@ mod tests {
         // keys that collide.
         let (a, b) = (&results[0], &results[1]);
         if shard_of(&a.key) == shard_of(&b.key) {
-            cache.put(a.key.clone(), a.clone());
-            cache.put(b.key.clone(), b.clone());
+            cache.put(a.key.clone(), Cached::new(a.clone()));
+            cache.put(b.key.clone(), Cached::new(b.clone()));
             assert!(cache.get(&a.key).is_none(), "older entry should evict");
             assert!(cache.get(&b.key).is_some());
             assert_eq!(cache.evictions(), 1);
@@ -584,8 +608,8 @@ mod tests {
             fake_a.key = format!("a{}", &a.key[1..]);
             let mut fake_b = b.clone();
             fake_b.key = format!("a{}", &b.key[1..]);
-            cache.put(fake_a.key.clone(), fake_a.clone());
-            cache.put(fake_b.key.clone(), fake_b.clone());
+            cache.put(fake_a.key.clone(), Cached::new(fake_a.clone()));
+            cache.put(fake_b.key.clone(), Cached::new(fake_b.clone()));
             assert!(cache.get(&fake_a.key).is_none());
             assert!(cache.get(&fake_b.key).is_some());
             assert_eq!(cache.evictions(), 1);
@@ -604,11 +628,11 @@ mod tests {
         let results = make_results(3);
         {
             let store = DiskStore::new(&root);
-            assert!(store.get(&results[0].key).is_none(), "cold store misses");
+            assert!(get(&store, &results[0].key).is_none(), "cold store misses");
             for r in &results {
-                assert!(store.put(&r.key, r));
+                assert!(put(&store, r));
             }
-            assert_eq!(store.get(&results[0].key).unwrap(), results[0]);
+            assert_eq!(get(&store, &results[0].key).unwrap(), results[0]);
         }
 
         // Change the last digit of the middle line's op count: its JSON
@@ -630,17 +654,20 @@ mod tests {
         bytes[digit] = if bytes[digit] == b'0' { b'1' } else { b'0' };
         fs::write(seg, &bytes).unwrap();
         let store = DiskStore::new(&root);
-        assert!(store.get(&results[1].key).is_none(), "corrupt line misses");
-        assert_eq!(store.get(&results[0].key).unwrap(), results[0]);
-        assert_eq!(store.get(&results[2].key).unwrap(), results[2]);
+        assert!(
+            get(&store, &results[1].key).is_none(),
+            "corrupt line misses"
+        );
+        assert_eq!(get(&store, &results[0].key).unwrap(), results[0]);
+        assert_eq!(get(&store, &results[2].key).unwrap(), results[2]);
 
         // The next put heals the slot, here and after a reopen (a line whose
         // CRC fails is never indexed, so it cannot shadow the new copy).
-        assert!(store.put(&results[1].key, &results[1]));
-        assert_eq!(store.get(&results[1].key).unwrap(), results[1]);
+        assert!(put(&store, &results[1]));
+        assert_eq!(get(&store, &results[1].key).unwrap(), results[1]);
         drop(store);
         let store = DiskStore::new(&root);
-        assert_eq!(store.get(&results[1].key).unwrap(), results[1]);
+        assert_eq!(get(&store, &results[1].key).unwrap(), results[1]);
         drop(store);
         let _ = fs::remove_dir_all(&root);
 
@@ -655,10 +682,10 @@ mod tests {
         )
         .unwrap();
         let store = DiskStore::new(&root);
-        assert!(store.get(&r.key).is_none());
-        assert!(store.get(&other.key).is_none());
-        assert!(store.put(&r.key, r));
-        assert_eq!(store.get(&r.key).unwrap(), *r);
+        assert!(get(&store, &r.key).is_none());
+        assert!(get(&store, &other.key).is_none());
+        assert!(put(&store, r));
+        assert_eq!(get(&store, &r.key).unwrap(), *r);
         drop(store);
         let _ = fs::remove_dir_all(&root);
     }
@@ -684,9 +711,9 @@ mod tests {
             fs::create_dir_all(&root).unwrap();
             fs::write(root.join("seg-1-0.log"), line(&r.key, &json)).unwrap();
             let store = DiskStore::new(&root);
-            assert!(store.get(&r.key).is_none(), "{tag} entry must miss");
-            assert!(store.put(&r.key, r));
-            assert_eq!(store.get(&r.key).unwrap(), *r, "{tag} slot heals");
+            assert!(get(&store, &r.key).is_none(), "{tag} entry must miss");
+            assert!(put(&store, r));
+            assert_eq!(get(&store, &r.key).unwrap(), *r, "{tag} slot heals");
             drop(store);
             let _ = fs::remove_dir_all(&root);
         }
@@ -704,7 +731,7 @@ mod tests {
         for batch in [first, last_three] {
             let store = DiskStore::new(&root);
             for r in batch {
-                assert!(store.put(&r.key, r));
+                assert!(put(&store, r));
             }
         }
         let segs = segments(&root);
@@ -720,11 +747,11 @@ mod tests {
                 fs::write(last, torn).unwrap();
                 let store = DiskStore::new(&root);
                 for r in first {
-                    assert_eq!(store.get(&r.key).as_ref(), Some(r), "cut at {cut}");
+                    assert_eq!(get(&store, &r.key).as_ref(), Some(r), "cut at {cut}");
                 }
                 for (r, &end) in last_three.iter().zip(&ends) {
                     let want = (end <= cut).then_some(r);
-                    assert_eq!(store.get(&r.key).as_ref(), want, "cut at {cut}");
+                    assert_eq!(get(&store, &r.key).as_ref(), want, "cut at {cut}");
                 }
             }
         }
@@ -736,12 +763,12 @@ mod tests {
         let r = &last_three[2];
         {
             let store = DiskStore::new(&root);
-            assert!(store.get(&r.key).is_none());
-            assert!(store.put(&r.key, r));
+            assert!(get(&store, &r.key).is_none());
+            assert!(put(&store, r));
         }
         assert_eq!(segments(&root).len(), 3, "the put starts a new segment");
         assert_eq!(fs::read(last).unwrap().len(), cut, "torn tail left as is");
-        assert_eq!(DiskStore::new(&root).get(&r.key).unwrap(), *r);
+        assert_eq!(get(&DiskStore::new(&root), &r.key).unwrap(), *r);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -765,7 +792,7 @@ mod tests {
         fs::write(root.join("seg-99999-0.log"), envelope(&results[2])).unwrap();
         let store = DiskStore::new(&root);
         for r in &results {
-            assert!(store.get(&r.key).is_none(), "old layout served");
+            assert!(get(&store, &r.key).is_none(), "old layout served");
         }
         drop(store);
         let _ = fs::remove_dir_all(&root);
@@ -780,20 +807,20 @@ mod tests {
         {
             let store = DiskStore::new(&root);
             for r in &results[..2] {
-                assert!(store.put(&r.key, r));
+                assert!(put(&store, r));
             }
             store.flush();
             let reader = DiskStore::new(&root);
             for r in &results[..2] {
-                assert_eq!(reader.get(&r.key).unwrap(), *r);
+                assert_eq!(get(&reader, &r.key).unwrap(), *r);
             }
             for r in &results[2..] {
-                assert!(store.put(&r.key, r));
+                assert!(put(&store, r));
             }
         }
         let store = DiskStore::new(&root);
         for r in &results {
-            assert_eq!(store.get(&r.key).unwrap(), *r, "{} lost on drop", r.key);
+            assert_eq!(get(&store, &r.key).unwrap(), *r, "{} lost on drop", r.key);
         }
         drop(store);
         let _ = fs::remove_dir_all(&root);
@@ -807,21 +834,21 @@ mod tests {
         let root = tmpdir("shared");
         let results = make_results(4);
         let a = DiskStore::new(&root);
-        assert!(a.put(&results[0].key, &results[0]));
+        assert!(put(&a, &results[0]));
         a.flush();
         let b = DiskStore::new(&root);
-        assert_eq!(b.get(&results[0].key).unwrap(), results[0]);
-        assert!(b.put(&results[1].key, &results[1]));
-        assert!(a.put(&results[2].key, &results[2]));
-        assert!(b.put(&results[3].key, &results[3]));
-        assert!(a.get(&results[1].key).is_none(), "opened before b's put");
-        assert_eq!(a.get(&results[2].key).unwrap(), results[2]);
-        assert_eq!(b.get(&results[3].key).unwrap(), results[3]);
+        assert_eq!(get(&b, &results[0].key).unwrap(), results[0]);
+        assert!(put(&b, &results[1]));
+        assert!(put(&a, &results[2]));
+        assert!(put(&b, &results[3]));
+        assert!(get(&a, &results[1].key).is_none(), "opened before b's put");
+        assert_eq!(get(&a, &results[2].key).unwrap(), results[2]);
+        assert_eq!(get(&b, &results[3].key).unwrap(), results[3]);
         assert_eq!(segments(&root).len(), 2);
         drop((a, b));
         let c = DiskStore::new(&root);
         for r in &results {
-            assert_eq!(c.get(&r.key).unwrap(), *r);
+            assert_eq!(get(&c, &r.key).unwrap(), *r);
         }
         drop(c);
         let _ = fs::remove_dir_all(&root);
@@ -832,21 +859,24 @@ mod tests {
         let root = tmpdir("tiered");
         let results = make_results(1);
         let r = &results[0];
+        let entry = Cached::new(r.clone());
 
         // Populate via one cache instance, read via a fresh one (cold
-        // memory, warm disk) to exercise promotion.
+        // memory, warm disk) to exercise promotion. A miss is the engine's
+        // to count, so the tiers count only hits.
         let warm = TieredCache::new(64, Some(DiskStore::new(&root)));
         assert!(warm.get(&r.key).is_none());
-        warm.put(&r.key, r);
-        assert_eq!(warm.get(&r.key).unwrap(), *r);
+        warm.put(&r.key, &entry);
+        assert_eq!(warm.get(&r.key).unwrap(), entry);
         let snap = warm.stats().snapshot();
-        assert_eq!((snap.mem_hits, snap.disk_hits, snap.misses), (1, 0, 1));
+        assert_eq!((snap.mem_hits, snap.disk_hits, snap.misses), (1, 0, 0));
 
-        // Barrier, then read the store through a second cache instance.
+        // Barrier, then read the store through a second cache instance:
+        // the disk hit carries the same result and the same bytes.
         warm.flush();
         let fresh = TieredCache::new(64, Some(DiskStore::new(&root)));
-        assert_eq!(fresh.get(&r.key).unwrap(), *r, "disk hit");
-        assert_eq!(fresh.get(&r.key).unwrap(), *r, "promoted to memory");
+        assert_eq!(fresh.get(&r.key).unwrap(), entry, "disk hit");
+        assert_eq!(fresh.get(&r.key).unwrap(), entry, "promoted to memory");
         let snap = fresh.stats().snapshot();
         assert_eq!((snap.mem_hits, snap.disk_hits, snap.misses), (1, 1, 0));
         let _ = fs::remove_dir_all(&root);

@@ -290,8 +290,9 @@ impl Client {
             .map(|_| ())
     }
 
-    /// Submit one compile job. `timeout_ms` bounds this request's wait on
-    /// the server side; `None` uses the server default.
+    /// Submit one compile job. `timeout_ms` bounds the server-side solve
+    /// and any wait on an identical compile already in flight, never this
+    /// request's own compile; `None` uses the server default.
     pub fn compile(
         &mut self,
         req: &CompileRequest,

@@ -4,33 +4,35 @@
 //! --cache` driver share: a [`TieredCache`] plus an in-flight table that
 //! collapses concurrent identical requests onto one pipeline execution.
 //!
-//! The in-flight table maps cache key → a condvar-signalled slot. The first
-//! requester of a key (the *leader*) runs the pipeline and then signals the
-//! slot; later requesters of the same key just wait. With no deadline the
-//! leader computes **inline** on the calling thread (no spawn, no clone —
-//! this is the corpus-sweep hot path). With a deadline the leader detaches
-//! the execution onto a compute thread so an expiry returns
-//! [`CompileError::Timeout`] to that caller only — the execution keeps
-//! running and still populates the cache, so a retry of the same request is
-//! cheap. Either way the result is published to the cache *before* the slot
-//! is signalled and removed from the table, so a request that misses the
-//! table afterwards is guaranteed to hit the cache.
+//! Every request takes one path. It probes the request's exact key, then
+//! the key of its canonical text, then its semantic alias. Only when all of
+//! them miss does the engine open the caller's resource budget and join
+//! the in-flight table, which maps cache key → a condvar-signalled slot.
+//! The first requester of a key (the *leader*) runs the pipeline on its
+//! own thread (a pool worker, on the server); there is no detached compute
+//! thread. It publishes the result to the cache, then signals and retires
+//! the slot, so a request that misses the table afterwards is guaranteed a
+//! cache hit. Later requesters of the same key wait on the slot for at most
+//! their own deadline. A request's deadline therefore bounds the solve
+//! (the joint clamp and the governed budget) and a follower's wait, never
+//! the leader's own compile.
 //!
-//! Parsing happens exactly once per request: [`CachedCompiler::compile`]
-//! decodes the wire text up front and hands the parsed IR/machine/config
-//! structures straight to `run_loop`; [`CachedCompiler::compile_parts`]
-//! starts from parsed structures and never parses at all.
+//! Each tier entry holds its result's rendered envelope ([`Cached`]), so a
+//! hit is served as shared bytes without rendering. Parsing happens at most
+//! once per request: a request whose text is already canonical is served
+//! from cache without parsing at all.
 
-use crate::cache::TieredCache;
+use crate::cache::{Cached, TieredCache};
 use crate::envelope::{CacheKey, CompileRequest, CompileResult, RequestError};
 use crate::stats::StatsRegistry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vliw_governor::TrackedBudget;
+use vliw_governor::{PoolError, TrackedBudget};
 use vliw_ir::Loop;
 use vliw_machine::MachineDesc;
+use vliw_normal::Witness;
 use vliw_pipeline::{run_loop_governed, PartitionerKind, PipelineConfig};
 
 /// How a request was satisfied.
@@ -65,12 +67,14 @@ impl Source {
 pub enum CompileError {
     /// The request failed validation.
     BadRequest(RequestError),
-    /// The per-request deadline expired; the execution continues in the
-    /// background and will populate the cache.
+    /// The request's deadline expired while it waited on an identical
+    /// in-flight compile; that compile still finishes and populates the
+    /// cache. A request's own compile never times out.
     Timeout,
-    /// Transient overload: the server shed this request before running it.
-    /// Well-formed — the client should back off and retry. Distinct from
-    /// [`CompileError::BadRequest`] on the wire (`error_kind: "shed"`).
+    /// Transient overload: the resource pool refused this request's budget,
+    /// so it was not compiled. Well-formed — the client should back off and
+    /// retry. Distinct from [`CompileError::BadRequest`] on the wire
+    /// (`error_kind: "shed"`).
     Shed {
         /// Suggested client backoff before retrying.
         retry_after_ms: u64,
@@ -98,31 +102,32 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// One in-flight execution slot.
-struct Inflight {
-    done: Mutex<Option<Result<CompileResult, String>>>,
-    cv: Condvar,
-}
-
-impl Inflight {
-    fn new() -> Arc<Self> {
-        Arc::new(Inflight {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-        })
+impl From<PoolError> for CompileError {
+    fn from(e: PoolError) -> Self {
+        match e {
+            PoolError::Shed { retry_after_ms } => CompileError::Shed { retry_after_ms },
+            PoolError::Rejected => CompileError::Rejected,
+        }
     }
 }
 
-/// Entries kept in the preimage→key memo and the rendered-result cache
-/// before each is cleared wholesale. Both are derived, content-addressed
-/// side tables — a clear costs only recomputation, never correctness.
-const SIDE_TABLE_CAP: usize = 16 * 1024;
+/// One in-flight execution slot.
+#[derive(Default)]
+struct Inflight {
+    done: Mutex<Option<Result<Arc<Cached>, String>>>,
+    cv: Condvar,
+}
+
+/// Entries kept in the request→key memo before it is cleared wholesale.
+/// The memo is derived and content-addressed, so a clear costs only
+/// recomputation, never correctness.
+const KEY_MEMO_CAP: usize = 16 * 1024;
 
 /// Anytime routing for the joint partitioner: clamp the solver's own
 /// wall-clock budget to a fraction of the request deadline, so an
 /// over-budget loop returns *in time* with the greedy incumbent, an honest
-/// `optimal: false`, and the proven `lower_bound_ii` — instead of blowing
-/// the deadline into a bare [`CompileError::Timeout`] with nothing to show.
+/// `optimal: false`, and the proven `lower_bound_ii`, instead of running
+/// past the deadline with nothing to show.
 /// Three quarters of the deadline go to the solver; the remainder covers
 /// the rest of the pipeline (copies, reschedule, allocation, lints) plus
 /// response rendering. Returns the effective config and whether the budget
@@ -155,10 +160,6 @@ pub struct CachedCompiler {
     /// the request sections themselves. The key is a pure function of the
     /// request text, so the memo can never serve a stale key.
     key_memo: Mutex<HashMap<CompileRequest, CacheKey>>,
-    /// Cache key → pre-rendered result JSON, shared into responses as
-    /// [`crate::Json::Raw`]. Keys are content hashes, so an entry can never
-    /// go stale; the bound only limits memory.
-    rendered: Mutex<HashMap<CacheKey, Arc<str>>>,
 }
 
 impl CachedCompiler {
@@ -168,7 +169,6 @@ impl CachedCompiler {
             cache,
             inflight: Mutex::new(HashMap::new()),
             key_memo: Mutex::new(HashMap::new()),
-            rendered: Mutex::new(HashMap::new()),
         })
     }
 
@@ -180,99 +180,41 @@ impl CachedCompiler {
         }
         let key = crate::hash::sha256_hex(&req.preimage());
         let mut memo = self.key_memo.lock().expect("key memo poisoned");
-        if memo.len() >= SIDE_TABLE_CAP {
+        if memo.len() >= KEY_MEMO_CAP {
             memo.clear();
         }
         memo.insert(req.clone(), key.clone());
         key
     }
 
-    /// Serve `req` as pre-rendered result JSON — the server's hot path. A
-    /// rendered-map hit returns the shared bytes without even cloning the
-    /// cached result (the map is keyed by content hash, so an entry can
-    /// never be stale; it just doesn't refresh LRU recency). Anything else
-    /// falls through to the full compile path and renders once.
+    /// Serve `req` as its rendered result JSON — the server's hot path. A
+    /// hit in either tier returns the entry's shared bytes; a miss compiles
+    /// on this thread and renders once. `deadline` bounds the solve and any
+    /// wait on an identical in-flight compile.
     pub fn serve_rendered(
-        self: &Arc<Self>,
+        &self,
         req: &CompileRequest,
         deadline: Option<Duration>,
     ) -> Result<(Arc<str>, Source), CompileError> {
-        self.serve_rendered_governed(req, deadline, None)
+        self.serve_rendered_governed(req, deadline, |_| Ok(None))
     }
 
-    /// [`serve_rendered`](Self::serve_rendered) under a server-granted
-    /// resource budget: a miss runs the pipeline with `budget` threaded
-    /// into the exact/joint search loops, so pool exhaustion truncates the
-    /// solve instead of growing the process.
+    /// [`serve_rendered`](Self::serve_rendered) under a resource budget.
+    /// Once the exact key and the semantic alias have both missed, the
+    /// engine calls `open` with the request's remaining time; a hit never
+    /// opens a budget. A pool refusal becomes [`CompileError::Shed`] or
+    /// [`CompileError::Rejected`]. A budget it grants is threaded into the
+    /// exact/joint search loops, so pool exhaustion truncates the solve
+    /// instead of growing the process, and it is dropped before this
+    /// returns.
     pub fn serve_rendered_governed(
-        self: &Arc<Self>,
+        &self,
         req: &CompileRequest,
         deadline: Option<Duration>,
-        budget: Option<TrackedBudget>,
+        open: impl FnOnce(Option<Duration>) -> Result<Option<TrackedBudget>, PoolError>,
     ) -> Result<(Arc<str>, Source), CompileError> {
-        let raw_key = self.key_for(req);
-        if let Some(doc) = self
-            .rendered
-            .lock()
-            .expect("rendered cache poisoned")
-            .get(&raw_key)
-        {
-            self.stats().mem_hit();
-            return Ok((Arc::clone(doc), Source::Cache));
-        }
-        let (res, source) = match self.cache.probe(&raw_key) {
-            Some(hit) => (hit, Source::Cache),
-            None => {
-                let (body, machine, cfg) = req.decode().map_err(CompileError::BadRequest)?;
-                self.compile_parts_governed(&body, &machine, &cfg, deadline, budget)?
-            }
-        };
-        Ok((self.rendered(&res), source))
-    }
-
-    /// Probe every cache layer for `req` without ever compiling: the
-    /// rendered memo, then the tiered cache. The server's admission path
-    /// uses this so a heavy-shaped request that is actually a warm hit is
-    /// served without opening a pool grant.
-    pub fn probe_rendered(self: &Arc<Self>, req: &CompileRequest) -> Option<Arc<str>> {
-        let raw_key = self.key_for(req);
-        if let Some(doc) = self
-            .rendered
-            .lock()
-            .expect("rendered cache poisoned")
-            .get(&raw_key)
-        {
-            self.stats().mem_hit();
-            return Some(Arc::clone(doc));
-        }
-        let res = self.cache.probe(&raw_key)?;
-        Some(self.rendered(&res))
-    }
-
-    /// The result's wire JSON, pre-rendered once per key and shared across
-    /// responses. Budget-truncated joint results are rendered but never
-    /// memoised: the truncation point depends on the caller's deadline,
-    /// not just the request text the key hashes, so a memo entry could
-    /// serve one caller's degraded answer to another with time to spare.
-    pub fn rendered(&self, res: &CompileResult) -> Arc<str> {
-        if let Some(doc) = self
-            .rendered
-            .lock()
-            .expect("rendered cache poisoned")
-            .get(&res.key)
-        {
-            return Arc::clone(doc);
-        }
-        let doc: Arc<str> = res.to_json().render().into();
-        if res.joint.is_some_and(|j| !j.optimal) || res.exact.is_some_and(|e| !e.optimal) {
-            return doc;
-        }
-        let mut cache = self.rendered.lock().expect("rendered cache poisoned");
-        if cache.len() >= SIDE_TABLE_CAP {
-            cache.clear();
-        }
-        cache.insert(res.key.clone(), Arc::clone(&doc));
-        doc
+        let (entry, source) = self.serve(req, deadline, open)?;
+        Ok((Arc::clone(&entry.json), source))
     }
 
     /// The cache statistics (shared with the server's `stats` endpoint).
@@ -296,68 +238,48 @@ impl CachedCompiler {
     /// parsing at all. Only on a raw-key miss is the text parsed — exactly
     /// once — and the parsed structures handed straight to the pipeline;
     /// non-canonical spellings of a cached request converge to the same
-    /// canonical key there. `deadline` bounds how long this caller waits;
-    /// the execution itself is never cancelled.
+    /// canonical key there. `deadline` bounds the solve and any wait on an
+    /// identical in-flight compile.
     pub fn compile(
-        self: &Arc<Self>,
+        &self,
         req: &CompileRequest,
         deadline: Option<Duration>,
     ) -> Result<(CompileResult, Source), CompileError> {
-        let raw_key = self.key_for(req);
-        if let Some(hit) = self.cache.probe(&raw_key) {
-            return Ok((hit, Source::Cache));
-        }
-        let (body, machine, cfg) = req.decode().map_err(CompileError::BadRequest)?;
-        self.compile_parts(&body, &machine, &cfg, deadline)
+        let (entry, source) = self.serve(req, deadline, |_| Ok(None))?;
+        Ok((entry.result.clone(), source))
     }
 
     /// Compile already-parsed pipeline inputs: canonical text is formatted
     /// once for the key preimage, and a miss runs `run_loop` on the given
     /// structures directly — no text is ever parsed.
     pub fn compile_parts(
-        self: &Arc<Self>,
+        &self,
         body: &Loop,
         machine: &MachineDesc,
         cfg: &PipelineConfig,
         deadline: Option<Duration>,
     ) -> Result<(CompileResult, Source), CompileError> {
-        self.compile_parts_governed(body, machine, cfg, deadline, None)
+        let (entry, source) =
+            self.serve_parts(body, machine, cfg, deadline, Instant::now(), |_| Ok(None))?;
+        Ok((entry.result.clone(), source))
     }
 
-    /// [`compile_parts`](Self::compile_parts) with an optional server
-    /// resource budget threaded into the solver loops.
-    pub fn compile_parts_governed(
-        self: &Arc<Self>,
-        body: &Loop,
-        machine: &MachineDesc,
-        cfg: &PipelineConfig,
-        deadline: Option<Duration>,
-        budget: Option<TrackedBudget>,
-    ) -> Result<(CompileResult, Source), CompileError> {
-        let canonical = CompileRequest::from_parts(body, machine, cfg);
-        let key = self.key_for(&canonical);
-        if let Some(hit) = self.cache.probe(&key) {
-            return Ok((hit, Source::Cache));
-        }
-        self.compile_missed(body, machine, cfg, &key, deadline, budget)
-    }
-
-    /// Compile an already-canonical request under a precomputed `key`. The
-    /// text is decoded only on a miss (one parse, no re-format).
-    pub fn compile_canonical(
-        self: &Arc<Self>,
+    /// Probe the raw key of `req`, then parse it and take the parsed path.
+    fn serve(
+        &self,
         req: &CompileRequest,
-        key: &str,
         deadline: Option<Duration>,
-    ) -> Result<(CompileResult, Source), CompileError> {
-        if let Some(hit) = self.cache.probe(key) {
+        open: impl FnOnce(Option<Duration>) -> Result<Option<TrackedBudget>, PoolError>,
+    ) -> Result<(Arc<Cached>, Source), CompileError> {
+        let started = Instant::now();
+        if let Some(hit) = self.cache.get(&self.key_for(req)) {
             return Ok((hit, Source::Cache));
         }
         let (body, machine, cfg) = req.decode().map_err(CompileError::BadRequest)?;
-        self.compile_missed(&body, &machine, &cfg, &key.to_string(), deadline, None)
+        self.serve_parts(&body, &machine, &cfg, deadline, started, open)
     }
 
-    /// The exact-key-missed path shared by every compile entry point.
+    /// The one miss path under every entry point.
     ///
     /// The exact key stays authoritative — an exact repeat is always served
     /// bit-identically from its own entry. But the pipeline's heuristic
@@ -368,69 +290,50 @@ impl CachedCompiler {
     /// into canonical space. A later exact-miss whose canonical form
     /// matches is then served the equivalence class representative's
     /// compilation, mapped back into the caller's names through the
-    /// caller's own witness — no witness ever needs persisting, and the
-    /// alias entries ride the ordinary mem/disk tiers as records of their
-    /// own.
-    fn compile_missed(
-        self: &Arc<Self>,
+    /// caller's own witness and rendered for this request alone — no
+    /// witness ever needs persisting, and the alias entries ride the
+    /// ordinary mem/disk tiers as records of their own.
+    fn serve_parts(
+        &self,
         body: &Loop,
         machine: &MachineDesc,
         cfg: &PipelineConfig,
-        key: &CacheKey,
         deadline: Option<Duration>,
-        budget: Option<TrackedBudget>,
-    ) -> Result<(CompileResult, Source), CompileError> {
+        started: Instant,
+        open: impl FnOnce(Option<Duration>) -> Result<Option<TrackedBudget>, PoolError>,
+    ) -> Result<(Arc<Cached>, Source), CompileError> {
+        let key = self.key_for(&CompileRequest::from_parts(body, machine, cfg));
+        if let Some(hit) = self.cache.get(&key) {
+            return Ok((hit, Source::Cache));
+        }
         let canon = vliw_normal::canonicalize(body);
         let sem_key = self.key_for(&CompileRequest::from_parts(&canon.body, machine, cfg));
-        let alias = (sem_key != *key).then(|| Arc::new((sem_key, canon.witness)));
-        if let Some(a) = &alias {
-            if let Some(hit) = self.cache.probe(&a.0) {
+        let alias = (sem_key != key).then_some((sem_key, canon.witness));
+        if let Some((sem_key, witness)) = &alias {
+            if let Some(hit) = self.cache.get(sem_key) {
                 self.stats().canon_hit();
-                return Ok((hit.from_canonical_space(key.clone(), &a.1), Source::Cache));
+                let res = hit.result.from_canonical_space(key, witness);
+                return Ok((Cached::new(res), Source::Cache));
             }
         }
+        let remaining = deadline.map(|d| d.saturating_sub(started.elapsed()));
+        let budget = open(remaining)?;
         self.stats().miss();
-        let (slot, leader) = self.join_inflight(key);
+        let (slot, leader) = self.join_inflight(&key);
         if !leader {
-            return self.wait(&slot, deadline, false);
+            return self.wait(&slot, remaining);
         }
         let (effective_cfg, clamped) = clamp_joint_budget(cfg, deadline);
-        match deadline {
-            None => {
-                let outcome =
-                    self.execute_parts(body, machine, &effective_cfg, key, budget.as_ref());
-                // A governed budget that actually *tripped* (pool
-                // exhaustion or server deadline observed mid-solve)
-                // truncated this result for reasons outside the request
-                // text — never cache those, same as a deadline clamp. A
-                // budget that was never felt leaves the result
-                // reproducible and cacheable.
-                let taint = clamped || budget.as_ref().is_some_and(|b| b.tripped());
-                self.publish(key, &slot, outcome.clone(), alias.as_deref(), taint);
-                match outcome {
-                    Ok(res) => Ok((res, Source::Compiled)),
-                    Err(m) => Err(CompileError::Internal(m)),
-                }
-            }
-            Some(_) => {
-                let engine = Arc::clone(self);
-                let (body, machine) = (body.clone(), machine.clone());
-                let thread_slot = Arc::clone(&slot);
-                let thread_key = key.clone();
-                std::thread::spawn(move || {
-                    let outcome = engine.execute_parts(
-                        &body,
-                        &machine,
-                        &effective_cfg,
-                        &thread_key,
-                        budget.as_ref(),
-                    );
-                    let taint = clamped || budget.as_ref().is_some_and(|b| b.tripped());
-                    engine.publish(&thread_key, &thread_slot, outcome, alias.as_deref(), taint);
-                });
-                self.wait(&slot, deadline, true)
-            }
-        }
+        let outcome = self.execute_parts(body, machine, &effective_cfg, &key, budget.as_ref());
+        // A governed budget that actually *tripped* (pool exhaustion or
+        // server deadline observed mid-solve) truncated this result for
+        // reasons outside the request text — never cache those, same as a
+        // deadline clamp. A budget that was never felt leaves the result
+        // reproducible and cacheable.
+        let taint = clamped || budget.as_ref().is_some_and(TrackedBudget::tripped);
+        self.publish(&key, &slot, outcome, alias.as_ref(), taint)
+            .map(|e| (e, Source::Compiled))
+            .map_err(CompileError::Internal)
     }
 
     /// Join (or create) the in-flight slot for `key`. Returns the slot and
@@ -443,7 +346,7 @@ impl CachedCompiler {
                 (Arc::clone(slot), false)
             }
             None => {
-                let slot = Inflight::new();
+                let slot = Arc::new(Inflight::default());
                 table.insert(key.to_string(), Arc::clone(&slot));
                 (slot, true)
             }
@@ -483,11 +386,12 @@ impl CachedCompiler {
         })
     }
 
-    /// Publish `outcome` to the cache, then to the slot, then retire the
-    /// slot — in that order, so anyone who misses the inflight table after
-    /// removal is guaranteed a cache hit. When a semantic `alias` is given,
-    /// the result is also stored in canonical space under the semantic key,
-    /// so future isomorphic variants of this loop hit without compiling.
+    /// Render `outcome` once and publish it to the cache, then to the slot,
+    /// then retire the slot — in that order, so anyone who misses the
+    /// inflight table after removal is guaranteed a cache hit. When a
+    /// semantic `alias` is given, the result is also stored in canonical
+    /// space under the semantic key, so future isomorphic variants of this
+    /// loop hit without compiling.
     ///
     /// A joint *or exact* result truncated under a deadline-`clamped`
     /// budget — or cut short by a governed resource budget that tripped
@@ -498,70 +402,59 @@ impl CachedCompiler {
     fn publish(
         &self,
         key: &str,
-        slot: &Arc<Inflight>,
+        slot: &Inflight,
         outcome: Result<CompileResult, String>,
-        alias: Option<&(CacheKey, vliw_normal::Witness)>,
+        alias: Option<&(CacheKey, Witness)>,
         taint_if_truncated: bool,
-    ) {
-        if let Ok(res) = &outcome {
+    ) -> Result<Arc<Cached>, String> {
+        let outcome = outcome.map(|res| {
             let tainted = taint_if_truncated
                 && (res.joint.is_some_and(|j| !j.optimal) || res.exact.is_some_and(|e| !e.optimal));
+            let entry = Cached::new(res);
             if !tainted {
-                self.cache.put(key, res);
+                self.cache.put(key, &entry);
                 if let Some((sem_key, witness)) = alias {
-                    self.cache
-                        .put(sem_key, &res.into_canonical_space(sem_key.clone(), witness));
+                    let canon = entry.result.into_canonical_space(sem_key.clone(), witness);
+                    self.cache.put(sem_key, &Cached::new(canon));
                 }
             }
-        }
-        *slot.done.lock().expect("inflight slot poisoned") = Some(outcome);
+            entry
+        });
+        *slot.done.lock().expect("inflight slot poisoned") = Some(outcome.clone());
         slot.cv.notify_all();
         self.inflight
             .lock()
             .expect("inflight table poisoned")
             .remove(key);
+        outcome
     }
 
-    /// Wait on an in-flight slot until its outcome is published or the
-    /// deadline expires.
+    /// Wait at most `limit` for the leader of `slot` to publish.
     fn wait(
         &self,
-        slot: &Arc<Inflight>,
-        deadline: Option<Duration>,
-        leader: bool,
-    ) -> Result<(CompileResult, Source), CompileError> {
-        let started = Instant::now();
-        let mut done = slot.done.lock().expect("inflight slot poisoned");
-        loop {
-            if let Some(outcome) = done.as_ref() {
-                return match outcome {
-                    Ok(res) => Ok((
-                        res.clone(),
-                        if leader {
-                            Source::Compiled
-                        } else {
-                            Source::Deduped
-                        },
-                    )),
-                    Err(m) => Err(CompileError::Internal(m.clone())),
-                };
+        slot: &Inflight,
+        limit: Option<Duration>,
+    ) -> Result<(Arc<Cached>, Source), CompileError> {
+        let done = slot.done.lock().expect("inflight slot poisoned");
+        let pending = |d: &mut Option<_>| d.is_none();
+        let done = match limit {
+            None => slot
+                .cv
+                .wait_while(done, pending)
+                .expect("inflight slot poisoned"),
+            Some(limit) => {
+                let waited = slot.cv.wait_timeout_while(done, limit, pending);
+                waited.expect("inflight slot poisoned").0
             }
-            match deadline {
-                None => {
-                    done = slot.cv.wait(done).expect("inflight slot poisoned");
-                }
-                Some(limit) => {
-                    let elapsed = started.elapsed();
-                    if elapsed >= limit {
-                        self.stats().timeout();
-                        return Err(CompileError::Timeout);
-                    }
-                    let (guard, _) = slot
-                        .cv
-                        .wait_timeout(done, limit - elapsed)
-                        .expect("inflight slot poisoned");
-                    done = guard;
-                }
+        };
+        match done.as_ref() {
+            Some(outcome) => outcome
+                .clone()
+                .map(|e| (e, Source::Deduped))
+                .map_err(CompileError::Internal),
+            None => {
+                self.stats().timeout();
+                Err(CompileError::Timeout)
             }
         }
     }
@@ -571,6 +464,7 @@ impl CachedCompiler {
 mod tests {
     use super::*;
     use crate::cache::{DiskStore, TieredCache};
+    use std::cell::Cell;
     use vliw_loopgen::{corpus_with, CorpusSpec};
     use vliw_machine::MachineDesc;
     use vliw_pipeline::PipelineConfig;
@@ -771,12 +665,148 @@ mod tests {
     fn deadline_requests_still_populate_cache() {
         let engine = engine();
         let req = sample_request(3);
-        // A generous deadline: the spawned compute path must behave exactly
-        // like the inline one.
+        // A generous deadline bounds only the solve and a follower's wait:
+        // the compile behaves exactly like one without a deadline.
         let (res, src) = engine.compile(&req, Some(Duration::from_secs(60))).unwrap();
         assert_eq!(src, Source::Compiled);
         let (hit, src) = engine.compile(&req, None).unwrap();
         assert_eq!(src, Source::Cache);
         assert_eq!(hit, res);
+    }
+
+    /// A follower waits at most its own deadline on an identical in-flight
+    /// compile, then times out; that is the only way a request times out.
+    #[test]
+    fn a_follower_waits_at_most_its_deadline() {
+        let engine = engine();
+        let req = sample_request(7);
+        // Stand in for a leader that is still compiling this key.
+        let leader = Arc::new(Inflight::default());
+        engine
+            .inflight
+            .lock()
+            .unwrap()
+            .insert(req.cache_key(), Arc::clone(&leader));
+        let got = engine.compile(&req, Some(Duration::from_millis(1)));
+        assert_eq!(got, Err(CompileError::Timeout));
+        let snap = engine.stats().snapshot();
+        assert_eq!((snap.compiles, snap.dedup_waits, snap.timeouts), (0, 1, 1));
+    }
+
+    fn tmpdir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("vliw-serve-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A budget opener that counts its calls and grants nothing.
+    fn counting(calls: &Cell<u32>) -> impl FnOnce(Option<Duration>) -> BudgetOpened + '_ {
+        |_| {
+            calls.set(calls.get() + 1);
+            Ok(None)
+        }
+    }
+
+    type BudgetOpened = Result<Option<TrackedBudget>, PoolError>;
+
+    /// A budget is opened only once every tier has missed: the miss that
+    /// compiles opens one, and a memory hit, a disk hit and a semantic
+    /// alias hit open none.
+    #[test]
+    fn hits_never_open_a_budget() {
+        let root = tmpdir("opener");
+        let spec = CorpusSpec {
+            n: 6,
+            ..Default::default()
+        };
+        let body = corpus_with(&spec).remove(5);
+        let (machine, cfg) = (MachineDesc::embedded(2, 4), PipelineConfig::default());
+        let req = CompileRequest::from_parts(&body, &machine, &cfg);
+        let var_req = CompileRequest::from_parts(&vliw_normal::variant(&body, 99), &machine, &cfg);
+        {
+            let engine = CachedCompiler::new(TieredCache::new(8, Some(DiskStore::new(&root))));
+            let opened = Cell::new(0);
+            let (_, src) = engine
+                .serve_rendered_governed(&req, None, counting(&opened))
+                .unwrap();
+            assert_eq!((src, opened.get()), (Source::Compiled, 1));
+        }
+        let engine = CachedCompiler::new(TieredCache::new(8, Some(DiskStore::new(&root))));
+        for (r, tier) in [(&req, "disk"), (&req, "memory"), (&var_req, "alias")] {
+            let opened = Cell::new(0);
+            let (_, src) = engine
+                .serve_rendered_governed(r, None, counting(&opened))
+                .unwrap();
+            assert_eq!((src, opened.get()), (Source::Cache, 0), "{tier} hit");
+        }
+        let snap = engine.stats().snapshot();
+        assert_eq!(
+            (snap.disk_hits, snap.mem_hits, snap.canon_hits),
+            (2, 1, 1),
+            "the alias entry came from disk"
+        );
+        assert_eq!((snap.compiles, snap.misses), (0, 0));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A pool refusal on a miss becomes the matching typed error: nothing
+    /// compiles, no miss is counted and neither tier gains an entry.
+    #[test]
+    fn a_refused_budget_compiles_and_caches_nothing() {
+        let refusals = [
+            (
+                PoolError::Shed { retry_after_ms: 25 },
+                CompileError::Shed { retry_after_ms: 25 },
+            ),
+            (PoolError::Rejected, CompileError::Rejected),
+        ];
+        for (i, (refusal, want)) in refusals.into_iter().enumerate() {
+            let root = tmpdir(&format!("refused-{i}"));
+            let engine = CachedCompiler::new(TieredCache::new(8, Some(DiskStore::new(&root))));
+            let req = sample_request(6);
+            let got = engine.serve_rendered_governed(&req, None, |_| Err(refusal));
+            assert_eq!(got.unwrap_err(), want);
+            let snap = engine.stats().snapshot();
+            assert_eq!((snap.compiles, snap.misses), (0, 0));
+            let sem_key = req.semantic_key().unwrap();
+            assert!(engine.cache.get(&req.cache_key()).is_none());
+            assert!(engine.cache.get(&sem_key).is_none());
+            assert!(!root.exists(), "no segment was written");
+        }
+    }
+
+    /// A disk hit serves the bytes it read, and those are exactly the
+    /// rendering of the result they decode to, for every corpus loop on two
+    /// machines.
+    #[test]
+    fn disk_hits_serve_the_rendered_result() {
+        let root = tmpdir("disk-bytes");
+        let corpus = vliw_loopgen::corpus();
+        let machines = [MachineDesc::embedded(4, 4), MachineDesc::copy_unit(2, 8)];
+        let cfg = PipelineConfig::default();
+        let reqs: Vec<CompileRequest> = machines
+            .iter()
+            .flat_map(|m| {
+                corpus
+                    .iter()
+                    .map(|l| CompileRequest::from_parts(l, m, &cfg))
+            })
+            .collect();
+        {
+            let engine = CachedCompiler::new(TieredCache::new(8, Some(DiskStore::new(&root))));
+            for req in &reqs {
+                engine.compile(req, None).unwrap();
+            }
+        }
+        let engine = CachedCompiler::new(TieredCache::new(1024, Some(DiskStore::new(&root))));
+        for req in &reqs {
+            let (json, src) = engine.serve_rendered(req, None).unwrap();
+            assert_eq!(src, Source::Cache);
+            let (res, _) = engine.compile(req, None).unwrap();
+            assert_eq!(*json, res.to_json().render(), "{}", res.name);
+        }
+        assert_eq!(engine.stats().snapshot().compiles, 0);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -101,8 +101,8 @@ pub enum Json {
     Obj(BTreeMap<Cow<'static, str>, Json>),
     /// A pre-rendered JSON document, spliced verbatim into the output.
     /// Invariant: holds one valid single-line JSON value. Produced only by
-    /// response assembly (the rendered-result cache), never by the parser;
-    /// cheap to clone so cached renderings can be shared across responses.
+    /// response assembly around cached result envelopes, never by the
+    /// parser; cheap to clone so renderings can be shared across responses.
     Raw(std::sync::Arc<str>),
 }
 

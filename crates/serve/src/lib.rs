@@ -11,7 +11,8 @@
 //! * [`hash`] — hand-rolled SHA-256 (offline container, no crypto crate);
 //! * [`json`] — minimal JSON value/parser/writer (the build is offline and
 //!   has no serialisation crate);
-//! * [`cache`] — the two tiers and their composition;
+//! * [`cache`] — the two tiers and their composition; each entry holds a
+//!   result and its rendered envelope;
 //! * [`compile`] — [`compile::CachedCompiler`], the cache plus in-flight
 //!   dedup of concurrent identical requests;
 //! * [`stats`] — hit/miss/eviction counters and latency percentiles;
@@ -47,7 +48,7 @@ pub mod shard;
 pub mod stats;
 pub mod sys;
 
-pub use cache::{DiskStore, MemCache, TieredCache};
+pub use cache::{Cached, DiskStore, MemCache, TieredCache};
 pub use client::{Client, ClientError, ServedResult};
 pub use compile::{CachedCompiler, CompileError, Source};
 pub use envelope::{CacheKey, CompileRequest, CompileResult, RequestError, CACHE_FORMAT_VERSION};

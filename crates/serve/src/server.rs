@@ -16,7 +16,10 @@
 //!
 //! `served` is `"cache"`, `"compiled"` or `"deduped"`. Failures are
 //! `{"ok":false,"error":"..."}` (the connection stays open). `timeout_ms`
-//! is optional and clamps this request's wait, not the execution.
+//! is optional. It bounds the solve (the joint clamp and the governed
+//! budget) and the wait on an identical compile that another request is
+//! running, never the request's own compile: a request that compiles is
+//! answered with its result, however long that takes.
 //!
 //! A `compile_batch` carries any number of requests in one line and returns
 //! one aggregated response with per-entry `served` labels in request order;
@@ -48,7 +51,7 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vliw_governor::{Governor, Lane, PoolError, ShedPolicy};
+use vliw_governor::{Governor, Lane, ShedPolicy};
 
 /// Stats fields that are additive across peers — the sharded client's
 /// `stats --aggregate` sums exactly these (latency percentiles are not
@@ -88,7 +91,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Compile worker threads.
     pub workers: usize,
-    /// Per-request wait deadline applied when the client sends none.
+    /// Deadline of a request that sends no `timeout_ms`: it bounds the solve
+    /// and any wait on an identical in-flight compile.
     pub default_timeout: Duration,
     /// Most entries of one batch in flight at once; a client's
     /// `parallelism` is clamped to this.
@@ -331,13 +335,13 @@ fn runs_governed_solver(req: &CompileRequest) -> bool {
 ///   the joint solver's clamped budget is ¾ of the time *remaining* —
 ///   not ¾ of a deadline that queueing already consumed;
 /// * heavy-lane requests — and interactive exact/joint requests, whose
-///   solvers are just as unbounded in principle — first probe every cache
-///   tier (a warm hit of a hard instance needs no grant), then open a
-///   [`TrackedBudget`] from the governor's pool: heavies against the
-///   heavy share, interactive compiles against the full pool including
-///   the reserve kept for them. A pool refusal becomes a typed
-///   shed/reject response instead of an untracked solve, so
-///   `--mem-budget` caps solver memory on every lane.
+///   solvers are just as unbounded in principle — compile under a
+///   [`TrackedBudget`] from the governor's pool, which the engine opens
+///   only once every cache tier has missed (a warm hit of a hard instance
+///   needs no grant): heavies against the heavy share, interactive
+///   compiles against the full pool including the reserve kept for them.
+///   A pool refusal becomes a typed shed/reject response instead of an
+///   untracked solve, so `--mem-budget` caps solver memory on every lane.
 ///
 /// [`TrackedBudget`]: vliw_governor::TrackedBudget
 pub(crate) fn compile_entry(
@@ -347,27 +351,20 @@ pub(crate) fn compile_entry(
     ctx: &RequestCtx,
 ) -> Json {
     let started = Instant::now();
-    let effective = timeout.saturating_sub(ctx.queue_wait);
-    let mut budget = None;
-    if ctx.lane == Lane::Heavy || runs_governed_solver(req) {
-        if let Some(rendered) = engine.probe_rendered(req) {
-            engine
-                .stats()
-                .observe_latency_us(started.elapsed().as_micros() as u64);
-            return render_ok(&rendered, "cache");
+    let governed = ctx.lane == Lane::Heavy || runs_governed_solver(req);
+    let open = |remaining: Option<Duration>| {
+        if !governed {
+            return Ok(None);
         }
-        let deadline_ms = (effective.as_millis() as u64).max(1);
-        let opened = match ctx.lane {
+        let deadline_ms = remaining.map_or(0, |r| (r.as_millis() as u64).max(1));
+        match ctx.lane {
             Lane::Heavy => ctx.governor.open_budget(deadline_ms),
             Lane::Interactive => ctx.governor.open_budget_interactive(deadline_ms),
-        };
-        match opened {
-            Ok(b) => budget = Some(b),
-            Err(PoolError::Shed { retry_after_ms }) => return shed_response(retry_after_ms),
-            Err(PoolError::Rejected) => return reject_response(),
         }
-    }
-    let outcome = engine.serve_rendered_governed(req, Some(effective), budget);
+        .map(Some)
+    };
+    let deadline = timeout.saturating_sub(ctx.queue_wait);
+    let outcome = engine.serve_rendered_governed(req, Some(deadline), open);
     engine
         .stats()
         .observe_latency_us(started.elapsed().as_micros() as u64);

@@ -60,7 +60,9 @@ pub struct StatsSnapshot {
     /// Requests that waited on an identical in-flight compile instead of
     /// executing their own.
     pub dedup_waits: u64,
-    /// Requests that hit their deadline before the compile finished.
+    /// Requests whose deadline expired while they waited on an identical
+    /// compile that another request was running. A request's own compile
+    /// never times out.
     pub timeouts: u64,
     /// Joint-partitioner compiles whose search was budget-truncated: the
     /// response carried the greedy incumbent with `optimal: false` and a

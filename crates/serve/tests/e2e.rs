@@ -718,11 +718,9 @@ fn deadline_clamped_joint_results_are_never_cached() {
     );
     assert!(joint.lower_bound_ii <= joint.ii);
 
-    // The leader clears its in-flight entry moments after its waiter is
-    // notified; let it drain so the retry elects a fresh leader instead of
-    // deduping onto the first compile (in-flight coalescing is same-moment
-    // sharing, not caching).
-    std::thread::sleep(Duration::from_millis(200));
+    // The leader compiles on the worker and retires its in-flight slot
+    // before the reply is queued, so the repeat elects a fresh leader at
+    // once instead of deduping onto the first compile.
     let second = client
         .compile(&req, Some(1000))
         .expect("second clamped compile");
@@ -735,6 +733,30 @@ fn deadline_clamped_joint_results_are_never_cached() {
     let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
     assert_eq!(n("compiles"), 2);
     assert!(n("joint_truncated") >= 2);
+
+    server.stop();
+}
+
+#[test]
+fn zero_timeout_cold_compile_answers_with_its_result() {
+    // `timeout_ms` bounds the solve and the wait on someone else's compile,
+    // not the request's own compile: a cold greedy request with no time at
+    // all still compiles on its worker and is answered with its result.
+    let server = TestServer::start(None);
+    let mut client = server.client();
+    let req = sample_request(4);
+    let out = client.compile(&req, Some(0)).expect("zero-timeout compile");
+    assert_eq!(out.served, "compiled");
+    let (body, machine, cfg) = req.decode().expect("request decodes");
+    let direct = CompileResult::from_loop_result(
+        req.cache_key(),
+        &vliw_pipeline::run_loop(&body, &machine, &cfg),
+    );
+    assert_eq!(out.result, direct);
+
+    let stats = client.stats().expect("stats");
+    let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
+    assert_eq!((n("compiles"), n("timeouts")), (1, 0));
 
     server.stop();
 }
@@ -788,9 +810,9 @@ fn pool_tripped_exact_truncation_is_never_cached() {
         "a 4 KiB pool cannot cover the exact working set"
     );
 
-    // Let the leader retire its in-flight slot, then repeat: the degraded
-    // seed partition must not be served back from cache.
-    std::thread::sleep(Duration::from_millis(200));
+    // The leader retired its in-flight slot before it replied, so the
+    // repeat compiles again: the degraded seed partition must not be
+    // served back from cache.
     let second = client.compile(&req, None).expect("second compile");
     assert_eq!(
         second.served, "compiled",
@@ -851,24 +873,16 @@ fn interactive_exact_compiles_are_pool_accounted() {
     );
 
     // Pool-tripped, so never cached — identical to the heavy-lane rule.
-    std::thread::sleep(Duration::from_millis(200));
     let second = client.compile(&req, None).expect("second compile");
     assert_eq!(second.served, "compiled");
 
-    // The grant is returned when the budget drops — moments after the
-    // waiter is answered, so poll briefly instead of racing it.
-    let mut used = u64::MAX;
-    for _ in 0..50 {
-        let stats = client.stats().expect("stats");
-        used = stats
-            .get("pool_bytes_used")
-            .and_then(Json::as_f64)
-            .expect("pool gauge") as u64;
-        if used == 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    // The compile drops its budget before its reply is queued, so every
+    // grant is back in the pool by the time the answer arrives.
+    let stats = client.stats().expect("stats");
+    let used = stats
+        .get("pool_bytes_used")
+        .and_then(Json::as_f64)
+        .expect("pool gauge") as u64;
     assert_eq!(used, 0, "all grants returned");
 
     server.stop();
@@ -941,22 +955,14 @@ fn heavy_flood_does_not_starve_interactive_client() {
     }
 
     // The governor's gauges are live on the stats wire; interactive sheds
-    // must be zero by policy (`sheds` counts heavy-lane sheds only). The
-    // last compile thread drops its grant moments *after* its waiter is
-    // answered, so poll the pool briefly instead of racing it.
-    let mut used = u64::MAX;
-    for _ in 0..50 {
-        let stats = victim.stats().expect("stats");
-        let n = |k: &str| stats.get(k).and_then(Json::as_f64).expect(k) as u64;
-        assert_eq!(n("queue_depth_interactive"), 0, "drained");
-        assert!(stats.get("sheds").is_some() && stats.get("pool_bytes_limit").is_some());
-        used = n("pool_bytes_used");
-        if used == 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    assert_eq!(used, 0, "all grants returned");
+    // must be zero by policy (`sheds` counts heavy-lane sheds only). Each
+    // compile drops its grant before its reply is queued, so once every
+    // greedy client has its answers the pool is empty.
+    let stats = victim.stats().expect("stats");
+    let n = |k: &str| stats.get(k).and_then(Json::as_f64).expect(k) as u64;
+    assert_eq!(n("queue_depth_interactive"), 0, "drained");
+    assert!(stats.get("sheds").is_some() && stats.get("pool_bytes_limit").is_some());
+    assert_eq!(n("pool_bytes_used"), 0, "all grants returned");
 
     server.stop();
 }

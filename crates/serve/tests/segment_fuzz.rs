@@ -2,20 +2,21 @@
 //!
 //! Random bytes, and random cuts of a real segment (bare, or followed by
 //! random bytes), are written as a segment, opened and read back. Every
-//! read must be a miss or exactly the record that was written, every line
-//! that ends before a cut must still be served, nothing may panic, and no
-//! single allocation may exceed the segment's size (plus a fixed slack for
-//! paths and the index's first table).
+//! read must be a miss or exactly the record that was written (its result
+//! and its envelope bytes), every line that ends before a cut must still be
+//! served, nothing may panic, and no single allocation may exceed the
+//! segment's size (plus a fixed slack for paths and the index's first
+//! table).
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use vliw_loopgen::{corpus_with, CorpusSpec};
 use vliw_machine::MachineDesc;
 use vliw_pipeline::{run_loop, PipelineConfig};
-use vliw_serve::{CompileRequest, CompileResult, DiskStore};
+use vliw_serve::{Cached, CompileRequest, CompileResult, DiskStore};
 
 /// Allowance for allocations that do not depend on the segment's bytes.
 const SLACK: usize = 1024;
@@ -71,7 +72,7 @@ fn fixture() -> &'static (Vec<u8>, Vec<CompileResult>) {
         {
             let store = DiskStore::new(&root);
             for r in &results {
-                assert!(store.put(&r.key, r));
+                assert!(store.put(&r.key, &r.to_json().render()));
             }
         }
         let seg = std::fs::read_dir(&root).unwrap().next().unwrap().unwrap();
@@ -89,7 +90,7 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// Open a root whose only segment holds `bytes` and read every fixture
 /// key: what each read served, and the largest allocation made meanwhile.
-fn open_and_read(tag: &str, bytes: &[u8]) -> (Vec<Option<CompileResult>>, usize) {
+fn open_and_read(tag: &str, bytes: &[u8]) -> (Vec<Option<Arc<Cached>>>, usize) {
     let root = scratch(tag);
     std::fs::create_dir_all(&root).unwrap();
     std::fs::write(root.join("seg-1-0.log"), bytes).unwrap();
@@ -140,8 +141,8 @@ proptest! {
         for bytes in [seg[..cut].to_vec(), [&seg[..cut], &tail[..]].concat()] {
             let (served, peak) = open_and_read("cut", &bytes);
             for ((r, got), end) in results.iter().zip(&served).zip(line_ends(seg)) {
-                let want = (end <= cut).then_some(r);
-                prop_assert_eq!(got.as_ref(), want, "cut at {}", cut);
+                let want = (end <= cut).then(|| Cached::new(r.clone()));
+                prop_assert_eq!(got, &want, "cut at {}", cut);
             }
             prop_assert!(peak <= bytes.len() + SLACK, "peak {peak} over {}", bytes.len());
         }
