@@ -75,6 +75,21 @@ echo "==> cargo build --release -p vliw-bench --all-targets (bench + baseline ru
 # bench_scheduler baseline bin so perf-tracking code can't silently rot.
 cargo build --release -p vliw-bench --all-targets
 
+echo "==> perfbench still compiles (cargo check, perfbench/Cargo.lock restored)"
+# The repo's benchmark (perfbench/, a workspace of its own) calls the
+# workspace's public API; checking it here makes an API change fail CI
+# instead of the benchmark run. Its tracked Cargo.lock is stale and a build
+# rewrites it, so it is saved first and put back byte for byte whether or
+# not the check passes.
+PERFBENCH_LOCK=$(mktemp)
+cp perfbench/Cargo.lock "$PERFBENCH_LOCK"
+PERFBENCH_STATUS=0
+cargo check --offline --quiet --manifest-path perfbench/Cargo.toml \
+    --target-dir target/perfbench-check || PERFBENCH_STATUS=$?
+cp "$PERFBENCH_LOCK" perfbench/Cargo.lock
+rm -f "$PERFBENCH_LOCK"
+[ "$PERFBENCH_STATUS" -eq 0 ] || { echo "error: perfbench no longer compiles"; exit 1; }
+
 echo "==> cargo test"
 cargo test -q
 

@@ -1,8 +1,10 @@
 //! Scheduler perf baseline runner.
 //!
 //! Times the scheduler-core hot kernels in their old (dense / recompute-
-//! everything) and new (sparse / shared-context) formulations, plus the
-//! corpus pipeline stage by stage, and writes the results as JSON — the
+//! everything) and new (sparse / shared-context) formulations and the
+//! paper's passes around them (RCG build, colouring, simulation) on
+//! representative loops, plus the corpus pipeline stage by stage, and
+//! writes the results as JSON — the
 //! checked-in `BENCH_scheduler.json` at the repo root. Rerun with
 //!
 //! ```text
@@ -24,7 +26,9 @@ use vliw_core::{
 use vliw_ddg::{build_ddg, compute_slack, rec_ii, rec_ii_dense};
 use vliw_ir::Loop;
 use vliw_machine::MachineDesc;
+use vliw_regalloc::allocate;
 use vliw_sched::{schedule_loop, schedule_loop_with, ImsConfig, SchedContext, SchedProblem};
+use vliw_sim::{check_equivalence, run_reference};
 
 /// Nanoseconds per iteration: warm up, then repeat until ≥25 ms of samples.
 fn bench_ns<R>(mut f: impl FnMut() -> R) -> f64 {
@@ -158,6 +162,44 @@ fn micro_section(j: &mut Json, tag: &str, body: &Loop, machine: &MachineDesc) {
         "ims_eviction_path_ns",
         bench_ns(|| schedule_loop_with(&cproblem, &ddg, &cfg, &csctx).unwrap()),
     );
+
+    // The paper's passes around the clustered schedule: the RCG build,
+    // per-bank Chaitin/Briggs colouring, the simulator oracle and the
+    // scalar reference run it checks against.
+    let pcfg = PartitionConfig::default();
+    let caps: Vec<usize> = machine.clusters.iter().map(|c| c.n_fus).collect();
+    let ideal = schedule_loop(&problem, &ddg, &cfg).unwrap();
+    let slack = compute_slack(&ddg, |op| machine.latencies.of(body.op(op).opcode) as i64);
+    let rcg = build_rcg(body, &ideal, &slack, &pcfg);
+    let clustered = insert_copies(body, &assign_banks_caps(&rcg, &caps, &pcfg));
+    let cddg = build_ddg(&clustered.body, &machine.latencies);
+    let sched = schedule_loop(
+        &SchedProblem::clustered(&clustered.body, machine, &clustered.cluster_of),
+        &cddg,
+        &cfg,
+    )
+    .unwrap();
+    j.num(
+        "build_rcg_ns",
+        bench_ns(|| build_rcg(body, &ideal, &slack, &pcfg)),
+    );
+    j.num(
+        "chaitin_briggs_ns",
+        bench_ns(|| {
+            allocate(
+                &clustered.body,
+                &cddg,
+                &sched,
+                &clustered.vreg_bank,
+                machine,
+            )
+        }),
+    );
+    j.num(
+        "simulate_oracle_ns",
+        bench_ns(|| check_equivalence(&clustered.body, &sched, &machine.latencies).unwrap()),
+    );
+    j.num("scalar_reference_ns", bench_ns(|| run_reference(body)));
     j.close();
 }
 

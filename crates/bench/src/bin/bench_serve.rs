@@ -553,6 +553,12 @@ fn main() {
     j.num("variant_corpus_ms", variant_ms);
     j.num("per_line_ms", per_line_ms);
     j.num("batch_ms", batch_ms);
+    // The warm batch is the longest line any in-repo caller sends; its
+    // length against the server's 8 MiB line limit is the headroom.
+    j.int(
+        "batch_line_bytes",
+        Client::batch_line(&reqs, None, Some(8)).len() as u64,
+    );
     j.num("batch_speedup_vs_per_line", per_line_ms / batch_ms);
     j.num("sharded_warm_batch_ms", sharded_batch_ms);
     j.int("sharded_peers", 2);

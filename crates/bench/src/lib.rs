@@ -3,9 +3,9 @@
 //! One bench target exists per table/figure of the paper (see
 //! `benches/`): each prints the reproduced rows once (so `cargo bench`
 //! output doubles as the reproduction record) and then measures the time to
-//! regenerate them. `scheduler_micro` additionally tracks the hot kernels
-//! (DDG construction, MinII, IMS, RCG build, greedy assignment, copy
-//! insertion, colouring, simulation) on representative loops.
+//! regenerate them. The hot kernels (DDG construction, MinII, IMS, RCG
+//! build, colouring, simulation) are timed on representative loops by the
+//! `bench_scheduler` binary, into `BENCH_scheduler.json`.
 
 #![warn(missing_docs)]
 

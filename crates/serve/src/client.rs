@@ -350,6 +350,46 @@ impl Client {
         timeout_ms: Option<u64>,
         parallelism: Option<usize>,
     ) -> Result<Vec<Result<ServedResult, String>>, ClientError> {
+        let line = Self::batch_line(reqs, timeout_ms, parallelism);
+        let resp = self.exchange(&line)?;
+        let trimmed = resp.trim();
+        // Fast path: decode the canonical response shape entry by entry
+        // without materialising the full tree.
+        let entries = match decode_batch_stream(trimmed) {
+            Some(entries) => entries,
+            None => {
+                // Anything unexpected — batch-level errors included — goes
+                // through the general parser for a precise diagnosis.
+                let doc = Self::envelope_ok(
+                    parse_json(trimmed).map_err(|e| ClientError::Malformed(e.to_string()))?,
+                )?;
+                let entries = doc.get("results").and_then(Json::as_arr).ok_or_else(|| {
+                    ClientError::Malformed("batch response missing `results`".into())
+                })?;
+                entries
+                    .iter()
+                    .map(decode_batch_entry)
+                    .collect::<Result<Vec<_>, _>>()?
+            }
+        };
+        if entries.len() != reqs.len() {
+            return Err(ClientError::Malformed(format!(
+                "batch response has {} entries for {} requests",
+                entries.len(),
+                reqs.len()
+            )));
+        }
+        Ok(entries)
+    }
+
+    /// The `compile_batch` line [`Client::compile_batch`] sends for these
+    /// arguments, without its newline: what the server's line-length limit
+    /// ([`crate::ServerConfig::max_line_bytes`]) bounds.
+    pub fn batch_line(
+        reqs: &[CompileRequest],
+        timeout_ms: Option<u64>,
+        parallelism: Option<usize>,
+    ) -> String {
         // Hoist the most common machine/config text into batch-level
         // defaults; matching entries omit those sections. A corpus-grid
         // sweep repeats a handful of machine models over hundreds of loops,
@@ -371,10 +411,9 @@ impl Client {
         };
         let default_machine = modal(|r| &r.machine_text);
         let default_config = modal(|r| &r.config_text);
-        // Hand-render the batch line in the canonical field order — `op`
-        // first, `requests` last — so the server can stream the control
-        // fields off the wire and then serve entries as they parse, and
-        // each entry is one escape pass with no tree build.
+        // Hand-render the line: each entry is one escape pass with no tree
+        // build. The server reads the fields in any order; `op` first
+        // settles what the line is at its first key.
         let payload: usize = reqs.iter().map(|r| r.loop_text.len() + 96).sum();
         let mut line = String::with_capacity(payload + 256);
         line.push_str("{\"op\":\"compile_batch\"");
@@ -419,35 +458,7 @@ impl Client {
             line.push('}');
         }
         line.push_str("]}");
-        let resp = self.exchange(&line)?;
-        let trimmed = resp.trim();
-        // Fast path: decode the canonical response shape entry by entry
-        // without materialising the full tree.
-        let entries = match decode_batch_stream(trimmed) {
-            Some(entries) => entries,
-            None => {
-                // Anything unexpected — batch-level errors included — goes
-                // through the general parser for a precise diagnosis.
-                let doc = Self::envelope_ok(
-                    parse_json(trimmed).map_err(|e| ClientError::Malformed(e.to_string()))?,
-                )?;
-                let entries = doc.get("results").and_then(Json::as_arr).ok_or_else(|| {
-                    ClientError::Malformed("batch response missing `results`".into())
-                })?;
-                entries
-                    .iter()
-                    .map(decode_batch_entry)
-                    .collect::<Result<Vec<_>, _>>()?
-            }
-        };
-        if entries.len() != reqs.len() {
-            return Err(ClientError::Malformed(format!(
-                "batch response has {} entries for {} requests",
-                entries.len(),
-                reqs.len()
-            )));
-        }
-        Ok(entries)
+        line
     }
 
     /// Fetch the server's counters as a JSON object.

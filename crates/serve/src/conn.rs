@@ -5,43 +5,34 @@
 //! feeds it raw bytes ([`Conn::push_bytes`]), asks it to make progress
 //! ([`Conn::advance`]), and gets back [`Action`]s describing work to
 //! dispatch. That split keeps every protocol edge case — partial lines,
-//! pipelined requests, streamed batches, oversized lines — unit-testable
-//! without sockets or threads.
+//! pipelined requests, batches, oversized lines — unit-testable without
+//! sockets or threads.
 //!
-//! The interesting state is the **streamed batch**. A canonical
-//! `compile_batch` line (`op` first, `requests` last) is recognised from
-//! its first bytes; the control fields are parsed as they arrive, and each
-//! entry of `requests` is handed to the compile workers the moment its
-//! closing brace lands — entry `k` compiles while entry `k+1` is still on
-//! the wire. Entry dispatch stops while `inflight == cap`, which (via
-//! [`Conn::wants_read`]) pauses read interest and lets TCP back-pressure
-//! throttle a fast client. Results come back out of order and are
-//! reassembled into request-order slots; the aggregate response renders
-//! once the wire side is fully parsed and every slot is filled.
-//!
-//! Every other line waits for its newline. If it is a batch in another
-//! spelling — `requests` before `op`, whitespace between tokens — it is
-//! rewritten into the canonical spelling (`canonical_batch`) and streamed
-//! exactly like a canonical line, so each entry of every batch gets its
-//! own lane, admission decision and worker-pool slot. Any other line is
+//! One reader frames every line by its newline, under the line-length
+//! limit. A complete line whose top-level `op` is `compile_batch` is split
+//! into entries by one walk over it ([`walk`]): the control fields are
+//! parsed and checked, the entries are only scanned, so no entry is parsed
+//! on the reactor thread, and a malformed batch is answered before any of
+//! its entries leaves. The entries then dispatch in request order, at most
+//! `min(parallelism, batch_parallelism)` in flight, each to its own lane
+//! and admission decision; their results come back out of order into
+//! request-order slots, and the aggregate response renders once every slot
+//! is filled. While a batch is active the connection reads nothing more,
+//! so a line pipelined behind it is answered after it. Every other line is
 //! handed to the reactor whole ([`Action::Line`]).
 
-use crate::json::{self as js, Json, JsonParseError, Scan};
+use crate::json::{self as js, Json};
 use crate::server::{error_response, ServeOptions};
 use crate::stats::StatsRegistry;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The exact first bytes of a canonical batch line. Every other spelling
-/// of a batch is rewritten to start with them before it streams.
-const BATCH_PREFIX: &[u8] = b"{\"op\":\"compile_batch\"";
 
 /// Per-connection parsing limits and dispatch knobs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ConnLimits {
     /// Request-level options (default timeout, batch fan-out cap).
     pub opts: ServeOptions,
-    /// Longest tolerated request line / unconsumed residue, in bytes.
+    /// Longest tolerated request line, batch lines included, in bytes.
     pub max_line_bytes: usize,
 }
 
@@ -61,11 +52,9 @@ pub(crate) enum Action {
     /// one per [`Conn::advance`] call: the reactor either answers it inline
     /// or marks the connection busy and dispatches it to a worker.
     Line(String),
-    /// One complete batch entry to compile into result slot `idx` of batch
-    /// generation `gen` (stale generations are dropped on completion).
+    /// One entry of the connection's active batch, to compile into result
+    /// slot `idx`.
     Entry {
-        /// Batch generation the entry belongs to.
-        gen: u64,
         /// Result slot index, in request order.
         idx: usize,
         /// The entry's raw JSON text.
@@ -80,35 +69,13 @@ pub(crate) enum Action {
     CloseAfterFlush,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Accumulating a line; still deciding whether it streams as a batch.
-    Line,
-    /// The line does not open with the canonical batch prefix: wait for its
-    /// newline, then rewrite it if it is a batch, else emit it whole.
-    WholeLine,
-    /// Streaming a canonical batch body (state in `Conn::batch`).
-    Batch,
-    /// A batch aborted mid-line: the error response is queued; discard wire
-    /// bytes until the terminating newline, then resume `Line`.
-    DrainLine,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Inside `requests`, expecting an entry value or `]`.
-    Entry,
-    /// After an entry, expecting `,` or `]`.
-    Separator,
-    /// After `]`, expecting `}` and the line's newline.
-    Tail,
-    /// Wire side fully parsed; waiting for outstanding entry results.
-    Await,
-}
-
+/// A batch line split into entries, while its entries are answered.
 #[derive(Debug)]
-struct BatchState {
-    phase: Phase,
+struct Batch {
+    /// The batch line; each entry leaves as a copy of its span.
+    line: Vec<u8>,
+    /// Byte span of each entry in `line`, in request order.
+    entries: Vec<(usize, usize)>,
     timeout_ms: Option<u64>,
     /// In-flight entry cap: `min(parallelism, batch_parallelism)`. The cap
     /// deliberately exceeds the worker count so the queue stays non-empty
@@ -116,43 +83,59 @@ struct BatchState {
     /// reactor to observe the previous completion first.
     cap: usize,
     defaults: Arc<BatchDefaults>,
-    next_idx: usize,
-    /// Request-ordered result slots; `None` while the entry is compiling.
+    /// Request-ordered result slots; `None` until the entry is answered.
     results: Vec<Option<Arc<str>>>,
+    /// Entries dispatched so far: `entries[sent]` leaves next.
+    sent: usize,
+    /// Entries answered so far.
     done: usize,
-    inflight: usize,
-    /// Entry count, known once `]` is parsed.
-    total: Option<usize>,
 }
 
-/// Outcome of one header-parse attempt over buffered (possibly truncated)
-/// bytes.
-enum Header {
-    /// Undecidable yet; wait for more bytes.
-    NeedMore,
-    /// A second `op` key names another op. `parse_json` keeps the last of
-    /// duplicate keys, so the whole line decides what this request is.
-    Fallback,
-    /// A batch-level protocol error; respond and drain the line.
-    Error(Json),
-    /// Canonical: control fields parsed, `requests` array opened.
-    Commit {
-        /// Bytes consumed through the `[` of `requests`.
-        consumed: usize,
-        state: BatchState,
-    },
+impl Batch {
+    /// Hand out entries in request order while the in-flight cap allows.
+    fn dispatch(&mut self, actions: &mut Vec<Action>) {
+        while self.sent < self.entries.len() && self.sent - self.done < self.cap {
+            let (start, end) = self.entries[self.sent];
+            actions.push(Action::Entry {
+                idx: self.sent,
+                text: String::from_utf8_lossy(&self.line[start..end]).into_owned(),
+                timeout_ms: self.timeout_ms,
+                defaults: Arc::clone(&self.defaults),
+            });
+            self.sent += 1;
+        }
+    }
+
+    /// Queue the aggregate response: keys in sorted order, as every other
+    /// response renders, and the results in request order.
+    fn respond(self, out: &mut Vec<u8>) {
+        let body: usize = self.results.iter().flatten().map(|d| d.len() + 1).sum();
+        out.reserve(body + 64);
+        out.extend_from_slice(b"{\"n\":");
+        out.extend_from_slice(self.results.len().to_string().as_bytes());
+        out.extend_from_slice(b",\"ok\":true,\"op\":\"compile_batch\",\"results\":[");
+        for (i, slot) in self.results.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            out.extend_from_slice(slot.as_deref().expect("every entry answered").as_bytes());
+        }
+        out.extend_from_slice(b"]}\n");
+    }
 }
 
 /// One connection's protocol state.
 pub(crate) struct Conn {
     /// Unconsumed wire bytes.
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for a newline.
+    scanned: usize,
     /// Pending response bytes.
     out: Vec<u8>,
     /// How much of `out` has been written to the socket.
     out_pos: usize,
-    mode: Mode,
-    batch: Option<BatchState>,
+    /// The batch whose entries are being answered, if any.
+    batch: Option<Batch>,
     /// A stand-alone line job is in flight on a worker.
     pub(crate) busy: bool,
     /// Close once `out` drains.
@@ -161,9 +144,6 @@ pub(crate) struct Conn {
     pub(crate) peer_closed: bool,
     /// Last wire activity (read bytes or write progress), for idle sweeps.
     pub(crate) last_activity: Instant,
-    /// Batch generation; bumped on abort/finish so late entry results from
-    /// a dead batch are dropped.
-    gen: u64,
 }
 
 fn push_doc(out: &mut Vec<u8>, doc: &Json) {
@@ -171,23 +151,18 @@ fn push_doc(out: &mut Vec<u8>, doc: &Json) {
     out.push(b'\n');
 }
 
-fn find_newline(buf: &[u8]) -> Option<usize> {
-    buf.iter().position(|&b| b == b'\n')
-}
-
 impl Conn {
     pub(crate) fn new() -> Conn {
         Conn {
             buf: Vec::new(),
+            scanned: 0,
             out: Vec::new(),
             out_pos: 0,
-            mode: Mode::Line,
             batch: None,
             busy: false,
             closing: false,
             peer_closed: false,
             last_activity: Instant::now(),
-            gen: 0,
         }
     }
 
@@ -225,25 +200,20 @@ impl Conn {
 
     /// Whether the reactor should keep READ interest: back-pressure pauses
     /// reads while a response is unflushed, a line job is in flight, or a
-    /// batch has no free in-flight slot.
+    /// batch is being answered.
     pub(crate) fn wants_read(&self) -> bool {
-        if self.closing || self.peer_closed || self.busy || self.has_pending_write() {
-            return false;
-        }
-        match self.mode {
-            Mode::Line | Mode::WholeLine | Mode::DrainLine => true,
-            Mode::Batch => match &self.batch {
-                Some(st) => st.phase != Phase::Await && st.inflight < st.cap,
-                None => true,
-            },
-        }
+        !(self.closing
+            || self.peer_closed
+            || self.busy
+            || self.batch.is_some()
+            || self.has_pending_write())
     }
 
     /// Whether the server itself owes this connection work (a line job or
-    /// batch entries in flight). Such connections are exempt from the idle
-    /// sweep — the slowness is ours, not the client's.
+    /// a batch in flight). Such connections are exempt from the idle sweep
+    /// — the slowness is ours, not the client's.
     pub(crate) fn waiting_on_server(&self) -> bool {
-        self.busy || self.batch.as_ref().is_some_and(|st| st.inflight > 0)
+        self.busy || self.batch.is_some()
     }
 
     /// Queue a rendered response for a stand-alone line and clear `busy`.
@@ -259,19 +229,14 @@ impl Conn {
         self.closing = true;
     }
 
-    /// Deliver one batch entry's rendered result. Stale generations (from
-    /// an aborted batch) are dropped. Call [`Conn::advance`] afterwards:
-    /// the freed in-flight slot may unblock parsing, and the last result
-    /// triggers the aggregate response.
-    pub(crate) fn on_entry_result(&mut self, gen: u64, idx: usize, doc: Arc<str>) {
-        if gen != self.gen {
-            return;
-        }
-        if let Some(st) = self.batch.as_mut() {
-            if let Some(slot @ None) = st.results.get_mut(idx) {
+    /// Deliver one batch entry's rendered result. Call [`Conn::advance`]
+    /// afterwards: the freed in-flight slot lets the next entry leave, and
+    /// the last result queues the aggregate response.
+    pub(crate) fn on_entry_result(&mut self, idx: usize, doc: Arc<str>) {
+        if let Some(batch) = self.batch.as_mut() {
+            if let Some(slot @ None) = batch.results[..batch.sent].get_mut(idx) {
                 *slot = Some(doc);
-                st.done += 1;
-                st.inflight -= 1;
+                batch.done += 1;
             }
         }
     }
@@ -282,504 +247,240 @@ impl Conn {
     /// a free in-flight slot, or an entry result is needed.
     pub(crate) fn advance(&mut self, limits: &ConnLimits, stats: &StatsRegistry) -> Vec<Action> {
         let mut actions = Vec::new();
-        loop {
-            if self.closing {
-                break;
+        while !self.closing && !self.busy {
+            if let Some(batch) = self.batch.as_mut() {
+                batch.dispatch(&mut actions);
+                if batch.done < batch.entries.len() {
+                    break;
+                }
+                if let Some(batch) = self.batch.take() {
+                    batch.respond(&mut self.out);
+                }
+                continue;
             }
-            let progressed = match self.mode {
-                Mode::Line => self.step_line(limits, stats, &mut actions),
-                Mode::WholeLine => self.step_whole_line(limits, stats, &mut actions),
-                Mode::Batch => self.step_batch(limits, stats, &mut actions),
-                Mode::DrainLine => self.step_drain(),
-            };
-            if matches!(actions.last(), Some(Action::Line(_))) || !progressed {
+            let Some(line) = self.next_line(limits, stats, &mut actions) else {
                 break;
+            };
+            match read_line(line, limits) {
+                Read::Line(line) => {
+                    let line = String::from_utf8_lossy(&line).trim().to_string();
+                    if !line.is_empty() {
+                        actions.push(Action::Line(line));
+                        break;
+                    }
+                }
+                Read::Batch(batch) => {
+                    stats.batch();
+                    self.batch = Some(batch);
+                }
+                Read::Fault(message) => {
+                    stats.error();
+                    push_doc(&mut self.out, &error_response(message));
+                }
             }
         }
         actions
     }
 
-    fn oversize(&mut self, stats: &StatsRegistry, actions: &mut Vec<Action>) {
-        stats.oversize_close();
-        push_doc(
-            &mut self.out,
-            &error_response("request line exceeds the server's length limit"),
-        );
-        self.closing = true;
-        actions.push(Action::CloseAfterFlush);
-    }
-
-    fn step_line(
+    /// Take the next complete line off the wire bytes, without its newline,
+    /// skipping blank space between lines. `None` when no line is complete
+    /// yet, or when the line is longer than the limit: the typed error is
+    /// then queued and the connection closes after it.
+    fn next_line(
         &mut self,
         limits: &ConnLimits,
         stats: &StatsRegistry,
         actions: &mut Vec<Action>,
-    ) -> bool {
-        if self.busy {
-            return false;
-        }
-        // Blank space between lines (including the newlines themselves) is
-        // skipped.
-        let lead = self
-            .buf
-            .iter()
-            .take_while(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-            .count();
-        if lead > 0 {
+    ) -> Option<Vec<u8>> {
+        if self.scanned == 0 {
+            let lead = self
+                .buf
+                .iter()
+                .take_while(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
+                .count();
             self.buf.drain(..lead);
         }
-        if self.buf.is_empty() {
-            return false;
+        let newline = self.buf[self.scanned..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map(|i| self.scanned + i);
+        if newline.unwrap_or(self.buf.len()) > limits.max_line_bytes {
+            stats.oversize_close();
+            push_doc(
+                &mut self.out,
+                &error_response("request line exceeds the server's length limit"),
+            );
+            self.closing = true;
+            actions.push(Action::CloseAfterFlush);
+            return None;
         }
-        let probe = self.buf.len().min(BATCH_PREFIX.len());
-        if self.buf[..probe] != BATCH_PREFIX[..probe] {
-            self.mode = Mode::WholeLine;
-            return true;
-        }
-        if self.buf.len() < BATCH_PREFIX.len() {
-            return false; // prefix still undecided — a handful of bytes
-        }
-        let header = match find_newline(&self.buf) {
-            // The whole line is here: every outcome is decidable now.
-            Some(i) => header_of(&self.buf[..i], limits, true),
-            None => header_of(&self.buf, limits, false),
+        let Some(end) = newline else {
+            self.scanned = self.buf.len();
+            return None;
         };
-        match header {
-            Header::NeedMore => {
-                if self.buf.len() > limits.max_line_bytes {
-                    self.oversize(stats, actions);
-                    return true;
-                }
-                false
-            }
-            Header::Fallback => {
-                self.mode = Mode::WholeLine;
-                true
-            }
-            Header::Error(doc) => {
-                stats.error();
-                push_doc(&mut self.out, &doc);
-                self.mode = Mode::DrainLine;
-                true
-            }
-            Header::Commit { consumed, state } => {
-                self.buf.drain(..consumed);
-                stats.batch();
-                self.batch = Some(state);
-                self.mode = Mode::Batch;
-                true
-            }
-        }
-    }
-
-    fn step_whole_line(
-        &mut self,
-        limits: &ConnLimits,
-        stats: &StatsRegistry,
-        actions: &mut Vec<Action>,
-    ) -> bool {
-        if self.busy {
-            return false;
-        }
-        match find_newline(&self.buf) {
-            None => {
-                if self.buf.len() > limits.max_line_bytes {
-                    self.oversize(stats, actions);
-                    return true;
-                }
-                false
-            }
-            Some(i) => {
-                self.mode = Mode::Line;
-                if let Some(canonical) = canonical_batch(&self.buf[..i]) {
-                    // Never longer than the line it replaces; `step_line`
-                    // streams it on the next turn.
-                    self.buf.splice(..i, canonical);
-                    return true;
-                }
-                let line = String::from_utf8_lossy(&self.buf[..i]).trim().to_string();
-                self.buf.drain(..=i);
-                if !line.is_empty() {
-                    actions.push(Action::Line(line));
-                }
-                true
-            }
-        }
-    }
-
-    fn step_batch(
-        &mut self,
-        limits: &ConnLimits,
-        stats: &StatsRegistry,
-        actions: &mut Vec<Action>,
-    ) -> bool {
-        enum Fate {
-            More,
-            Stall,
-            StallMaybeOversize,
-            Abort { doc: Json, line_consumed: bool },
-            Finish,
-        }
-        let gen = self.gen;
-        let fate = {
-            let Some(st) = self.batch.as_mut() else {
-                self.mode = Mode::Line;
-                return true;
-            };
-            let buf = &mut self.buf;
-            match st.phase {
-                Phase::Entry => {
-                    let mut pos = 0;
-                    js::skip_ws(buf, &mut pos);
-                    if pos > 0 {
-                        buf.drain(..pos);
-                    }
-                    match buf.first() {
-                        None => Fate::Stall,
-                        Some(b']') => {
-                            buf.drain(..1);
-                            st.total = Some(st.next_idx);
-                            st.phase = Phase::Tail;
-                            Fate::More
-                        }
-                        Some(_) if st.inflight >= st.cap => Fate::Stall,
-                        Some(_) => match js::scan_value(buf, 0) {
-                            Err(_) => Fate::Abort {
-                                doc: error_response("malformed `requests` array"),
-                                line_consumed: false,
-                            },
-                            Ok(Scan::Partial) => Fate::StallMaybeOversize,
-                            Ok(Scan::Complete(end)) => {
-                                let text = String::from_utf8_lossy(&buf[..end]).into_owned();
-                                buf.drain(..end);
-                                actions.push(Action::Entry {
-                                    gen,
-                                    idx: st.next_idx,
-                                    text,
-                                    timeout_ms: st.timeout_ms,
-                                    defaults: Arc::clone(&st.defaults),
-                                });
-                                st.results.push(None);
-                                st.next_idx += 1;
-                                st.inflight += 1;
-                                st.phase = Phase::Separator;
-                                Fate::More
-                            }
-                        },
-                    }
-                }
-                Phase::Separator => {
-                    let mut pos = 0;
-                    js::skip_ws(buf, &mut pos);
-                    if pos > 0 {
-                        buf.drain(..pos);
-                    }
-                    match buf.first() {
-                        None => Fate::Stall,
-                        Some(b',') => {
-                            buf.drain(..1);
-                            st.phase = Phase::Entry;
-                            Fate::More
-                        }
-                        Some(b']') => {
-                            buf.drain(..1);
-                            st.total = Some(st.next_idx);
-                            st.phase = Phase::Tail;
-                            Fate::More
-                        }
-                        Some(_) => Fate::Abort {
-                            doc: error_response("expected `,` or `]` in `requests`"),
-                            line_consumed: false,
-                        },
-                    }
-                }
-                Phase::Tail => match find_newline(buf) {
-                    None => Fate::StallMaybeOversize,
-                    Some(i) => {
-                        let line = &buf[..i];
-                        let mut pos = 0;
-                        js::skip_ws(line, &mut pos);
-                        let fate = if line.get(pos) != Some(&b'}') {
-                            Fate::Abort {
-                                doc: error_response(
-                                    "compile_batch fields after `requests` are not supported",
-                                ),
-                                line_consumed: true,
-                            }
-                        } else {
-                            pos += 1;
-                            js::skip_ws(line, &mut pos);
-                            if pos != line.len() {
-                                Fate::Abort {
-                                    doc: error_response("trailing characters after document"),
-                                    line_consumed: true,
-                                }
-                            } else {
-                                st.phase = Phase::Await;
-                                Fate::More
-                            }
-                        };
-                        buf.drain(..=i);
-                        fate
-                    }
-                },
-                Phase::Await => {
-                    if st.total == Some(st.done) {
-                        Fate::Finish
-                    } else {
-                        Fate::Stall
-                    }
-                }
-            }
-        };
-        match fate {
-            Fate::More => true,
-            Fate::Stall => false,
-            Fate::StallMaybeOversize => {
-                if self.buf.len() > limits.max_line_bytes {
-                    self.batch = None;
-                    self.gen += 1;
-                    self.oversize(stats, actions);
-                    return true;
-                }
-                false
-            }
-            Fate::Abort { doc, line_consumed } => {
-                self.batch = None;
-                self.gen += 1;
-                stats.error();
-                push_doc(&mut self.out, &doc);
-                self.mode = if line_consumed {
-                    Mode::Line
-                } else {
-                    Mode::DrainLine
-                };
-                true
-            }
-            Fate::Finish => {
-                let st = self.batch.take().expect("finishing batch state");
-                self.gen += 1;
-                self.mode = Mode::Line;
-                let n = st.results.len();
-                let body: usize = st
-                    .results
-                    .iter()
-                    .map(|r| r.as_ref().map_or(0, |d| d.len() + 1))
-                    .sum();
-                // Keys in sorted order, as every other response renders.
-                let mut out = String::with_capacity(body + 64);
-                out.push_str("{\"n\":");
-                out.push_str(&n.to_string());
-                out.push_str(",\"ok\":true,\"op\":\"compile_batch\",\"results\":[");
-                for (i, slot) in st.results.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(slot.as_deref().expect("all batch slots filled"));
-                }
-                out.push_str("]}\n");
-                self.out.extend_from_slice(out.as_bytes());
-                true
-            }
-        }
-    }
-
-    fn step_drain(&mut self) -> bool {
-        match find_newline(&self.buf) {
-            Some(i) => {
-                self.buf.drain(..=i);
-                self.mode = Mode::Line;
-                true
-            }
-            None => {
-                // Everything buffered belongs to the doomed line.
-                self.buf.clear();
-                false
-            }
-        }
+        self.scanned = 0;
+        let rest = self.buf.split_off(end + 1);
+        let mut line = std::mem::replace(&mut self.buf, rest);
+        line.truncate(end);
+        Some(line)
     }
 }
 
-/// Parse the control-field prefix of a canonical batch line. `strict` means
-/// the slice is a complete line (a newline followed it), so parse failures
-/// are final; otherwise failures mean "wait for more bytes". The walk
-/// follows `parse_json`'s grammar, so a syntax error reads as `parse_json`
-/// would report it. Unknown control fields are skipped unparsed. A complete
-/// line always commits or errors, unless a second `op` key names another op.
-fn header_of(bytes: &[u8], limits: &ConnLimits, strict: bool) -> Header {
-    let syntax = |e: JsonParseError| {
-        if strict {
-            Header::Error(error_response(e.to_string()))
-        } else {
-            Header::NeedMore
-        }
-    };
-    let missing_requests =
-        || Header::Error(error_response("compile_batch op missing `requests` array"));
-    let mut pos = BATCH_PREFIX.len();
-    let mut timeout_ms: Option<u64> = None;
-    let mut requested = limits.opts.batch_parallelism;
-    let mut defaults = BatchDefaults::default();
-    loop {
-        js::skip_ws(bytes, &mut pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => {
-                pos += 1;
-                js::skip_ws(bytes, &mut pos);
-                return match (strict, pos == bytes.len()) {
-                    (false, _) => Header::NeedMore,
-                    (true, true) => missing_requests(),
-                    (true, false) => syntax(js::fail(pos, "trailing characters after document")),
-                };
-            }
-            _ => return syntax(js::fail(pos, "expected `,` or `}`")),
-        }
-        js::skip_ws(bytes, &mut pos);
-        let key = match js::parse_key(bytes, &mut pos) {
-            Ok(k) => k,
-            Err(e) => return syntax(e),
-        };
-        js::skip_ws(bytes, &mut pos);
-        if let Err(e) = js::expect(bytes, &mut pos, b':') {
-            return syntax(e);
-        }
-        if key.as_ref() == "requests" {
-            js::skip_ws(bytes, &mut pos);
-            return match bytes.get(pos) {
-                None => syntax(js::fail(pos, "unexpected end of input")),
-                Some(b'[') => {
-                    let cap = requested.min(limits.opts.batch_parallelism).max(1);
-                    Header::Commit {
-                        consumed: pos + 1,
-                        state: BatchState {
-                            phase: Phase::Entry,
-                            timeout_ms,
-                            cap,
-                            defaults: Arc::new(defaults),
-                            next_idx: 0,
-                            results: Vec::new(),
-                            done: 0,
-                            inflight: 0,
-                            total: None,
-                        },
-                    }
-                }
-                Some(_) => missing_requests(),
-            };
-        }
-        let control = matches!(
-            key.as_ref(),
-            "op" | "timeout_ms" | "parallelism" | "defaults"
-        );
-        // A value must be complete before it is interpreted or skipped; on
-        // a complete line the parser below reports what is wrong with it.
-        match js::scan_value(bytes, pos) {
-            Ok(Scan::Complete(end)) if !control => {
-                pos = end;
-                continue;
-            }
-            Ok(Scan::Complete(_)) => {}
-            _ if !strict => return Header::NeedMore,
-            _ => {}
-        }
-        let value = match js::parse_value(bytes, &mut pos) {
-            Ok(v) => v,
-            Err(e) => return syntax(e),
-        };
-        match key.as_ref() {
-            "op" if value.as_str() != Some("compile_batch") => return Header::Fallback,
-            "timeout_ms" => match value.as_f64() {
-                Some(ms) if ms >= 0.0 => timeout_ms = Some(ms as u64),
-                _ => return Header::Error(error_response("bad `timeout_ms`")),
-            },
-            "parallelism" => match value.as_f64() {
-                Some(p) if p >= 1.0 => requested = p as usize,
-                _ => return Header::Error(error_response("bad `parallelism`")),
-            },
-            "defaults" => {
-                defaults = BatchDefaults {
-                    machine: value
-                        .get("machine")
-                        .and_then(Json::as_str)
-                        .map(str::to_string),
-                    config: value
-                        .get("config")
-                        .and_then(Json::as_str)
-                        .map(str::to_string),
-                };
-            }
-            _ => {}
-        }
+/// What one complete line is, as [`read_line`] reads it.
+enum Read {
+    /// Not a batch: the line goes to a worker whole.
+    Line(Vec<u8>),
+    /// A batch, checked and split into entries.
+    Batch(Batch),
+    /// A batch answered with this error; none of its entries runs.
+    Fault(String),
+}
+
+/// Read a complete line. It is a batch when its top-level `op`, decoded as
+/// `parse_json` decodes it, is `compile_batch`. A line the walk cannot
+/// finish is a batch only if an `op` read before the fault said so;
+/// otherwise it goes to a worker, whose parser reports the fault.
+fn read_line(line: Vec<u8>, limits: &ConnLimits) -> Read {
+    let mut head = Head::default();
+    let walked = walk(&line, &mut head);
+    if !head.batch {
+        return Read::Line(line);
+    }
+    match walked {
+        Err(message) => Read::Fault(message),
+        Ok(()) => match head.into_batch(line, limits) {
+            Ok(batch) => Read::Batch(batch),
+            Err(message) => Read::Fault(message.to_string()),
+        },
     }
 }
 
-/// The canonical spelling of a complete `compile_batch` line written with
-/// another key order or layout, or `None` when the line is not a batch.
-///
-/// The top-level values are found with [`js::scan_value`] and copied as
-/// bytes, so only `op` is parsed here; [`header_of`] then checks the
-/// control values as it does on a canonical line. `op` is decoded as
-/// `parse_json` decodes it, the last of duplicate keys winning, except that
-/// a first key `op` naming another op settles the line at once: a
-/// `{"op":"compile",…}` line costs one short decode, not a pass. The kept
-/// fields follow [`BATCH_PREFIX`] with `requests` last; other keys are
-/// dropped. The result is never longer than `line` and holds one `op` key,
-/// so [`header_of`] commits or errors on it and never hands it back.
-fn canonical_batch(line: &[u8]) -> Option<Vec<u8>> {
-    const KEPT: [&str; 4] = ["timeout_ms", "parallelism", "defaults", "requests"];
-    let mut spans: [Option<(usize, usize)>; 4] = [None; 4];
-    let mut is_batch = false;
-    let mut first = true;
+/// The top-level fields [`walk`] read. A later duplicate key replaces an
+/// earlier one, as `parse_json` keeps the last.
+#[derive(Default)]
+struct Head {
+    /// The last `op` read names `compile_batch`.
+    batch: bool,
+    timeout_ms: Option<Json>,
+    parallelism: Option<Json>,
+    defaults: Option<Json>,
+    /// Entry spans of `requests`; `None` when it is missing or no array.
+    requests: Option<Vec<(usize, usize)>>,
+}
+
+impl Head {
+    /// Check the fields of a batch line in one fixed order, so that every
+    /// spelling of a batch fails alike, and set the batch up.
+    fn into_batch(self, line: Vec<u8>, limits: &ConnLimits) -> Result<Batch, &'static str> {
+        let timeout_ms = match self.timeout_ms.as_ref().map(Json::as_f64) {
+            None => None,
+            Some(Some(ms)) if ms >= 0.0 => Some(ms as u64),
+            Some(_) => return Err("bad `timeout_ms`"),
+        };
+        let parallelism = match self.parallelism.as_ref().map(Json::as_f64) {
+            None => limits.opts.batch_parallelism,
+            Some(Some(p)) if p >= 1.0 => p as usize,
+            Some(_) => return Err("bad `parallelism`"),
+        };
+        let entries = self
+            .requests
+            .ok_or("compile_batch op missing `requests` array")?;
+        let default = |key| {
+            let value = self.defaults.as_ref()?.get(key)?;
+            value.as_str().map(str::to_string)
+        };
+        Ok(Batch {
+            line,
+            results: vec![None; entries.len()],
+            entries,
+            timeout_ms,
+            cap: parallelism.min(limits.opts.batch_parallelism).max(1),
+            defaults: Arc::new(BatchDefaults {
+                machine: default("machine"),
+                config: default("config"),
+            }),
+            sent: 0,
+            done: 0,
+        })
+    }
+}
+
+/// One walk over a line's top-level object. `op` and the control fields
+/// are parsed, `requests` is split into entry spans, and every other value
+/// is skipped unparsed. A first key `op` naming another op settles the
+/// line at once, so a `compile` line costs one short decode. Keys and
+/// parsed values follow `parse_json`'s grammar, so a syntax error there
+/// reads as `parse_json` reports it; skipped values are only scanned.
+fn walk(line: &[u8], head: &mut Head) -> Result<(), String> {
+    let syntax = |e: js::JsonParseError| e.to_string();
+    let parse = |pos: &mut usize| js::parse_value(line, pos).map_err(syntax);
     let mut pos = 0;
-    js::skip_ws(line, &mut pos);
-    js::expect(line, &mut pos, b'{').ok()?;
+    js::expect(line, &mut pos, b'{').map_err(syntax)?;
+    let mut first = true;
     loop {
         js::skip_ws(line, &mut pos);
-        let key = js::parse_key(line, &mut pos).ok()?;
+        let key = js::parse_key(line, &mut pos).map_err(syntax)?;
         js::skip_ws(line, &mut pos);
-        js::expect(line, &mut pos, b':').ok()?;
+        js::expect(line, &mut pos, b':').map_err(syntax)?;
         js::skip_ws(line, &mut pos);
-        let start = pos;
-        if key.as_ref() == "op" {
-            is_batch = js::parse_value(line, &mut pos).ok()?.as_str() == Some("compile_batch");
-            if first && !is_batch {
-                return None;
+        match key.as_ref() {
+            "op" => {
+                head.batch = parse(&mut pos)?.as_str() == Some("compile_batch");
+                if first && !head.batch {
+                    return Ok(());
+                }
             }
-        } else {
-            match js::scan_value(line, pos) {
-                Ok(Scan::Complete(end)) => pos = end,
-                _ => return None,
-            }
-        }
-        if let Some(k) = KEPT.iter().position(|k| *k == key.as_ref()) {
-            spans[k] = Some((start, pos));
+            "timeout_ms" => head.timeout_ms = Some(parse(&mut pos)?),
+            "parallelism" => head.parallelism = Some(parse(&mut pos)?),
+            "defaults" => head.defaults = Some(parse(&mut pos)?),
+            "requests" => head.requests = entry_spans(line, &mut pos)?,
+            _ => pos = js::scan_value(line, pos).map_err(syntax)?,
         }
         first = false;
         js::skip_ws(line, &mut pos);
         match line.get(pos) {
             Some(b',') => pos += 1,
             Some(b'}') => break,
-            _ => return None,
+            _ => return Err(syntax(js::fail(pos, "expected `,` or `}`"))),
         }
     }
     pos += 1;
     js::skip_ws(line, &mut pos);
-    if !is_batch || pos != line.len() {
-        return None;
+    if pos != line.len() {
+        return Err(syntax(js::fail(pos, "trailing characters after document")));
     }
-    let mut out = Vec::with_capacity(line.len());
-    out.extend_from_slice(BATCH_PREFIX);
-    for (name, span) in KEPT.iter().zip(spans) {
-        if let Some((a, b)) = span {
-            out.extend_from_slice(b",\"");
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(b"\":");
-            out.extend_from_slice(&line[a..b]);
+    Ok(())
+}
+
+/// Split the `requests` value at `pos` into entry spans with
+/// [`js::scan_value`], leaving `pos` after it; `None` when the value is
+/// not an array. The entries are scanned, never parsed.
+fn entry_spans(line: &[u8], pos: &mut usize) -> Result<Option<Vec<(usize, usize)>>, String> {
+    if line.get(*pos) != Some(&b'[') {
+        *pos = js::scan_value(line, *pos).map_err(|e| e.to_string())?;
+        return Ok(None);
+    }
+    *pos += 1;
+    let mut spans = Vec::new();
+    loop {
+        js::skip_ws(line, pos);
+        if line.get(*pos) == Some(&b']') {
+            *pos += 1;
+            return Ok(Some(spans));
+        }
+        let end = js::scan_value(line, *pos).map_err(|_| "malformed `requests` array")?;
+        spans.push((*pos, end));
+        *pos = end;
+        js::skip_ws(line, pos);
+        match line.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b']') => {
+                *pos += 1;
+                return Ok(Some(spans));
+            }
+            _ => return Err("expected `,` or `]` in `requests`".into()),
         }
     }
-    out.push(b'}');
-    Some(out)
 }
 
 #[cfg(test)]
@@ -860,33 +561,31 @@ mod tests {
             .iter()
             .filter_map(|a| match a {
                 Action::Entry {
-                    gen,
                     idx,
                     text,
                     timeout_ms,
                     defaults,
-                } => Some((*gen, *idx, text.clone(), *timeout_ms, Arc::clone(defaults))),
+                } => Some((*idx, text.clone(), *timeout_ms, Arc::clone(defaults))),
                 _ => None,
             })
             .collect();
         assert_eq!(entries.len(), 2, "{actions:?}");
-        assert_eq!(entries[0].1, 0);
-        assert_eq!(entries[0].2, "{\"loop\":\"a\"}");
-        assert_eq!(entries[0].3, Some(100));
-        assert_eq!(entries[0].4.machine.as_deref(), Some("m"));
-        assert_eq!(entries[0].4.config.as_deref(), Some("c"));
-        assert!(!conn.wants_read(), "cap reached: reads pause");
+        assert_eq!(entries[0].0, 0);
+        assert_eq!(entries[0].1, "{\"loop\":\"a\"}");
+        assert_eq!(entries[0].2, Some(100));
+        assert_eq!(entries[0].3.machine.as_deref(), Some("m"));
+        assert_eq!(entries[0].3.config.as_deref(), Some("c"));
+        assert!(!conn.wants_read(), "an active batch pauses reads");
         // Completing slot 1 first exercises out-of-order reassembly and
         // frees budget for the third entry.
-        let gen = entries[0].0;
-        conn.on_entry_result(gen, 1, Arc::from("{\"r\":1}"));
+        conn.on_entry_result(1, Arc::from("{\"r\":1}"));
         let more = conn.advance(&limits, &stats);
         assert!(
             matches!(more.as_slice(), [Action::Entry { idx: 2, .. }]),
             "{more:?}"
         );
-        conn.on_entry_result(gen, 0, Arc::from("{\"r\":0}"));
-        conn.on_entry_result(gen, 2, Arc::from("{\"r\":2}"));
+        conn.on_entry_result(0, Arc::from("{\"r\":0}"));
+        conn.on_entry_result(2, Arc::from("{\"r\":2}"));
         assert!(conn.advance(&limits, &stats).is_empty());
         assert_eq!(
             out_str(&conn),
@@ -894,27 +593,6 @@ mod tests {
              \"results\":[{\"r\":0},{\"r\":1},{\"r\":2}]}\n"
         );
         assert_eq!(stats.snapshot().batches, 1);
-    }
-
-    #[test]
-    fn batch_streams_before_the_line_completes() {
-        let (limits, stats) = (limits(), StatsRegistry::new());
-        let mut conn = Conn::new();
-        // Header plus one complete entry — the `]` is still on the wire.
-        conn.push_bytes(b"{\"op\":\"compile_batch\",\"requests\":[{\"loop\":\"a\"},");
-        let actions = conn.advance(&limits, &stats);
-        assert!(
-            matches!(actions.as_slice(), [Action::Entry { idx: 0, .. }]),
-            "entry dispatched mid-line: {actions:?}"
-        );
-        // Rest of the line arrives; result lands; response renders.
-        conn.push_bytes(b"{\"loop\":\"b\"}]}\n");
-        let actions = conn.advance(&limits, &stats);
-        assert!(matches!(actions.as_slice(), [Action::Entry { idx: 1, .. }]));
-        conn.on_entry_result(conn.gen, 0, Arc::from("{\"r\":0}"));
-        conn.on_entry_result(conn.gen, 1, Arc::from("{\"r\":1}"));
-        assert!(conn.advance(&limits, &stats).is_empty());
-        assert!(out_str(&conn).starts_with("{\"n\":2,"));
     }
 
     #[test]
@@ -943,11 +621,10 @@ mod tests {
         let mut dispatched = Vec::new();
         let mut pending = Vec::new();
         let mut peak = 0;
-        let mut take = |actions: Vec<Action>, pending: &mut Vec<(u64, usize)>| {
+        let mut take = |actions: Vec<Action>, pending: &mut Vec<usize>| {
             for action in actions {
                 match action {
                     Action::Entry {
-                        gen,
                         idx,
                         text,
                         timeout_ms,
@@ -960,7 +637,7 @@ mod tests {
                             defaults.machine.clone(),
                             defaults.config.clone(),
                         ));
-                        pending.push((gen, idx));
+                        pending.push(idx);
                     }
                     other => panic!("expected only entries, got {other:?}"),
                 }
@@ -977,8 +654,8 @@ mod tests {
             peak = peak.max(pending.len());
         }
         while !pending.is_empty() {
-            let (gen, idx) = pending.remove(0);
-            conn.on_entry_result(gen, idx, Arc::from(format!("{{\"r\":{idx}}}")));
+            let idx = pending.remove(0);
+            conn.on_entry_result(idx, Arc::from(format!("{{\"r\":{idx}}}")));
             take(conn.advance(&limits, &stats), &mut pending);
             peak = peak.max(pending.len());
         }
@@ -990,7 +667,7 @@ mod tests {
         let canonical: &[u8] = b"{\"op\":\"compile_batch\",\"timeout_ms\":100,\"parallelism\":2,\
             \"defaults\":{\"config\":\"c\",\"machine\":\"m\"},\
             \"requests\":[{\"loop\":\"a\"},{\"loop\":\"b\"},{\"loop\":\"c\"}]}\n";
-        let spellings: [&[u8]; 3] = [
+        let spellings: [&[u8]; 4] = [
             // `requests` first, the control fields and `op` after it.
             b"{\"requests\":[{\"loop\":\"a\"},{\"loop\":\"b\"},{\"loop\":\"c\"}],\
               \"timeout_ms\":100,\"parallelism\":2,\
@@ -1003,6 +680,11 @@ mod tests {
             b"{\"op\":\"compile_batch\",\"zzz\":1,\"timeout_ms\":100,\"parallelism\":2,\
               \"defaults\":{\"config\":\"c\",\"machine\":\"m\"},\
               \"requests\":[{\"loop\":\"a\"},{\"loop\":\"b\"},{\"loop\":\"c\"}]}\n",
+            // The canonical prefix with a control field after `requests`.
+            b"{\"op\":\"compile_batch\",\"parallelism\":2,\
+              \"defaults\":{\"config\":\"c\",\"machine\":\"m\"},\
+              \"requests\":[{\"loop\":\"a\"},{\"loop\":\"b\"},{\"loop\":\"c\"}],\
+              \"timeout_ms\":100}\n",
         ];
         let expected = stream_batch(canonical, false);
         let (entries, peak, out, batches) = &expected;
@@ -1041,6 +723,9 @@ mod tests {
             "{\"op\": \"ping\"}",
             // `parse_json` keeps the last of duplicate keys: not a batch.
             "{\"op\":\"compile_batch\",\"op\":\"ping\",\"requests\":[]}",
+            // A first key `op` naming another op settles the line; the
+            // worker answers the later duplicate as an unknown op.
+            "{\"op\":\"ping\",\"op\":\"compile_batch\",\"requests\":[]}",
             "not json",
         ] {
             let mut conn = Conn::new();
@@ -1071,7 +756,7 @@ mod tests {
                 "compile_batch op missing `requests` array",
             ),
             // No `requests` key at all, in both spellings: an error, never a
-            // whole line for a worker and never a rewrite loop.
+            // whole line for a worker.
             (
                 "{\"op\": \"compile_batch\"}",
                 "compile_batch op missing `requests` array",
@@ -1101,32 +786,16 @@ mod tests {
     }
 
     #[test]
-    fn control_fields_after_requests_are_rejected() {
-        let (limits, stats) = (limits(), StatsRegistry::new());
-        let mut conn = Conn::new();
-        conn.push_bytes(b"{\"op\":\"compile_batch\",\"requests\":[],\"timeout_ms\":5}\n");
-        assert!(conn.advance(&limits, &stats).is_empty());
-        let out = out_str(&conn);
-        assert!(out.contains("\"ok\":false"), "{out}");
-        assert!(out.contains("after `requests`"), "{out}");
-        assert_eq!(stats.snapshot().errors, 1);
-        // The connection survives: a later line still parses.
-        conn.consume_written(conn.pending_write().unwrap().len());
-        conn.push_bytes(b"{\"op\":\"ping\"}\n");
-        assert_eq!(conn.advance(&limits, &stats).len(), 1);
-    }
-
-    #[test]
     fn bad_timeout_in_header_errors_and_drains_the_line() {
         let (limits, stats) = (limits(), StatsRegistry::new());
         let mut conn = Conn::new();
         conn.push_bytes(b"{\"op\":\"compile_batch\",\"timeout_ms\":-3,\"requests\":[");
         assert!(conn.advance(&limits, &stats).is_empty());
-        assert!(out_str(&conn).contains("bad `timeout_ms`"));
-        // The rest of the doomed line is discarded; the next line works.
-        conn.consume_written(conn.pending_write().unwrap().len());
+        assert_eq!(out_str(&conn), "", "nothing is answered before the newline");
+        // The line completes: it errors, and the next line works.
         conn.push_bytes(b"{\"loop\":\"x\"}]}\n{\"op\":\"ping\"}\n");
         let actions = conn.advance(&limits, &stats);
+        assert!(out_str(&conn).contains("bad `timeout_ms`"));
         assert!(
             matches!(actions.as_slice(), [Action::Line(l)] if l.contains("ping")),
             "{actions:?}"
@@ -1134,24 +803,57 @@ mod tests {
     }
 
     #[test]
-    fn aborted_batch_drops_stale_entry_results() {
+    fn malformed_batch_dispatches_no_entry() {
         let (limits, stats) = (limits(), StatsRegistry::new());
         let mut conn = Conn::new();
         conn.push_bytes(b"{\"op\":\"compile_batch\",\"requests\":[{\"loop\":\"a\"},");
-        let actions = conn.advance(&limits, &stats);
-        let gen = match actions.as_slice() {
-            [Action::Entry { gen, .. }] => *gen,
-            other => panic!("expected entry, got {other:?}"),
-        };
-        // Garbage where the next entry should be: batch aborts.
+        assert!(conn.advance(&limits, &stats).is_empty());
+        // Garbage where the next entry should be: the batch is answered
+        // with its error, and entry 0 never leaves.
         conn.push_bytes(b":::\n");
         assert!(conn.advance(&limits, &stats).is_empty());
-        assert!(out_str(&conn).contains("\"ok\":false"));
-        // The late result from the aborted batch is silently dropped.
-        conn.on_entry_result(gen, 0, Arc::from("{\"r\":0}"));
+        assert_eq!(
+            out_str(&conn),
+            "{\"error\":\"malformed `requests` array\",\"ok\":false}\n"
+        );
+        assert_eq!(stats.snapshot().errors, 1);
+        assert_eq!(stats.snapshot().batches, 0);
         conn.consume_written(conn.pending_write().unwrap().len());
         conn.push_bytes(b"{\"op\":\"ping\"}\n");
         assert_eq!(conn.advance(&limits, &stats).len(), 1);
+    }
+
+    #[test]
+    fn pipelined_line_waits_for_the_batch_response() {
+        let (limits, stats) = (limits(), StatsRegistry::new());
+        let mut conn = Conn::new();
+        conn.push_bytes(
+            b"{\"op\":\"compile_batch\",\"requests\":[{\"loop\":\"a\"},{\"loop\":\"b\"}]}\n\
+              {\"op\":\"ping\"}\n",
+        );
+        let actions = conn.advance(&limits, &stats);
+        assert!(
+            matches!(
+                actions.as_slice(),
+                [Action::Entry { idx: 0, .. }, Action::Entry { idx: 1, .. }]
+            ),
+            "{actions:?}"
+        );
+        conn.on_entry_result(1, Arc::from("{\"r\":1}"));
+        assert!(conn.advance(&limits, &stats).is_empty(), "entry 0 pends");
+        assert_eq!(out_str(&conn), "");
+        conn.on_entry_result(0, Arc::from("{\"r\":0}"));
+        let actions = conn.advance(&limits, &stats);
+        assert_eq!(
+            out_str(&conn),
+            "{\"n\":2,\"ok\":true,\"op\":\"compile_batch\",\
+             \"results\":[{\"r\":0},{\"r\":1}]}\n",
+            "the batch response is queued first"
+        );
+        assert!(
+            matches!(actions.as_slice(), [Action::Line(l)] if l == "{\"op\":\"ping\"}"),
+            "{actions:?}"
+        );
     }
 
     #[test]
@@ -1172,14 +874,25 @@ mod tests {
 
     #[test]
     fn oversized_batch_entry_is_guarded_too() {
-        let (mut limits, stats) = (limits(), StatsRegistry::new());
-        limits.max_line_bytes = 64;
-        let mut conn = Conn::new();
-        conn.push_bytes(b"{\"op\":\"compile_batch\",\"requests\":[{\"loop\":\"");
-        conn.push_bytes(&[b'y'; 100]);
-        let actions = conn.advance(&limits, &stats);
-        assert!(matches!(actions.as_slice(), [Action::CloseAfterFlush]));
-        assert_eq!(stats.snapshot().oversize_closed, 1);
+        let mut huge_entry = b"{\"op\":\"compile_batch\",\"requests\":[{\"loop\":\"".to_vec();
+        huge_entry.extend_from_slice(&[b'y'; 100]);
+        // Every entry is small; the whole line is over the limit.
+        let small_entries = b"{\"op\":\"compile_batch\",\"requests\":[{\"loop\":\"a\"},\
+            {\"loop\":\"b\"},{\"loop\":\"c\"},{\"loop\":\"d\"}]}\n";
+        for line in [&huge_entry[..], &small_entries[..]] {
+            let (mut limits, stats) = (limits(), StatsRegistry::new());
+            limits.max_line_bytes = 64;
+            let mut conn = Conn::new();
+            conn.push_bytes(line);
+            let actions = conn.advance(&limits, &stats);
+            assert!(
+                matches!(actions.as_slice(), [Action::CloseAfterFlush]),
+                "{actions:?}"
+            );
+            assert!(conn.closing);
+            assert!(out_str(&conn).contains("length limit"));
+            assert_eq!(stats.snapshot().oversize_closed, 1);
+        }
     }
 
     #[test]

@@ -290,12 +290,26 @@ pub(crate) fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonPar
     }
 }
 
+/// Deepest nesting of arrays and objects the parser accepts. The protocol
+/// and the disk store write a handful of levels; the bound keeps a hostile
+/// document from recursing the parser through its thread's stack.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 pub(crate) fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
+    parse_nested(bytes, pos, 0)
+}
+
+/// [`parse_value`] inside `depth` enclosing arrays and objects.
+fn parse_nested(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(fail(*pos, "unexpected end of input")),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(fail(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => parse_str(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -418,7 +432,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -427,7 +441,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_nested(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -466,32 +480,21 @@ pub(crate) fn parse_key(
     parse_str(bytes, pos).map(Cow::Owned)
 }
 
-/// Outcome of [`scan_value`] over a possibly-truncated buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Scan {
-    /// A complete value spans `start..end` (exclusive); `end` is the first
-    /// byte after it.
-    Complete(usize),
-    /// The buffer ends before the value does; read more and retry.
-    Partial,
-}
-
-/// Find the extent of one JSON value starting at `start`, without parsing
-/// it. This is what lets the reactor's connection state machine dispatch
-/// each batch entry the moment its closing brace arrives, while the rest of
-/// the batch is still on the wire. The scan is structural only (string- and
-/// escape-aware bracket matching); the dispatched slice still goes through
-/// the real parser, which reports mismatched brackets and other nonsense.
+/// Find the end of the one JSON value at `start` (after blank space)
+/// without parsing it, so the connection layer can split a batch line
+/// into its entries and skip unknown fields with no tree built. The scan is
+/// structural only (string- and escape-aware bracket matching), so it
+/// needs no depth bound; a span it returns still goes through the real
+/// parser, which reports mismatched brackets and other nonsense. The input
+/// is a complete line: a scalar ends at a delimiter or at the input's end.
 ///
-/// `Err` means the first non-whitespace byte cannot start a JSON value.
-/// A bare scalar that runs to the end of the buffer is `Partial` — it might
-/// continue — so scalars only complete at a delimiter, which the JSON-lines
-/// framing guarantees eventually arrives.
-pub(crate) fn scan_value(bytes: &[u8], start: usize) -> Result<Scan, JsonParseError> {
+/// `Err` means no value starts at `start`, or the value's string or
+/// brackets are still open where the input ends.
+pub(crate) fn scan_value(bytes: &[u8], start: usize) -> Result<usize, JsonParseError> {
     let mut pos = start;
     skip_ws(bytes, &mut pos);
     let Some(&first) = bytes.get(pos) else {
-        return Ok(Scan::Partial);
+        return Err(fail(pos, "unexpected end of input"));
     };
     match first {
         b'{' | b'[' => {
@@ -515,7 +518,7 @@ pub(crate) fn scan_value(bytes: &[u8], start: usize) -> Result<Scan, JsonParseEr
                         b'}' | b']' => {
                             depth -= 1;
                             if depth == 0 {
-                                return Ok(Scan::Complete(pos + 1));
+                                return Ok(pos + 1);
                             }
                         }
                         _ => {}
@@ -523,7 +526,7 @@ pub(crate) fn scan_value(bytes: &[u8], start: usize) -> Result<Scan, JsonParseEr
                 }
                 pos += 1;
             }
-            Ok(Scan::Partial)
+            Err(fail(pos, "unterminated array or object"))
         }
         b'"' => {
             pos += 1;
@@ -535,11 +538,11 @@ pub(crate) fn scan_value(bytes: &[u8], start: usize) -> Result<Scan, JsonParseEr
                 } else if b == b'\\' {
                     escape = true;
                 } else if b == b'"' {
-                    return Ok(Scan::Complete(pos + 1));
+                    return Ok(pos + 1);
                 }
                 pos += 1;
             }
-            Ok(Scan::Partial)
+            Err(fail(pos, "unterminated string"))
         }
         b't' | b'f' | b'n' | b'-' | b'+' | b'.' | b'0'..=b'9' => {
             while pos < bytes.len()
@@ -550,17 +553,13 @@ pub(crate) fn scan_value(bytes: &[u8], start: usize) -> Result<Scan, JsonParseEr
             {
                 pos += 1;
             }
-            if pos == bytes.len() {
-                Ok(Scan::Partial)
-            } else {
-                Ok(Scan::Complete(pos))
-            }
+            Ok(pos)
         }
         _ => Err(fail(pos, "expected a JSON value")),
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -573,7 +572,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
         let key = parse_key(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_nested(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -640,25 +639,37 @@ mod tests {
     #[test]
     fn scan_value_finds_extents_and_reports_partials() {
         let doc = br#"{"loop":"a[}\"]b","n":[1,2]} ,tail"#;
-        assert_eq!(scan_value(doc, 0).unwrap(), Scan::Complete(28));
-        // Every proper prefix of the object is partial, never an error.
+        assert_eq!(scan_value(doc, 0).unwrap(), 28);
+        // Every proper prefix of the object is an error: the line ended
+        // inside the value.
         for cut in 1..28 {
-            assert_eq!(
-                scan_value(&doc[..cut], 0).unwrap(),
-                Scan::Partial,
-                "cut={cut}"
-            );
+            assert!(scan_value(&doc[..cut], 0).is_err(), "cut={cut}");
         }
-        // Scalars complete only at a delimiter.
-        assert_eq!(scan_value(b"123", 0).unwrap(), Scan::Partial);
-        assert_eq!(scan_value(b"123,", 0).unwrap(), Scan::Complete(3));
-        assert_eq!(scan_value(b" true]", 0).unwrap(), Scan::Complete(5));
-        assert_eq!(scan_value(b"\"ab\\\"c\"", 0).unwrap(), Scan::Complete(7));
-        // A byte that cannot start a value is an error, not a stall.
+        // Scalars end at a delimiter or at the end of the line.
+        assert_eq!(scan_value(b"123", 0).unwrap(), 3);
+        assert_eq!(scan_value(b"123,", 0).unwrap(), 3);
+        assert_eq!(scan_value(b" true]", 0).unwrap(), 5);
+        assert_eq!(scan_value(b"\"ab\\\"c\"", 0).unwrap(), 7);
+        // A byte that cannot start a value is an error.
         assert!(scan_value(b"}", 0).is_err());
         assert!(scan_value(b":1", 0).is_err());
-        // Whitespace-only input is partial (the value hasn't started yet).
-        assert_eq!(scan_value(b"  ", 0).unwrap(), Scan::Partial);
+        // So is a value that never starts.
+        assert!(scan_value(b"  ", 0).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error() {
+        for open in ["[", "{\"a\":"] {
+            let close = if open == "[" { "]" } else { "}" };
+            let nested = |depth: usize| format!("{}1{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse_json(&nested(MAX_DEPTH)).is_ok(), "{open}");
+            let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{open}: {err}");
+            // A hostile line far past the bound fails the same way instead
+            // of overflowing the stack.
+            let err = parse_json(&open.repeat(100_000)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{open}: {err}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! so a completion addressed to a closed-and-recycled slot is recognised
 //! by its stale epoch and dropped. Back-pressure is interest-driven: a
 //! connection with an unflushed response, an in-flight line job, or a
-//! maxed-out batch keeps READ interest off and lets the kernel's TCP
+//! batch being answered keeps READ interest off and lets the kernel's TCP
 //! window throttle the client.
 
 use crate::compile::CachedCompiler;
@@ -70,9 +70,8 @@ pub(crate) struct ReactorConfig {
     pub governor: Arc<Governor>,
 }
 
-/// One streamed batch entry inside a [`Job::Entries`] group.
+/// One batch entry inside a [`Job::Entries`] group.
 struct EntryJob {
-    gen: u64,
     idx: usize,
     text: String,
     timeout_ms: Option<u64>,
@@ -88,11 +87,11 @@ enum Job {
         line: String,
         enqueued: Instant,
     },
-    /// A group of streamed batch entries from one connection, executed
-    /// sequentially by one worker. Entries that become ready together are
-    /// chunked across the pool, so a bulk arrival pays one queue handoff
-    /// per worker instead of one per entry, while entries that trickle in
-    /// off the wire still dispatch individually.
+    /// A group of batch entries from one connection, executed
+    /// sequentially by one worker. Entries that become ready together (a
+    /// batch's first `cap` entries) are chunked across the pool, so they
+    /// pay one queue handoff per worker instead of one per entry, while an
+    /// entry freed by one completion still dispatches on its own.
     Entries {
         slot: usize,
         epoch: u32,
@@ -111,7 +110,6 @@ enum Done {
     Entry {
         slot: usize,
         epoch: u32,
-        gen: u64,
         idx: usize,
         doc: Arc<str>,
     },
@@ -309,7 +307,6 @@ fn worker_loop(
                     shared.complete(Done::Entry {
                         slot,
                         epoch,
-                        gen: e.gen,
                         idx: e.idx,
                         doc,
                     });
@@ -327,7 +324,7 @@ fn worker_loop(
     }
 }
 
-/// Compile one streamed batch entry into its rendered slot document.
+/// Compile one batch entry into its rendered slot document.
 /// Per-entry failures (parse or compile) fail that entry alone, never its
 /// batch-mates.
 fn run_entry(
@@ -668,7 +665,6 @@ impl Reactor {
                         }
                     }
                     Action::Entry {
-                        gen,
                         idx: entry_idx,
                         text,
                         timeout_ms,
@@ -682,7 +678,6 @@ impl Reactor {
                         match self.governor.admit(lane, depth) {
                             Admission::Admit => {
                                 let e = EntryJob {
-                                    gen,
                                     idx: entry_idx,
                                     text,
                                     timeout_ms,
@@ -696,7 +691,6 @@ impl Reactor {
                             Admission::Shed { retry_after_ms } => {
                                 if let Some(s) = self.slots[idx].as_mut() {
                                     s.conn.on_entry_result(
-                                        gen,
                                         entry_idx,
                                         shed_response(retry_after_ms).render().into(),
                                     );
@@ -705,7 +699,6 @@ impl Reactor {
                             Admission::Reject => {
                                 if let Some(s) = self.slots[idx].as_mut() {
                                     s.conn.on_entry_result(
-                                        gen,
                                         entry_idx,
                                         reject_response().render().into(),
                                     );
@@ -826,8 +819,9 @@ impl Reactor {
     }
 
     /// Route finished jobs back to their connections; stale epochs (the
-    /// slot was closed and possibly recycled) and stale batch generations
-    /// are dropped on the floor.
+    /// slot was closed and possibly recycled) are dropped on the floor. A
+    /// batch ends only once every entry is answered, so an entry result
+    /// always belongs to its connection's active batch.
     fn drain_completions(&mut self) {
         let done: Vec<Done> = std::mem::take(&mut *self.pool.completions.lock().unwrap());
         for d in done {
@@ -842,7 +836,7 @@ impl Reactor {
             let Some(slot) = live else { continue };
             match d {
                 Done::Line { doc, .. } => slot.conn.on_line_response(&doc),
-                Done::Entry { gen, idx, doc, .. } => slot.conn.on_entry_result(gen, idx, doc),
+                Done::Entry { idx, doc, .. } => slot.conn.on_entry_result(idx, doc),
             }
             slot.conn.note_activity();
             self.drive(slot_idx);

@@ -23,16 +23,14 @@
 //!
 //! A `compile_batch` carries any number of requests in one line and returns
 //! one aggregated response with per-entry `served` labels in request order;
-//! a malformed entry fails alone, never its batch-mates. The connection
-//! layer streams each entry to the worker pool as soon as it arrives,
-//! with its own lane and admission decision and at most `min(parallelism,
-//! batch_parallelism)` entries of one batch in flight; identical keys
-//! inside one batch collapse through the engine's in-flight table (first
-//! entry compiles, concurrent twins dedup, later twins hit the cache).
-//! Canonical batch lines put `op` first and `requests` last, with control
-//! fields in between; any other spelling is rewritten into that order
-//! before it streams, and control fields after `requests` are rejected,
-//! since the entries they would govern are already in flight.
+//! a malformed entry fails alone, never its batch-mates. Once the line's
+//! newline arrives, the connection layer checks its fields, in any order,
+//! and hands its entries to the worker pool in request order, each with
+//! its own lane and admission decision and at most `min(parallelism,
+//! batch_parallelism)` entries of one batch in flight; a malformed batch
+//! is answered before any entry compiles. Identical keys inside one batch
+//! collapse through the engine's in-flight table (first entry compiles,
+//! concurrent twins dedup, later twins hit the cache).
 //!
 //! [`Server::run`] drives the reactor core ([`crate::reactor`]): one thread
 //! multiplexes every connection over epoll while a small worker pool runs
@@ -101,8 +99,9 @@ pub struct ServerConfig {
     /// disables the sweep). Connections waiting on their own compiles are
     /// never swept.
     pub idle_timeout: Option<Duration>,
-    /// Longest accepted request line in bytes; beyond it the connection
-    /// gets a typed error and is closed (slowloris guard).
+    /// Longest accepted request line in bytes, a `compile_batch` line as a
+    /// whole included; beyond it the connection gets a typed error and is
+    /// closed (slowloris guard).
     pub max_line_bytes: usize,
     /// Concurrent-connection cap; excess accepts receive a typed error and
     /// are closed immediately.
@@ -382,10 +381,10 @@ pub(crate) fn compile_entry(
 }
 
 /// Dispatch one stand-alone protocol line on a pool worker. Batch lines
-/// never get here: the connection layer streams every `compile_batch`
-/// entry by entry, so a `compile_batch` op reaching this function can only
-/// come from a line with a duplicate `op` key and is rejected like any
-/// unknown op.
+/// never get here: the connection layer splits every `compile_batch` line
+/// into its entries, so a `compile_batch` op reaching this function can
+/// only come from a line whose first key `op` names another op, with a
+/// later duplicate `op`, and is rejected like any unknown op.
 pub(crate) fn handle_line(
     line: &str,
     engine: &Arc<CachedCompiler>,

@@ -436,8 +436,8 @@ fn byte_at_a_time_requests_assemble_correctly() {
     let resp = read_line_raw(&mut s);
     assert!(resp.contains("\"ok\":true"), "{resp}");
 
-    // A canonical streaming batch, also one byte at a time: the server
-    // must start entry 0 before the line (or even entry 1) is complete.
+    // A canonical batch, also one byte at a time: no entry starts before
+    // the line's newline arrives, and then the batch answers whole.
     let e0 = entry_json(&sample_request(0));
     let e1 = entry_json(&sample_request(1));
     let line = format!("{{\"op\":\"compile_batch\",\"requests\":[{e0},{e1}]}}\n");
@@ -501,6 +501,10 @@ fn every_batch_spelling_answers_like_the_canonical_line() {
             "{{\"op\":\"compile_batch\",\"zzz\":1,\"timeout_ms\":30000,\"parallelism\":2,\
              \"defaults\":{defaults},\"requests\":[{requests}]}}"
         ),
+        format!(
+            "{{\"op\":\"compile_batch\",\"parallelism\":2,\"defaults\":{defaults},\
+             \"requests\":[{requests}],\"timeout_ms\":30000}}"
+        ),
     ];
 
     // The first batch compiles; every later one is served from cache.
@@ -515,9 +519,37 @@ fn every_batch_spelling_answers_like_the_canonical_line() {
 
     let stats = server.client().stats().expect("stats");
     let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
-    assert_eq!(n("batches"), 5);
-    assert_eq!(n("errors"), 5, "the bad entry fails once per batch");
+    assert_eq!(n("batches"), 6);
+    assert_eq!(n("errors"), 6, "the bad entry fails once per batch");
     assert_eq!(n("compiles"), 2);
+    server.stop();
+}
+
+/// A line nested far past the JSON parser's depth bound is answered with a
+/// typed error, whether a worker parses it (a stand-alone line) or the
+/// reactor thread does (a batch's control value), and the same connection
+/// goes on serving.
+#[test]
+fn deeply_nested_lines_answer_errors_and_the_connection_survives() {
+    let server = TestServer::start_with(None, |c| c.workers = 2);
+    let mut s = TcpStream::connect(&server.addr).expect("raw connect");
+    let deep = "[".repeat(20_000);
+    for line in [
+        deep.clone(),
+        format!("{{\"op\":\"compile_batch\",\"defaults\":{deep}"),
+    ] {
+        let resp = round_trip_raw(&mut s, &line);
+        assert!(resp.contains("\"ok\":false"), "{resp}");
+        assert!(resp.contains("nesting"), "{resp}");
+    }
+    let ping = round_trip_raw(&mut s, "{\"op\":\"ping\"}");
+    assert!(ping.contains("\"ok\":true"), "{ping}");
+    let compile = format!(
+        "{{\"op\":\"compile\",\"request\":{}}}",
+        sample_request(0).to_json().render()
+    );
+    let resp = round_trip_raw(&mut s, &compile);
+    assert!(resp.contains("\"served\":\"compiled\""), "{resp}");
     server.stop();
 }
 
