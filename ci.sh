@@ -239,6 +239,16 @@ grep -q ' compiles=0 ' "$SMOKE_DIR/crash-stats.log"
 wait "$SERVED_PID"
 SERVED_PID=""
 
+echo "==> repro tables match repro_output.txt (Figures 1-3, Tables 1-2, Figures 5-7)"
+# The documented tables must be what the code prints: the head of the
+# checked-in reproduction, every line before Ablation A, is compared byte
+# for byte. Ablation A's exact(200ms) row is budget-bound in wall-clock
+# time and varies with host load, so the comparison stops before it.
+target/release/repro --example --table1 --table2 --fig5 --fig6 --fig7 \
+    > "$SMOKE_DIR/tables.txt"
+sed '/^Ablation A/,$d' repro_output.txt | diff - "$SMOKE_DIR/tables.txt" \
+    || { echo "error: repro's tables differ from repro_output.txt (see above)"; exit 1; }
+
 echo "==> repro --cache (cached corpus driver, truncated run)"
 target/release/repro --table1 --loops 8 --cache --cache-dir "$SMOKE_DIR/repro-cache" \
     | grep -q '^cache: hits='

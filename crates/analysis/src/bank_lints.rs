@@ -4,7 +4,7 @@
 use crate::artifacts::Artifacts;
 use crate::diag::{Diagnostic, LintCode, Report, SourceLoc, Stage};
 use vliw_ir::RegClass;
-use vliw_regalloc::{kernel_live_ranges, max_pressure, LiveRange};
+use vliw_regalloc::{kernel_live_ranges, RegisterFiles};
 
 /// Checks operand reachability and bank accounting: every bank index in
 /// range (`BANK002`), every operand of the clustered body local to its
@@ -152,19 +152,10 @@ impl crate::passes::LintPass for PressurePass {
         let lat = &ctx.machine.latencies;
         let (unroll, ranges) =
             kernel_live_ranges(cb, cddg, sched, |op| lat.of(cb.op(op).opcode) as i64);
+        let files = RegisterFiles::new(cb, &ranges, banks, ctx.machine.n_clusters());
         for (bank_idx, cluster) in ctx.machine.clusters.iter().enumerate() {
             for class in [RegClass::Int, RegClass::Float] {
-                let group: Vec<LiveRange> = ranges
-                    .iter()
-                    .filter(|r| {
-                        banks
-                            .get(r.vreg.index())
-                            .is_some_and(|b| b.index() == bank_idx)
-                            && cb.class_of(r.vreg) == class
-                    })
-                    .cloned()
-                    .collect();
-                let need = max_pressure(&group);
+                let need = files.max_pressure(&ranges, bank_idx, class);
                 let cap = match class {
                     RegClass::Int => cluster.int_regs,
                     RegClass::Float => cluster.float_regs,

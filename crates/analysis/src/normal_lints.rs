@@ -19,7 +19,10 @@
 use crate::artifacts::Artifacts;
 use crate::diag::{Diagnostic, LintCode, Report, SourceLoc, Stage};
 use vliw_ir::Loop;
-use vliw_normal::{canonicalize, check_witness, perturb, structural_hash, variant, Canonical};
+use vliw_normal::{
+    canonicalize, canonicalize_with, check_witness_with, perturb, variant_with, Canonical,
+    ConstraintGraph,
+};
 
 /// Seeds for the `NRM002` variant probe. Kept tiny: the pass runs inside
 /// every first-stage gate, so this is a smoke of the engine's invariants,
@@ -56,13 +59,18 @@ impl crate::passes::LintPass for NormalFormPass {
 
 /// The `NRM001`/`NRM002` audit of one well-formed loop: the normal form
 /// must be a fixed point of canonicalization, each seeded isomorphic
-/// variant must keep the hash and yield a witness that [`check_witness`]
-/// accepts, and the seeded perturbation must change the hash.
+/// variant must keep the hash and yield a witness that
+/// [`check_witness`](vliw_normal::check_witness) accepts, and the seeded
+/// perturbation must change the hash.
 ///
 /// Canonicalizes five times for two variant seeds: the body, its normal
 /// form, each variant once (hash and witness both come from that one
-/// [`Canonical`]) and the perturbation. Returns the body's normal form,
-/// for callers that group loops by hash, together with the findings.
+/// [`Canonical`]) and the perturbation. The body's constraint graph is
+/// built once: renaming, commutative swaps and the perturbation's value
+/// nudges leave it unchanged, so the body's and the perturbation's
+/// canonicalization, each variant's statement permutation and each witness
+/// check share it. Returns the body's normal form, for callers that group
+/// loops by hash, together with the findings.
 pub fn normal_form_audit(
     body: &Loop,
     variant_seeds: &[u64],
@@ -77,7 +85,8 @@ pub fn normal_form_audit(
             msg,
         ))
     };
-    let c = canonicalize(body);
+    let graph = ConstraintGraph::new(body);
+    let c = canonicalize_with(body, &graph);
 
     // NRM001: idempotence, body and hash.
     let again = canonicalize(&c.body);
@@ -96,7 +105,7 @@ pub fn normal_form_audit(
     // NRM002: hash/equivalence agreement on isomorphic variants and on a
     // genuine perturbation.
     for &seed in variant_seeds {
-        let v = variant(body, seed);
+        let v = variant_with(body, seed, &graph);
         let cv = canonicalize(&v);
         if cv.hash != c.hash {
             push(
@@ -119,7 +128,7 @@ pub fn normal_form_audit(
                 ),
             ),
             Some(w) => {
-                if let Err(e) = check_witness(body, &v, &w) {
+                if let Err(e) = check_witness_with(body, &v, &w, &graph) {
                     push(
                         LintCode::Nrm002,
                         format!("variant (seed {seed}) witness fails verification: {e}"),
@@ -129,7 +138,7 @@ pub fn normal_form_audit(
         }
     }
     if let Some(p) = perturb(body, perturb_seed) {
-        if structural_hash(&p) == c.hash {
+        if canonicalize_with(&p, &graph).hash == c.hash {
             push(
                 LintCode::Nrm002,
                 format!(

@@ -2,8 +2,13 @@
 //! way and assert the analyzer catches it with the *expected* stable lint
 //! code. Each code the sanitizer advertises is proven to fire here, not
 //! just to exist.
+//!
+//! Every report is also compared with its full rendered text (code,
+//! location, message and order of every finding), so a faster lint kernel
+//! cannot reword, relocate or reorder a finding: RCG003's kernel row and
+//! PRES002's MaxLive are part of the text.
 
-use vliw_analysis::{analyze, Artifacts, LintCode};
+use vliw_analysis::{analyze, Artifacts, LintCode, Report};
 use vliw_core::{
     assign_banks_caps, build_rcg, insert_copies, round_robin_partition, PartitionConfig,
 };
@@ -95,17 +100,25 @@ impl Good {
     }
 }
 
+/// Assert that `report` carries `code` and renders exactly `want`.
+fn assert_renders(report: &Report, code: LintCode, want: &str) {
+    assert!(
+        report.has_code(code),
+        "expected {}:\n{}",
+        code.code(),
+        report.render_text()
+    );
+    assert_eq!(report.render_text(), want, "the report's text drifted");
+}
+
+/// The summary line of a report with no findings.
+const CLEAN: &str = "0 error(s), 0 warning(s), 0 note(s)\n";
+
 #[test]
 fn known_good_pipeline_is_clean() {
     let g = daxpy();
-    let report = analyze(&g.front());
-    assert!(
-        !report.has_errors(),
-        "front half:\n{}",
-        report.render_text()
-    );
-    let report = analyze(&g.back());
-    assert!(!report.has_errors(), "back half:\n{}", report.render_text());
+    assert_eq!(analyze(&g.front()).render_text(), CLEAN, "front half");
+    assert_eq!(analyze(&g.back()).render_text(), CLEAN, "back half");
 }
 
 /// Moving a value's bank out from under its consumers models a missing
@@ -125,11 +138,7 @@ fn def_moved_across_banks_fires_bank001() {
     let foreign = ClusterId((home.0 + 1) % g.machine.n_clusters() as u32);
     g.vreg_bank[v.index()] = foreign;
     let report = analyze(&g.back());
-    assert!(
-        report.has_code(LintCode::Bank001),
-        "expected BANK001:\n{}",
-        report.render_text()
-    );
+    assert_renders(&report, LintCode::Bank001, DEF_MOVED);
 }
 
 /// Rewiring a consumer to read the copy's *source* instead of its result
@@ -163,11 +172,7 @@ fn bypassed_copy_fires_bank001() {
     }
     assert!(rewired, "copy result must have a consumer");
     let report = analyze(&g.back());
-    assert!(
-        report.has_code(LintCode::Bank001),
-        "expected BANK001:\n{}",
-        report.render_text()
-    );
+    assert_renders(&report, LintCode::Bank001, BYPASSED_COPY);
 }
 
 /// Shrinking the banks under a fixed schedule must trip the MaxLive
@@ -177,11 +182,7 @@ fn shrunken_banks_fire_pres002() {
     let mut g = daxpy();
     g.machine = g.machine.clone().with_regs_per_bank(2, 2);
     let report = analyze(&g.back());
-    assert!(
-        report.has_code(LintCode::Pres002),
-        "expected PRES002:\n{}",
-        report.render_text()
-    );
+    assert_renders(&report, LintCode::Pres002, SHRUNKEN_BANKS);
 }
 
 /// Zeroing out a repulsion edge between two same-row definitions breaks
@@ -196,11 +197,7 @@ fn deleted_repulsion_edge_fires_rcg003() {
         .expect("unrolled daxpy has same-row defs, hence repulsion");
     g.rcg.bump_edge(a, b, -w); // cancel it exactly
     let report = analyze(&g.front());
-    assert!(
-        report.has_code(LintCode::Rcg003),
-        "expected RCG003:\n{}",
-        report.render_text()
-    );
+    assert_renders(&report, LintCode::Rcg003, DELETED_REPULSION);
 }
 
 /// An edge between registers that never interact is construction noise;
@@ -221,11 +218,25 @@ fn spurious_edge_fires_rcg004() {
         .expect("some disjoint register pair");
     g.rcg.bump_edge(pair.0, pair.1, 5.0);
     let report = analyze(&g.front());
-    assert!(
-        report.has_code(LintCode::Rcg004),
-        "expected RCG004:\n{}",
-        report.render_text()
-    );
+    assert_renders(&report, LintCode::Rcg004, SPURIOUS_EDGE);
+}
+
+/// Lowering a pure attraction edge (a def/use pair with no same-row
+/// repulsion: one end is a loop invariant, defined nowhere) leaves the pair
+/// short of the weight §4.1 gives it, which RCG001 guards.
+#[test]
+fn lowered_attraction_edge_fires_rcg001() {
+    let mut g = daxpy();
+    let (a, b, w) = g
+        .rcg
+        .edges()
+        .find(|&(a, b, w)| {
+            w > 0.0 && (g.body.defs_of(a).is_empty() || g.body.defs_of(b).is_empty())
+        })
+        .expect("daxpy's invariant scale factor attracts its products");
+    g.rcg.bump_edge(a, b, -w / 2.0);
+    let report = analyze(&g.front());
+    assert_renders(&report, LintCode::Rcg001, LOWERED_ATTRACTION);
 }
 
 /// Turning a copy into a self-copy severs the cross-bank dataflow it was
@@ -246,11 +257,7 @@ fn self_copy_fires_copy004() {
     let d = g.clustered_body.ops[idx].def.unwrap();
     g.clustered_body.ops[idx].uses[0] = d;
     let report = analyze(&g.back());
-    assert!(
-        report.has_code(LintCode::Copy004),
-        "expected COPY004:\n{}",
-        report.render_text()
-    );
+    assert_renders(&report, LintCode::Copy004, SELF_COPY);
 }
 
 /// Over-subscribing an MRT row — more same-row ops on a cluster than it
@@ -262,11 +269,7 @@ fn oversubscribed_mrt_row_fires_sched002() {
         *t = 0;
     }
     let report = analyze(&g.back());
-    assert!(
-        report.has_code(LintCode::Sched002),
-        "expected SCHED002:\n{}",
-        report.render_text()
-    );
+    assert_renders(&report, LintCode::Sched002, OVERSUBSCRIBED_ROW);
 }
 
 /// Corrupting the flat expansion (wrong iteration tag on one issue) must
@@ -284,17 +287,13 @@ fn corrupted_expansion_fires_exp005() {
     issue.iter += 1;
     let mut report = vliw_analysis::Report::new();
     vliw_analysis::check_expansion(&g.clustered_body, &g.sched, &flat, &mut report);
-    assert!(
-        report.has_code(LintCode::Exp005),
-        "expected EXP005:\n{}",
-        report.render_text()
-    );
+    assert_renders(&report, LintCode::Exp005, CORRUPTED_EXPANSION);
 
     // And the untouched expansion is clean.
     let flat = expand(&g.clustered_body, &g.sched);
     let mut report = vliw_analysis::Report::new();
     vliw_analysis::check_expansion(&g.clustered_body, &g.sched, &flat, &mut report);
-    assert!(!report.has_errors(), "{}", report.render_text());
+    assert_eq!(report.render_text(), CLEAN);
 }
 
 /// A duplicated issue fires EXP005's "issued more than once", and an issue
@@ -350,6 +349,11 @@ fn duplicated_and_out_of_domain_issues_fire_exp005() {
         report.render_text()
     );
     assert_eq!(found.len(), report.diags.len(), "{}", report.render_text());
+    assert_eq!(
+        report.render_text(),
+        DUPLICATED_ISSUES,
+        "the report's text drifted"
+    );
 }
 
 /// A dangling operand (register index past the register file) is the
@@ -366,9 +370,107 @@ fn out_of_range_operand_fires_ir007() {
         .expect("ops with operands");
     op.uses[0] = VReg(n as u32 + 7);
     let report = analyze(&g.front());
-    assert!(
-        report.has_code(LintCode::Ir007),
-        "expected IR007:\n{}",
-        report.render_text()
-    );
+    assert_renders(&report, LintCode::Ir007, OUT_OF_RANGE_OPERAND);
 }
+
+// The rendered reports the mutations above must produce, finding for
+// finding. A lint change that moves one of these on purpose re-captures it
+// here in the same change.
+
+const DEF_MOVED: &str = "\
+error[BANK001 foreign-bank-operand-without-copy] @ op3, c0 (copies): fmul reads v0 from bank 1 but executes on cluster 0 with no copy feeding it
+error[BANK001 foreign-bank-operand-without-copy] @ op9, c0 (copies): fmul reads v0 from bank 1 but executes on cluster 0 with no copy feeding it
+2 error(s), 0 warning(s), 0 note(s)
+";
+
+const BYPASSED_COPY: &str = "\
+error[BANK001 foreign-bank-operand-without-copy] @ op4, c3 (copies): fmul reads v1 from bank 1 but executes on cluster 3 with no copy feeding it
+error[COPY004 copy-dataflow-break] @ op1 (copies): copy op1 is orphaned: its result v18 is never read and not live-out
+2 error(s), 0 warning(s), 0 note(s)
+";
+
+const SHRUNKEN_BANKS: &str = "\
+error[PRES002 maxlive-exceeds-bank-capacity] @ c0 (pressure): bank 0 Float MaxLive 10 exceeds capacity 2 (MVE unroll 4); colouring must spill
+error[PRES002 maxlive-exceeds-bank-capacity] @ c1 (pressure): bank 1 Float MaxLive 4 exceeds capacity 2 (MVE unroll 4); colouring must spill
+error[PRES002 maxlive-exceeds-bank-capacity] @ c2 (pressure): bank 2 Float MaxLive 14 exceeds capacity 2 (MVE unroll 4); colouring must spill
+error[PRES002 maxlive-exceeds-bank-capacity] @ c3 (pressure): bank 3 Float MaxLive 7 exceeds capacity 2 (MVE unroll 4); colouring must spill
+4 error(s), 0 warning(s), 0 note(s)
+";
+
+const DELETED_REPULSION: &str = "\
+error[RCG003 missing-repulsion-edge-for-same-cycle-defs] @ v1, cycle 0 (rcg): v1 and v2 are defined in the same ideal kernel row but the repulsion contribution is missing: expected weight -1.6667, found 0.0000
+1 error(s), 0 warning(s), 0 note(s)
+";
+
+const SPURIOUS_EDGE: &str = "\
+error[RCG004 spurious-rcg-edge] @ v0 (rcg): edge v0—v2 (weight 5.0000) has no def/use or same-row justification
+1 error(s), 0 warning(s), 0 note(s)
+";
+
+const SELF_COPY: &str = "\
+error[COPY004 copy-dataflow-break] @ op1, c3 (copies): copy op1 moves v18 to v18 within bank 3 — a copy must cross banks
+error[COPY005 copy-latency-edge-missing] @ op1 (copies): rebuilt DDG has no flow edge from v18's producer into copy op1
+2 error(s), 0 warning(s), 0 note(s)
+";
+
+const OVERSUBSCRIBED_ROW: &str = "\
+error[SCHED001 dependence-violated-modulo-ii] @ op1, cycle 0 (schedule): clustered schedule violates dependence op0→op1 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op4, cycle 0 (schedule): clustered schedule violates dependence op2→op4 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op4, cycle 0 (schedule): clustered schedule violates dependence op3→op4 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op5, cycle 0 (schedule): clustered schedule violates dependence op4→op5 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op7, cycle 0 (schedule): clustered schedule violates dependence op6→op7 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op11, cycle 0 (schedule): clustered schedule violates dependence op8→op11 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op10, cycle 0 (schedule): clustered schedule violates dependence op9→op10 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op12, cycle 0 (schedule): clustered schedule violates dependence op11→op12 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op15, cycle 0 (schedule): clustered schedule violates dependence op13→op15 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op17, cycle 0 (schedule): clustered schedule violates dependence op14→op17 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op16, cycle 0 (schedule): clustered schedule violates dependence op15→op16 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op18, cycle 0 (schedule): clustered schedule violates dependence op17→op18 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op21, cycle 0 (schedule): clustered schedule violates dependence op19→op21 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op22, cycle 0 (schedule): clustered schedule violates dependence op20→op22 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op22, cycle 0 (schedule): clustered schedule violates dependence op21→op22 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op23, cycle 0 (schedule): clustered schedule violates dependence op22→op23 modulo II 3: need separation 2, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op3, cycle 0 (schedule): clustered schedule violates dependence op1→op3 modulo II 3: need separation 3, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op9, cycle 0 (schedule): clustered schedule violates dependence op7→op9 modulo II 3: need separation 3, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op11, cycle 0 (schedule): clustered schedule violates dependence op10→op11 modulo II 3: need separation 3, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op17, cycle 0 (schedule): clustered schedule violates dependence op16→op17 modulo II 3: need separation 3, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op5, cycle 0 (schedule): clustered schedule violates dependence op2→op5 modulo II 3: need separation 1, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op12, cycle 0 (schedule): clustered schedule violates dependence op8→op12 modulo II 3: need separation 1, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op18, cycle 0 (schedule): clustered schedule violates dependence op14→op18 modulo II 3: need separation 1, got 0
+error[SCHED001 dependence-violated-modulo-ii] @ op23, cycle 0 (schedule): clustered schedule violates dependence op20→op23 modulo II 3: need separation 1, got 0
+error[SCHED002 resource-row-over-subscribed] @ op5, cycle 0, c0 (schedule): clustered schedule over-subscribes kernel row 0 with op5
+error[SCHED002 resource-row-over-subscribed] @ op7, cycle 0, c0 (schedule): clustered schedule over-subscribes kernel row 0 with op7
+error[SCHED002 resource-row-over-subscribed] @ op9, cycle 0, c0 (schedule): clustered schedule over-subscribes kernel row 0 with op9
+error[SCHED002 resource-row-over-subscribed] @ op18, cycle 0, c3 (schedule): clustered schedule over-subscribes kernel row 0 with op18
+error[SCHED002 resource-row-over-subscribed] @ op19, cycle 0, c2 (schedule): clustered schedule over-subscribes kernel row 0 with op19
+error[SCHED002 resource-row-over-subscribed] @ op20, cycle 0, c2 (schedule): clustered schedule over-subscribes kernel row 0 with op20
+error[SCHED002 resource-row-over-subscribed] @ op21, cycle 0, c2 (schedule): clustered schedule over-subscribes kernel row 0 with op21
+error[SCHED002 resource-row-over-subscribed] @ op22, cycle 0, c2 (schedule): clustered schedule over-subscribes kernel row 0 with op22
+error[SCHED002 resource-row-over-subscribed] @ op23, cycle 0, c2 (schedule): clustered schedule over-subscribes kernel row 0 with op23
+33 error(s), 0 warning(s), 0 note(s)
+";
+
+const CORRUPTED_EXPANSION: &str = "\
+error[EXP005 prelude-kernel-postlude-stage-mismatch] @ op0, cycle 0 (expand): op0 of iteration 1 issued at cycle 0; the schedule places it at 3
+error[EXP005 prelude-kernel-postlude-stage-mismatch] @ op0, cycle 3 (expand): op0 of iteration 1 issued more than once
+2 error(s), 0 warning(s), 0 note(s)
+";
+
+const OUT_OF_RANGE_OPERAND: &str = "\
+error[IR007 ir-verification-failure] (ir): original body fails IR verification: op 2 mentions unknown register v24
+error[RCG004 spurious-rcg-edge] @ v0 (rcg): edge v0—v3 (weight 40.0000) has no def/use or same-row justification
+error[RCG001 missing-attraction-edge-for-def-use-pair] @ v3 (rcg): def/use pair v3—v24 lacks its attraction weight: expected 40.0000, found 0.0000
+3 error(s), 0 warning(s), 0 note(s)
+";
+
+const DUPLICATED_ISSUES: &str = "\
+error[EXP005 prelude-kernel-postlude-stage-mismatch] (expand): 1154 issue(s) in the flat program; 48 iteration(s) of 24 op(s) requires 1152
+error[EXP005 prelude-kernel-postlude-stage-mismatch] @ op0, cycle 0 (expand): op0 of iteration 0 issued more than once
+error[EXP005 prelude-kernel-postlude-stage-mismatch] @ op27, cycle 153 (expand): issue (op27, iteration 53) is outside the loop's domain
+3 error(s), 0 warning(s), 0 note(s)
+";
+
+const LOWERED_ATTRACTION: &str = "\
+error[RCG001 missing-attraction-edge-for-def-use-pair] @ v0 (rcg): def/use pair v0—v3 lacks its attraction weight: expected 40.0000, found 20.0000
+1 error(s), 0 warning(s), 0 note(s)
+";

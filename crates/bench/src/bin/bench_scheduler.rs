@@ -17,6 +17,8 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
+use vliw_analysis::bank_lints::PressurePass;
+use vliw_analysis::rcg_lints::RcgPass;
 use vliw_analysis::{Artifacts, LintPass, NormalFormPass, Report};
 use vliw_bench::{full_corpus, rep_ilp_loop, rep_recurrence_loop};
 use vliw_core::{
@@ -203,84 +205,152 @@ fn micro_section(j: &mut Json, tag: &str, body: &Loop, machine: &MachineDesc) {
     j.close();
 }
 
-fn stage_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
+/// Timed repetitions of the corpus stage sweep.
+const STAGE_RUNS: usize = 5;
+
+/// The stages [`stage_sweep`] times, in pipeline order, by JSON key stem.
+const STAGES: [&str; 10] = [
+    "build_ddg",
+    "front_end",
+    "partition",
+    "insert_copies",
+    "clustered_schedule",
+    "canonicalize",
+    "normal_audit",
+    "rcg_lint",
+    "pressure_lint",
+    "allocate",
+];
+
+/// One timed sweep over the whole corpus per stage, in pipeline order;
+/// later stages consume the artifacts cached from earlier ones. Returns
+/// the total clustered II and each stage's time (ms), in [`STAGES`] order.
+fn stage_sweep(corpus: &[Loop], machine: &MachineDesc) -> (u64, [f64; STAGES.len()]) {
     let cfg = PartitionConfig::default();
     let caps: Vec<usize> = machine.clusters.iter().map(|c| c.n_fus).collect();
     let ims = ImsConfig::default();
+    let mut ms = [0.0; STAGES.len()];
+    let mut lap = {
+        let mut t0 = Instant::now();
+        move |stage: usize, ms: &mut [f64]| {
+            ms[stage] = t0.elapsed().as_secs_f64() * 1e3;
+            t0 = Instant::now();
+        }
+    };
 
-    // One timed sweep over the whole corpus per stage, in pipeline order;
-    // later stages consume the artifacts cached from earlier ones.
-    let t0 = Instant::now();
     let n_edges: usize = corpus
         .iter()
         .map(|l| build_ddg(l, &machine.latencies).edges().len())
         .sum();
-    let build_ddg_ms = t0.elapsed().as_secs_f64() * 1e3;
     black_box(n_edges);
+    lap(0, &mut ms);
 
-    let t0 = Instant::now();
     let ctxs: Vec<LoopContext> = corpus
         .iter()
         .map(|l| LoopContext::new(l, machine))
         .collect();
-    let front_end_ms = t0.elapsed().as_secs_f64() * 1e3;
+    lap(1, &mut ms);
 
-    let t0 = Instant::now();
     let parts: Vec<_> = corpus
         .iter()
         .zip(&ctxs)
         .map(|(l, ctx)| {
             let rcg = build_rcg(l, &ctx.ideal, &ctx.slack, &cfg);
-            assign_banks_caps(&rcg, &caps, &cfg)
+            let partition = assign_banks_caps(&rcg, &caps, &cfg);
+            (rcg, partition)
         })
         .collect();
-    let partition_ms = t0.elapsed().as_secs_f64() * 1e3;
+    lap(2, &mut ms);
 
-    let t0 = Instant::now();
     let clustered: Vec<_> = corpus
         .iter()
         .zip(&parts)
-        .map(|(l, p)| insert_copies(l, p))
+        .map(|(l, (_, p))| insert_copies(l, p))
         .collect();
-    let copies_ms = t0.elapsed().as_secs_f64() * 1e3;
+    lap(3, &mut ms);
 
-    let t0 = Instant::now();
-    let mut total_ii = 0u64;
-    for c in &clustered {
-        let cddg = build_ddg(&c.body, &machine.latencies);
-        let problem = SchedProblem::clustered(&c.body, machine, &c.cluster_of);
-        total_ii += schedule_loop(&problem, &cddg, &ims).unwrap().ii as u64;
-    }
-    let clustered_sched_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let scheduled: Vec<_> = clustered
+        .iter()
+        .map(|c| {
+            let cddg = build_ddg(&c.body, &machine.latencies);
+            let problem = SchedProblem::clustered(&c.body, machine, &c.cluster_of);
+            let sched = schedule_loop(&problem, &cddg, &ims).unwrap();
+            (cddg, sched)
+        })
+        .collect();
+    lap(4, &mut ms);
+    let total_ii = scheduled.iter().map(|(_, s)| s.ii as u64).sum();
 
     // The first lint gate's alpha-normal-form audit (NRM001/NRM002), which
     // every compile pays, next to the bare canonicalization it repeats.
-    let t0 = Instant::now();
     for l in corpus {
         black_box(vliw_normal::canonicalize(l));
     }
-    let canonicalize_ms = t0.elapsed().as_secs_f64() * 1e3;
+    lap(5, &mut ms);
 
-    let t0 = Instant::now();
-    let mut audit_diags = 0usize;
+    let mut findings = 0usize;
     for l in corpus {
         let mut report = Report::default();
         NormalFormPass.run(&Artifacts::new(l, machine, &cfg), &mut report);
-        audit_diags += report.diags.len();
+        findings += report.diags.len();
     }
-    let normal_audit_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(audit_diags, 0, "the corpus audits clean");
+    lap(6, &mut ms);
 
+    // The RCG and pressure lints of the two gates, over the same artifacts.
+    for ((l, ctx), (rcg, _)) in corpus.iter().zip(&ctxs).zip(&parts) {
+        let mut report = Report::default();
+        let actx = Artifacts::new(l, machine, &cfg)
+            .with_ideal(&ctx.ideal, &ctx.slack)
+            .with_rcg(rcg);
+        RcgPass.run(&actx, &mut report);
+        findings += report.diags.len();
+    }
+    lap(7, &mut ms);
+
+    for ((l, c), (cddg, sched)) in corpus.iter().zip(&clustered).zip(&scheduled) {
+        let mut report = Report::default();
+        let actx = Artifacts::new(l, machine, &cfg)
+            .with_clustered(&c.body, &c.cluster_of, &c.vreg_bank)
+            .with_cddg(cddg)
+            .with_schedule(sched);
+        PressurePass.run(&actx, &mut report);
+        findings += report.diags.len();
+    }
+    lap(8, &mut ms);
+
+    // Per-bank colouring (the paper's step 6).
+    for (c, (cddg, sched)) in clustered.iter().zip(&scheduled) {
+        black_box(allocate(&c.body, cddg, sched, &c.vreg_bank, machine));
+    }
+    lap(9, &mut ms);
+    assert_eq!(findings, 0, "the corpus lints clean");
+    (total_ii, ms)
+}
+
+fn stage_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
+    let mut total_ii = None;
+    let mut times: [Vec<f64>; STAGES.len()] = Default::default();
+    for _ in 0..STAGE_RUNS {
+        let (ii, ms) = stage_sweep(corpus, machine);
+        assert_eq!(
+            *total_ii.get_or_insert(ii),
+            ii,
+            "the sweep is deterministic"
+        );
+        for (t, m) in times.iter_mut().zip(ms) {
+            t.push(m);
+        }
+    }
     j.open("stages");
     j.int("corpus_loops", corpus.len() as u64);
-    j.num("build_ddg_ms", build_ddg_ms);
-    j.num("front_end_ms", front_end_ms);
-    j.num("partition_ms", partition_ms);
-    j.num("insert_copies_ms", copies_ms);
-    j.num("clustered_schedule_ms", clustered_sched_ms);
-    j.num("canonicalize_ms", canonicalize_ms);
-    j.num("normal_audit_ms", normal_audit_ms);
-    j.int("total_clustered_ii", total_ii);
+    j.int("runs", STAGE_RUNS as u64);
+    for (stage, t) in STAGES.iter().zip(&mut times) {
+        t.sort_by(f64::total_cmp);
+        j.num(&format!("{stage}_ms"), quantile(t, 0.5));
+        j.num(&format!("{stage}_ms_p10"), quantile(t, 0.1));
+        j.num(&format!("{stage}_ms_p90"), quantile(t, 0.9));
+    }
+    j.int("total_clustered_ii", total_ii.expect("at least one run"));
     j.close();
 }
 

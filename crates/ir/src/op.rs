@@ -194,6 +194,16 @@ impl Operation {
         self.def.into_iter().chain(self.uses.iter().copied())
     }
 
+    /// Each distinct register the operation reads, in operand order (a
+    /// register read twice, as in `fmul v, v`, appears once).
+    pub fn distinct_uses(&self) -> impl Iterator<Item = VReg> + '_ {
+        self.uses
+            .iter()
+            .enumerate()
+            .filter(|&(s, u)| !self.uses[..s].contains(u))
+            .map(|(_, &u)| u)
+    }
+
     /// True if `v` is used by this operation.
     pub fn uses_reg(&self, v: VReg) -> bool {
         self.uses.contains(&v)

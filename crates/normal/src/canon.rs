@@ -42,9 +42,7 @@
 //! form) and cost only a missed equivalence otherwise — never a false
 //! positive, since [`alpha_equivalent`] compares whole normal forms.
 
-use crate::hash::{Hasher128, StructuralHash};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::hash::{combine_n, Combine, Hasher128, StructuralHash};
 use vliw_ir::{AluKind, ArrayInfo, InitVal, Loop, OpId, Opcode, Operation, VReg};
 
 /// Name given to every canonical loop body (the original name lives in the
@@ -118,93 +116,252 @@ fn canonical_alu(op: &Operation) -> AluKind {
     }
 }
 
-/// Could swapping `a` and `b` change the loop's semantics?
-fn conflicts(a: &Operation, b: &Operation) -> bool {
-    if let Some(d) = a.def {
-        if b.defines(d) || b.uses_reg(d) {
-            return true;
-        }
-    }
-    if let Some(d) = b.def {
-        if a.uses_reg(d) {
-            return true;
-        }
-    }
-    if let (Some(ma), Some(mb)) = (a.mem, b.mem) {
-        if ma.array == mb.array && (a.opcode == Opcode::Store || b.opcode == Opcode::Store) {
-            return true;
-        }
-    }
-    false
+/// Order-constraint graph over a loop body, in compressed sparse row form.
+///
+/// `preds(j)` lists, ascending, every `i < j` whose relative order with `j`
+/// is semantically meaningful: the two touch a common register in a
+/// def/def, def/use or use/def pair, or a common array where either access
+/// is a store. `succs(i)` is the transpose, also ascending. Any permutation
+/// of the body that keeps every constrained pair in order executes
+/// identically under the reference interpreter.
+///
+/// The graph depends only on each op's def, uses, opcode and memory array,
+/// so renaming registers and swapping commutative operands leave it
+/// unchanged; that is what lets [`canonicalize_with`],
+/// [`variant_with`](crate::variant_with) and [`check_witness_with`] share
+/// one build.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConstraintGraph {
+    pred_at: Vec<u32>,
+    preds: Vec<u32>,
+    succ_at: Vec<u32>,
+    succs: Vec<u32>,
 }
 
-/// Order-constraint graph over the body: `preds[j]` lists every `i < j`
-/// whose relative order with `j` is semantically meaningful.
-pub(crate) fn constraint_graph(l: &Loop) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-    let n = l.ops.len();
-    let mut preds = vec![Vec::new(); n];
-    let mut succs = vec![Vec::new(); n];
-    #[allow(clippy::needless_range_loop)] // indexes two vecs symmetrically
-    for j in 0..n {
-        for i in 0..j {
-            if conflicts(&l.ops[i], &l.ops[j]) {
-                preds[j].push(i);
-                succs[i].push(j);
+/// Lists in CSR form: `items[at[k]..at[k + 1]]` belong to key `k`.
+struct Csr {
+    at: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    /// Build from `(key, item)` pairs produced twice by `each` (a count
+    /// pass, then a fill pass); items keep their production order per key.
+    fn build(n_keys: usize, each: impl Fn(&mut dyn FnMut(usize, u32))) -> Csr {
+        let mut at = vec![0u32; n_keys + 1];
+        each(&mut |k, _| at[k + 1] += 1);
+        for k in 0..n_keys {
+            at[k + 1] += at[k];
+        }
+        let mut fill = at.clone();
+        let mut items = vec![0u32; at[n_keys] as usize];
+        each(&mut |k, item| {
+            items[fill[k] as usize] = item;
+            fill[k] += 1;
+        });
+        Csr { at, items }
+    }
+
+    fn get(&self, k: usize) -> &[u32] {
+        &self.items[self.at[k] as usize..self.at[k + 1] as usize]
+    }
+}
+
+impl ConstraintGraph {
+    /// Build the graph of `l` from per-register and per-array touch lists:
+    /// each op's predecessors are the earlier ops on the lists its own
+    /// def, uses and memory access select.
+    pub fn new(l: &Loop) -> ConstraintGraph {
+        let n = l.ops.len();
+        let n_regs = l
+            .ops
+            .iter()
+            .flat_map(|op| op.def.iter().chain(&op.uses))
+            .map(|v| v.index() + 1)
+            .fold(l.n_vregs(), usize::max);
+        let n_arrays = l
+            .ops
+            .iter()
+            .filter_map(|op| op.mem)
+            .map(|m| m.array.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let defs = Csr::build(n_regs, |add| {
+            for (i, op) in l.ops.iter().enumerate() {
+                if let Some(d) = op.def {
+                    add(d.index(), i as u32);
+                }
             }
+        });
+        let uses = Csr::build(n_regs, |add| {
+            for (i, op) in l.ops.iter().enumerate() {
+                for u in op.distinct_uses() {
+                    add(u.index(), i as u32);
+                }
+            }
+        });
+        let accesses = Csr::build(n_arrays, |add| {
+            for (i, op) in l.ops.iter().enumerate() {
+                if let Some(m) = op.mem {
+                    add(m.array.index(), i as u32);
+                }
+            }
+        });
+        let stores = Csr::build(n_arrays, |add| {
+            for (i, op) in l.ops.iter().enumerate() {
+                if let (Some(m), Opcode::Store) = (op.mem, op.opcode) {
+                    add(m.array.index(), i as u32);
+                }
+            }
+        });
+
+        let mut pred_at = Vec::with_capacity(n + 1);
+        pred_at.push(0u32);
+        let mut preds: Vec<u32> = Vec::new();
+        let mut stamp = vec![u32::MAX; n];
+        for (j, op) in l.ops.iter().enumerate() {
+            let j = j as u32;
+            let from = preds.len();
+            // The lists are ascending, so the earlier ops are a prefix.
+            let mut take = |list: &[u32]| {
+                for &i in list.iter().take_while(|&&i| i < j) {
+                    if std::mem::replace(&mut stamp[i as usize], j) != j {
+                        preds.push(i);
+                    }
+                }
+            };
+            if let Some(d) = op.def {
+                take(defs.get(d.index()));
+                take(uses.get(d.index()));
+            }
+            for &u in &op.uses {
+                take(defs.get(u.index()));
+            }
+            if let Some(m) = op.mem {
+                take(if op.opcode == Opcode::Store {
+                    accesses.get(m.array.index())
+                } else {
+                    stores.get(m.array.index())
+                });
+            }
+            preds[from..].sort_unstable();
+            pred_at.push(preds.len() as u32);
+        }
+
+        let succ = Csr::build(n, |add| {
+            for j in 0..n {
+                for &i in &preds[pred_at[j] as usize..pred_at[j + 1] as usize] {
+                    add(i as usize, j as u32);
+                }
+            }
+        });
+        ConstraintGraph {
+            pred_at,
+            preds,
+            succ_at: succ.at,
+            succs: succ.items,
         }
     }
-    (preds, succs)
+
+    /// Number of operations.
+    pub(crate) fn n_ops(&self) -> usize {
+        self.pred_at.len() - 1
+    }
+
+    /// The constrained predecessors of op `j`, ascending.
+    pub(crate) fn preds(&self, j: usize) -> &[u32] {
+        &self.preds[self.pred_at[j] as usize..self.pred_at[j + 1] as usize]
+    }
+
+    /// The constrained successors of op `i`, ascending.
+    pub(crate) fn succs(&self, i: usize) -> &[u32] {
+        &self.succs[self.succ_at[i] as usize..self.succ_at[i + 1] as usize]
+    }
 }
 
 /// Where one use slot gets its value from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Flow {
+enum Flow {
     /// Fed by the def at original op index `src`; `dist` 0 for the same
     /// iteration, 1 for the previous (use textually precedes every def).
-    Def { src: usize, dist: u32 },
+    Def { src: u32, dist: u32 },
     /// Never defined in the body: reads the live-in (or default-zero)
     /// value every iteration.
     LiveIn,
 }
 
-/// The register's iteration-0 / live-in value as a mixable word.
-fn init_word(l: &Loop, v: VReg) -> u64 {
-    match l.live_in.iter().position(|&r| r == v) {
-        Some(p) => match l.live_in_vals[p] {
-            InitVal::Int(i) => Hasher128::combine(&[2, i as u64]),
-            InitVal::Float(b) => Hasher128::combine(&[3, b]),
-        },
-        None => Hasher128::combine(&[1]),
+/// Every use slot of every op resolved to its reaching source, flat: op
+/// `i`'s slots are `flow[at[i]..at[i + 1]]`, in operand order.
+struct Flows {
+    at: Vec<u32>,
+    flow: Vec<Flow>,
+}
+
+impl Flows {
+    /// Resolve each use to the last def of its register before the op
+    /// (distance 0), else the last def in the body (distance 1), else the
+    /// live-in value: one sweep in program order.
+    fn new(l: &Loop) -> Flows {
+        let mut last_def = vec![u32::MAX; l.n_vregs()];
+        for (i, op) in l.ops.iter().enumerate() {
+            if let Some(d) = op.def {
+                last_def[d.index()] = i as u32;
+            }
+        }
+        let mut before = vec![u32::MAX; l.n_vregs()];
+        let mut at = Vec::with_capacity(l.ops.len() + 1);
+        at.push(0u32);
+        let mut flow = Vec::with_capacity(l.ops.len() * 2);
+        for (i, op) in l.ops.iter().enumerate() {
+            for u in &op.uses {
+                flow.push(match (before[u.index()], last_def[u.index()]) {
+                    (u32::MAX, u32::MAX) => Flow::LiveIn,
+                    (u32::MAX, src) => Flow::Def { src, dist: 1 },
+                    (src, _) => Flow::Def { src, dist: 0 },
+                });
+            }
+            if let Some(d) = op.def {
+                before[d.index()] = i as u32;
+            }
+            at.push(flow.len() as u32);
+        }
+        Flows { at, flow }
+    }
+
+    fn of(&self, i: usize) -> &[Flow] {
+        &self.flow[self.at[i] as usize..self.at[i + 1] as usize]
     }
 }
 
-/// Resolve every use slot of every op to its reaching source.
-pub(crate) fn resolve_flows(l: &Loop) -> Vec<Vec<Flow>> {
-    let mut defs: Vec<Vec<usize>> = vec![Vec::new(); l.n_vregs()];
-    for (i, op) in l.ops.iter().enumerate() {
-        if let Some(d) = op.def {
-            defs[d.index()].push(i);
+/// An initial value as a mixable word.
+fn init_val_word(init: InitVal) -> u64 {
+    match init {
+        InitVal::Int(i) => combine_n([2, i as u64]),
+        InitVal::Float(b) => combine_n([3, b]),
+    }
+}
+
+/// Each register's iteration-0 / live-in value as a mixable word (its
+/// first live-in entry's value; default zero when not live-in).
+fn init_words(l: &Loop) -> Vec<u64> {
+    let mut init = vec![combine_n([1]); l.n_vregs()];
+    for (&v, &val) in l.live_in.iter().zip(&l.live_in_vals).rev() {
+        if let Some(w) = init.get_mut(v.index()) {
+            *w = init_val_word(val);
         }
     }
-    l.ops
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            op.uses
-                .iter()
-                .map(|u| {
-                    let ds = &defs[u.index()];
-                    match ds.iter().rev().find(|&&d| d < i) {
-                        Some(&d) => Flow::Def { src: d, dist: 0 },
-                        None => match ds.last() {
-                            Some(&d) => Flow::Def { src: d, dist: 1 },
-                            None => Flow::LiveIn,
-                        },
-                    }
-                })
-                .collect()
-        })
-        .collect()
+    init
+}
+
+/// Which registers are live-out.
+fn live_out_mask(l: &Loop) -> Vec<bool> {
+    let mut out = vec![false; l.n_vregs()];
+    for &v in &l.live_out {
+        if let Some(o) = out.get_mut(v.index()) {
+            *o = true;
+        }
+    }
+    out
 }
 
 /// Write into `out` each colour's rank among the distinct colours present,
@@ -228,69 +385,78 @@ fn ranks_into(colors: &[u64], distinct: &mut Vec<u64>, out: &mut Vec<u64>) -> us
 /// Colour refinement until the (op ∪ reg) partition stops splitting.
 /// Returns final op and reg colour ranks.
 ///
-/// Everything that does not change between rounds — each register's
-/// initial-value word and its (op, role) touch list — is computed once,
-/// and each round reuses the same scratch buffers, so a round allocates
-/// nothing.
+/// Everything that does not change between rounds is computed once, flat:
+/// each use slot's resolved flow, each register's (op, role) touch list
+/// and, for every colour word a round recomputes, the hash state after its
+/// constant leading words (the slot kind and, for a live-in read, its
+/// initial value; a touch's role). Each round resumes from those states
+/// and reuses the same scratch buffers, so a round allocates nothing.
 fn refine(
     l: &Loop,
-    preds: &[Vec<usize>],
-    succs: &[Vec<usize>],
-    flows: &[Vec<Flow>],
+    g: &ConstraintGraph,
+    flows: &Flows,
+    init: &[u64],
+    commutative: &[bool],
 ) -> (Vec<u64>, Vec<u64>) {
     let n_ops = l.ops.len();
     let n_regs = l.n_vregs();
-    let init: Vec<u64> = (0..n_regs).map(|v| init_word(l, VReg(v as u32))).collect();
-    let commutative: Vec<bool> = l.ops.iter().map(is_commutative).collect();
 
-    // Per register: the ops touching it, with the role each plays.
-    let mut touches: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n_regs];
-    for (i, op) in l.ops.iter().enumerate() {
-        if let Some(d) = op.def {
-            touches[d.index()].push((i, 41));
+    // Per use slot, in `flows` order: the hash state after its constant
+    // leading words.
+    let slot_prefix: Vec<Combine> = l
+        .ops
+        .iter()
+        .enumerate()
+        .flat_map(|(i, op)| op.uses.iter().zip(flows.of(i)))
+        .map(|(&v, &flow)| match flow {
+            Flow::Def { .. } => Combine::START.step(21),
+            Flow::LiveIn => Combine::START.step(22).step(init[v.index()]),
+        })
+        .collect();
+    // Per register: the ops touching it, as `(op << 8) | role` words, and
+    // each touch's state after its role.
+    let touches = Csr::build(n_regs, |add| {
+        for (i, op) in l.ops.iter().enumerate() {
+            let t = (i as u32) << 8;
+            if let Some(d) = op.def {
+                add(d.index(), t | 41);
+            }
+            for (s, &v) in op.uses.iter().enumerate() {
+                let role = if commutative[i] { 42 } else { 43 + s as u32 };
+                add(v.index(), t | role);
+            }
         }
-        for (s, &v) in op.uses.iter().enumerate() {
-            let role = if commutative[i] { 42 } else { 43 + s as u64 };
-            touches[v.index()].push((i, role));
-        }
-    }
+    });
+    let touch_prefix: Vec<Combine> = touches
+        .items
+        .iter()
+        .map(|&t| Combine::START.step((t & 0xff) as u64))
+        .collect();
+    let (op_start, reg_start) = (Combine::START.step(31), Combine::START.step(51));
 
     let mut op_c: Vec<u64> = l
         .ops
         .iter()
         .map(|op| {
             let mem = match op.mem {
-                Some(m) => {
-                    Hasher128::combine(&[5, m.array.0 as u64, m.offset as u64, m.stride as u64])
-                }
+                Some(m) => combine_n([5, m.array.0 as u64, m.offset as u64, m.stride as u64]),
                 None => 4,
             };
-            Hasher128::combine(&[
+            combine_n([
                 11,
                 op.opcode as u64,
                 canonical_alu(op) as u64,
-                op.imm
-                    .map(|i| Hasher128::combine(&[6, i as u64]))
-                    .unwrap_or(7),
-                op.fimm_bits
-                    .map(|b| Hasher128::combine(&[8, b]))
-                    .unwrap_or(9),
+                op.imm.map(|i| combine_n([6, i as u64])).unwrap_or(7),
+                op.fimm_bits.map(|b| combine_n([8, b])).unwrap_or(9),
                 mem,
                 op.uses.len() as u64,
                 op.def.is_some() as u64,
             ])
         })
         .collect();
+    let live_out = live_out_mask(l);
     let mut reg_c: Vec<u64> = (0..n_regs)
-        .map(|v| {
-            let r = VReg(v as u32);
-            Hasher128::combine(&[
-                12,
-                l.class_of(r) as u64,
-                init[v],
-                l.live_out.contains(&r) as u64,
-            ])
-        })
+        .map(|v| combine_n([12, l.vreg_classes[v] as u64, init[v], live_out[v] as u64]))
         .collect();
 
     let mut op_r: Vec<u64> = Vec::with_capacity(n_ops);
@@ -298,7 +464,7 @@ fn refine(
     let mut op_next: Vec<u64> = Vec::with_capacity(n_ops);
     let mut reg_next: Vec<u64> = Vec::with_capacity(n_regs);
     let mut distinct: Vec<u64> = Vec::new();
-    let mut ws: Vec<u64> = Vec::new();
+    let mut sigs: Vec<u64> = Vec::new();
     let mut ns: Vec<u64> = Vec::new();
     let mut prev_count = 0usize;
     for _ in 0..(n_ops + n_regs + 2) {
@@ -309,49 +475,64 @@ fn refine(
         }
         prev_count = n1 + n2;
 
+        // An op's colour: [31, rank, def, use signatures (sorted when
+        // commutative), predecessor and successor rank multisets].
         op_next.clear();
         for (i, op) in l.ops.iter().enumerate() {
-            ws.clear();
-            ws.push(31);
-            ws.push(op_r[i]);
-            ws.push(op.def.map(|d| 1 + reg_r[d.index()]).unwrap_or(0));
-            let sigs_at = ws.len();
-            for (s, &v) in op.uses.iter().enumerate() {
-                ws.push(match flows[i][s] {
-                    Flow::Def { src, dist } => Hasher128::combine(&[
-                        21,
-                        op_r[src],
-                        dist as u64,
-                        if dist == 1 { init[v.index()] } else { 0 },
-                        reg_r[v.index()],
-                    ]),
-                    Flow::LiveIn => Hasher128::combine(&[22, init[v.index()], reg_r[v.index()]]),
+            let at = flows.at[i] as usize;
+            sigs.clear();
+            for (s, (&v, &flow)) in op.uses.iter().zip(flows.of(i)).enumerate() {
+                let (prefix, rank) = (slot_prefix[at + s], reg_r[v.index()]);
+                sigs.push(match flow {
+                    Flow::Def { src, dist: 0 } => prefix
+                        .step(op_r[src as usize])
+                        .step(0)
+                        .step(0)
+                        .step(rank)
+                        .finish(5),
+                    Flow::Def { src, dist } => prefix
+                        .step(op_r[src as usize])
+                        .step(dist as u64)
+                        .step(init[v.index()])
+                        .step(rank)
+                        .finish(5),
+                    Flow::LiveIn => prefix.step(rank).finish(3),
                 });
             }
             if commutative[i] {
-                ws[sigs_at..].sort_unstable();
+                sigs.sort_unstable();
             }
-            for group in [&preds[i], &succs[i]] {
+            let mut c = op_start
+                .step(op_r[i])
+                .step(op.def.map(|d| 1 + reg_r[d.index()]).unwrap_or(0));
+            for &sig in &sigs {
+                c = c.step(sig);
+            }
+            for group in [g.preds(i), g.succs(i)] {
                 ns.clear();
-                ns.extend(group.iter().map(|&k| op_r[k]));
+                ns.extend(group.iter().map(|&k| op_r[k as usize]));
                 ns.sort_unstable();
-                ws.push(Hasher128::combine(&ns));
+                c = c.step(Hasher128::combine(&ns));
             }
-            op_next.push(Hasher128::combine(&ws));
+            op_next.push(c.finish(5 + sigs.len()));
         }
 
+        // A register's colour: [51, rank, sorted (role, op rank) touches].
         reg_next.clear();
-        for (v, touch) in touches.iter().enumerate() {
-            ws.clear();
-            ws.push(51);
-            ws.push(reg_r[v]);
-            ws.extend(
-                touch
+        for (v, &rank) in reg_r.iter().enumerate() {
+            let span = touches.at[v] as usize..touches.at[v + 1] as usize;
+            sigs.clear();
+            sigs.extend(
+                touches.items[span.clone()]
                     .iter()
-                    .map(|&(i, role)| Hasher128::combine(&[role, op_r[i]])),
+                    .zip(&touch_prefix[span])
+                    .map(|(&t, prefix)| prefix.step(op_r[(t >> 8) as usize]).finish(2)),
             );
-            ws[2..].sort_unstable();
-            reg_next.push(Hasher128::combine(&ws));
+            sigs.sort_unstable();
+            let c = sigs
+                .iter()
+                .fold(reg_start.step(rank), |c, &sig| c.step(sig));
+            reg_next.push(c.finish(2 + sigs.len()));
         }
 
         std::mem::swap(&mut op_c, &mut op_next);
@@ -368,28 +549,67 @@ fn refine(
 /// An op's key `(rank, sorted predecessor positions, index)` is fixed the
 /// moment its last predecessor is placed, so ready ops wait in a min-heap
 /// keyed on it, fed by predecessor counts; popping the heap picks exactly
-/// the op a full scan of the ready set would.
-fn canonical_order(preds: &[Vec<usize>], succs: &[Vec<usize>], op_rank: &[u64]) -> Vec<usize> {
-    let n = preds.len();
-    let mut pos: Vec<usize> = vec![usize::MAX; n];
-    let mut waiting: Vec<usize> = preds.iter().map(Vec::len).collect();
-    let key = |i: usize, pos: &[usize]| {
-        let mut pred_pos: Vec<usize> = preds[i].iter().map(|&p| pos[p]).collect();
-        pred_pos.sort_unstable();
-        Reverse((op_rank[i], pred_pos, i))
+/// the op a full scan of the ready set would. The positions live in one
+/// flat buffer laid out like the graph's predecessor lists, so the heap
+/// holds bare op indices.
+fn canonical_order(g: &ConstraintGraph, op_rank: &[u64]) -> Vec<usize> {
+    let n = g.n_ops();
+    let mut pos = vec![u32::MAX; n];
+    let mut waiting: Vec<u32> = (0..n).map(|i| g.preds(i).len() as u32).collect();
+    let mut pred_pos = vec![0u32; g.preds.len()];
+    let span = |i: usize| g.pred_at[i] as usize..g.pred_at[i + 1] as usize;
+    let less = |a: u32, b: u32, pred_pos: &[u32]| {
+        let (a, b) = (a as usize, b as usize);
+        (op_rank[a], &pred_pos[span(a)], a) < (op_rank[b], &pred_pos[span(b)], b)
     };
-    let mut ready: BinaryHeap<Reverse<(u64, Vec<usize>, usize)>> = (0..n)
-        .filter(|&i| waiting[i] == 0)
-        .map(|i| key(i, &pos))
-        .collect();
+    let mut heap: Vec<u32> = Vec::with_capacity(n);
+    let push = |heap: &mut Vec<u32>, i: u32, pred_pos: &[u32]| {
+        heap.push(i);
+        let mut c = heap.len() - 1;
+        while c > 0 {
+            let p = (c - 1) / 2;
+            if !less(heap[c], heap[p], pred_pos) {
+                break;
+            }
+            heap.swap(c, p);
+            c = p;
+        }
+    };
+    for i in (0..n).filter(|&i| waiting[i] == 0) {
+        push(&mut heap, i as u32, &pred_pos);
+    }
     let mut order = Vec::with_capacity(n);
-    while let Some(Reverse((_, _, i))) = ready.pop() {
-        pos[i] = order.len();
+    while !heap.is_empty() {
+        let i = heap.swap_remove(0);
+        let mut p = 0;
+        loop {
+            let (l, r) = (2 * p + 1, 2 * p + 2);
+            let mut m = p;
+            if l < heap.len() && less(heap[l], heap[m], &pred_pos) {
+                m = l;
+            }
+            if r < heap.len() && less(heap[r], heap[m], &pred_pos) {
+                m = r;
+            }
+            if m == p {
+                break;
+            }
+            heap.swap(p, m);
+            p = m;
+        }
+        let i = i as usize;
+        pos[i] = order.len() as u32;
         order.push(i);
-        for &s in &succs[i] {
+        for &s in g.succs(i) {
+            let s = s as usize;
             waiting[s] -= 1;
             if waiting[s] == 0 {
-                ready.push(key(s, &pos));
+                let slot = &mut pred_pos[span(s)];
+                for (k, &p) in slot.iter_mut().zip(g.preds(s)) {
+                    *k = pos[p as usize];
+                }
+                slot.sort_unstable();
+                push(&mut heap, s as u32, &pred_pos);
             }
         }
     }
@@ -404,22 +624,22 @@ fn canonical_order(preds: &[Vec<usize>], succs: &[Vec<usize>], op_rank: &[u64]) 
 /// Sort key for one use slot of a commutative op, computed once the full
 /// canonical order is fixed (every feeder's canonical position is known).
 fn use_key(
-    l: &Loop,
     flow: Flow,
     v: VReg,
     op_pos: &[usize],
+    init: &[u64],
     reg_rank: &[u64],
 ) -> (u64, u64, u64, u64, u64, u64) {
     match flow {
         Flow::Def { src, dist } => (
             0,
-            op_pos[src] as u64,
+            op_pos[src as usize] as u64,
             dist as u64,
-            if dist == 1 { init_word(l, v) } else { 0 },
+            if dist == 1 { init[v.index()] } else { 0 },
             reg_rank[v.index()],
             v.0 as u64,
         ),
-        Flow::LiveIn => (1, 0, 0, init_word(l, v), reg_rank[v.index()], v.0 as u64),
+        Flow::LiveIn => (1, 0, 0, init[v.index()], reg_rank[v.index()], v.0 as u64),
     }
 }
 
@@ -495,29 +715,47 @@ fn hash_canonical_body(l: &Loop) -> StructuralHash {
 
 /// Canonicalize `l` into its alpha-normal form.
 pub fn canonicalize(l: &Loop) -> Canonical {
-    let (preds, succs) = constraint_graph(l);
-    let flows = resolve_flows(l);
-    let (op_rank, reg_rank) = refine(l, &preds, &succs, &flows);
-    let order = canonical_order(&preds, &succs, &op_rank);
+    canonicalize_with(l, &ConstraintGraph::new(l))
+}
+
+/// [`canonicalize`] with `l`'s constraint graph already built. `g` may come
+/// from any loop whose ops have the same defs, uses, opcodes and memory
+/// arrays up to register renaming and commutative operand order (an
+/// isomorphic variant before statement permutation, or a [`perturb`]ed
+/// copy); the result is then byte-identical to [`canonicalize`]'s.
+///
+/// [`perturb`]: crate::perturb
+pub fn canonicalize_with(l: &Loop, g: &ConstraintGraph) -> Canonical {
+    debug_assert_eq!(g, &ConstraintGraph::new(l), "graph of another loop");
+    let init = init_words(l);
+    let flows = Flows::new(l);
+    let commutative: Vec<bool> = l.ops.iter().map(is_commutative).collect();
+    let (op_rank, reg_rank) = refine(l, g, &flows, &init, &commutative);
+    let order = canonical_order(g, &op_rank);
 
     let mut op_pos = vec![usize::MAX; l.ops.len()];
     for (p, &i) in order.iter().enumerate() {
         op_pos[i] = p;
     }
 
-    // Per original op: its use slots in canonical operand order.
-    let slot_order: Vec<Vec<usize>> = l
+    // Per original op: whether its two use slots are emitted swapped (only
+    // commutative ops reorder, by a stable sort of their two slot keys).
+    let swapped: Vec<bool> = l
         .ops
         .iter()
         .enumerate()
         .map(|(i, op)| {
-            let mut slots: Vec<usize> = (0..op.uses.len()).collect();
-            if is_commutative(op) {
-                slots.sort_by_key(|&s| use_key(l, flows[i][s], op.uses[s], &op_pos, &reg_rank));
+            commutative[i] && {
+                let f = flows.of(i);
+                let key = |s: usize| use_key(f[s], op.uses[s], &op_pos, &init, &reg_rank);
+                key(1) < key(0)
             }
-            slots
         })
         .collect();
+    let slots = |i: usize| {
+        let (n, swap) = (l.ops[i].uses.len(), swapped[i]);
+        (0..n).map(move |s| if swap { n - 1 - s } else { s })
+    };
 
     // Dense renaming in first-mention order over the canonical trace.
     let n_regs = l.n_vregs();
@@ -531,7 +769,7 @@ pub fn canonicalize(l: &Loop) -> Canonical {
     };
     for &i in &order {
         let op = &l.ops[i];
-        for &s in &slot_order[i] {
+        for s in slots(i) {
             mention(op.uses[s], &mut to_canon, &mut from_canon);
         }
         if let Some(d) = op.def {
@@ -564,7 +802,7 @@ pub fn canonicalize(l: &Loop) -> Canonical {
                 opcode: op.opcode,
                 alu: canonical_alu(op),
                 def: op.def.map(map),
-                uses: slot_order[i].iter().map(|&s| map(op.uses[s])).collect(),
+                uses: slots(i).map(|s| map(op.uses[s])).collect(),
                 imm: op.imm,
                 fimm_bits: op.fimm_bits,
                 mem: op.mem,
@@ -668,6 +906,17 @@ pub fn alpha_equivalent(a: &Loop, b: &Loop) -> Option<EquivWitness> {
 /// values and the relative order of every constrained op pair. Returns a
 /// human-readable reason on failure.
 pub fn check_witness(a: &Loop, b: &Loop, w: &EquivWitness) -> Result<(), String> {
+    check_witness_with(a, b, w, &ConstraintGraph::new(a))
+}
+
+/// [`check_witness`] with `a`'s constraint graph already built (see
+/// [`canonicalize_with`] for which loops share one).
+pub fn check_witness_with(
+    a: &Loop,
+    b: &Loop,
+    w: &EquivWitness,
+    a_graph: &ConstraintGraph,
+) -> Result<(), String> {
     if a.n_vregs() != b.n_vregs() || a.ops.len() != b.ops.len() {
         return Err("size mismatch".into());
     }
@@ -687,6 +936,8 @@ pub fn check_witness(a: &Loop, b: &Loop, w: &EquivWitness) -> Result<(), String>
     if w.vreg_map.len() != a.n_vregs() || w.op_map.len() != a.ops.len() {
         return Err("witness arity mismatch".into());
     }
+    let (init_a, init_b) = (init_words(a), init_words(b));
+    let (out_a, out_b) = (live_out_mask(a), live_out_mask(b));
     let mut seen_v = vec![false; b.n_vregs()];
     for (v, &m) in w.vreg_map.iter().enumerate() {
         let m = m as usize;
@@ -696,10 +947,10 @@ pub fn check_witness(a: &Loop, b: &Loop, w: &EquivWitness) -> Result<(), String>
         if a.vreg_classes[v] != b.vreg_classes[m] {
             return Err(format!("class mismatch at v{v}"));
         }
-        if init_word(a, VReg(v as u32)) != init_word(b, VReg(m as u32)) {
+        if init_a[v] != init_b[m] {
             return Err(format!("live-in value mismatch at v{v}"));
         }
-        if a.live_out.contains(&VReg(v as u32)) != b.live_out.contains(&VReg(m as u32)) {
+        if out_a[v] != out_b[m] {
             return Err(format!("live-out mismatch at v{v}"));
         }
     }
@@ -722,16 +973,12 @@ pub fn check_witness(a: &Loop, b: &Loop, w: &EquivWitness) -> Result<(), String>
         if oa.def.map(|d| VReg(w.vreg_map[d.index()])) != ob.def {
             return Err(format!("def mismatch at op{i}"));
         }
-        let mapped: Vec<VReg> = oa
-            .uses
-            .iter()
-            .map(|u| VReg(w.vreg_map[u.index()]))
-            .collect();
-        let matches_direct = mapped == ob.uses;
+        let mapped = |s: usize| VReg(w.vreg_map[oa.uses[s].index()]);
+        let matches_direct = (0..oa.uses.len()).all(|s| mapped(s) == ob.uses[s]);
         let matches_swapped = is_commutative(oa)
-            && mapped.len() == 2
-            && mapped[0] == ob.uses[1]
-            && mapped[1] == ob.uses[0];
+            && oa.uses.len() == 2
+            && mapped(0) == ob.uses[1]
+            && mapped(1) == ob.uses[0];
         if !matches_direct && !matches_swapped {
             return Err(format!("use wiring mismatch at op{i}"));
         }
@@ -739,9 +986,10 @@ pub fn check_witness(a: &Loop, b: &Loop, w: &EquivWitness) -> Result<(), String>
     // Ops whose swap could change semantics must keep their relative order,
     // or a use would read a different reaching def (or a cell a different
     // store).
-    let (_, succs) = constraint_graph(a);
-    for (i, ss) in succs.iter().enumerate() {
-        if let Some(&j) = ss.iter().find(|&&j| w.op_map[i] > w.op_map[j]) {
+    debug_assert_eq!(a_graph, &ConstraintGraph::new(a), "graph of another loop");
+    for i in 0..a.ops.len() {
+        let ss = a_graph.succs(i);
+        if let Some(&j) = ss.iter().find(|&&j| w.op_map[i] > w.op_map[j as usize]) {
             return Err(format!(
                 "op map reverses the constrained pair op{i} → op{j}"
             ));
@@ -1002,6 +1250,54 @@ mod tests {
             len: 8,
         });
         assert!(check_witness(&a, &extra, &same).is_err());
+    }
+
+    /// The O(n²) pair scan the CSR build replaced: `preds[j]` lists every
+    /// `i < j` whose swap with `j` could change semantics.
+    fn pair_scan_preds(l: &Loop) -> Vec<Vec<u32>> {
+        let conflicts = |a: &Operation, b: &Operation| {
+            let reg = a.def.is_some_and(|d| b.defines(d) || b.uses_reg(d))
+                || b.def.is_some_and(|d| a.uses_reg(d));
+            let mem = match (a.mem, b.mem) {
+                (Some(ma), Some(mb)) => {
+                    ma.array == mb.array && (a.opcode == Opcode::Store || b.opcode == Opcode::Store)
+                }
+                _ => false,
+            };
+            reg || mem
+        };
+        (0..l.ops.len())
+            .map(|j| {
+                (0..j as u32)
+                    .filter(|&i| conflicts(&l.ops[i as usize], &l.ops[j]))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn csr_graph_matches_the_pair_scan() {
+        let loops: Vec<Loop> = vliw_loopgen::corpus()
+            .into_iter()
+            .chain(vliw_loopgen::pressure_corpus())
+            .chain(vliw_loopgen::scaling_slice())
+            .flat_map(|l| [crate::variant(&l, 3), l])
+            .chain([sample(), load_then_add()])
+            .collect();
+        for l in &loops {
+            let g = ConstraintGraph::new(l);
+            let preds = pair_scan_preds(l);
+            assert_eq!(g.n_ops(), l.ops.len(), "{}", l.name);
+            for (j, want) in preds.iter().enumerate() {
+                assert_eq!(g.preds(j), &want[..], "{}: preds of op{j}", l.name);
+            }
+            for i in 0..l.ops.len() {
+                let want: Vec<u32> = (0..l.ops.len() as u32)
+                    .filter(|&j| preds[j as usize].contains(&(i as u32)))
+                    .collect();
+                assert_eq!(g.succs(i), &want[..], "{}: succs of op{i}", l.name);
+            }
+        }
     }
 
     #[test]

@@ -97,13 +97,43 @@ impl Hasher128 {
 
     /// One-word convenience mixer for colour refinement: not a full hash,
     /// just `mix64` over the xor-fold of the inputs' running combination.
+    #[inline]
     pub fn combine(words: &[u64]) -> u64 {
-        let mut acc = 0x51ed_270b_7a1c_c581u64;
-        for &w in words {
-            acc = mix64(acc ^ w).wrapping_mul(0x0001_0000_01b3);
-        }
-        mix64(acc ^ words.len() as u64)
+        words
+            .iter()
+            .fold(Combine::START, |c, &w| c.step(w))
+            .finish(words.len())
     }
+}
+
+/// The running state of [`Hasher128::combine`]. A caller that combines the
+/// same leading words many times absorbs them once and resumes from the
+/// saved state; the result is the same word.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Combine(u64);
+
+impl Combine {
+    /// The state before any word.
+    pub(crate) const START: Combine = Combine(0x51ed_270b_7a1c_c581);
+
+    /// Absorb one word.
+    #[inline]
+    pub(crate) fn step(self, w: u64) -> Combine {
+        Combine(mix64(self.0 ^ w).wrapping_mul(0x0001_0000_01b3))
+    }
+
+    /// Finish after `n_words` absorbed words in all.
+    #[inline]
+    pub(crate) fn finish(self, n_words: usize) -> u64 {
+        mix64(self.0 ^ n_words as u64)
+    }
+}
+
+/// [`Hasher128::combine`] over a fixed number of words: the same value,
+/// with the word loop unrolled at each call site.
+#[inline]
+pub(crate) fn combine_n<const N: usize>(words: [u64; N]) -> u64 {
+    Hasher128::combine(&words)
 }
 
 #[cfg(test)]

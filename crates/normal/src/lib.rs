@@ -50,10 +50,12 @@ pub mod hash;
 pub mod variants;
 
 pub use canon::{
-    alpha_equivalent, canonicalize, check_witness, is_commutative, structural_hash, Canonical,
-    EquivWitness, Witness, CANONICAL_LOOP_NAME,
+    alpha_equivalent, canonicalize, canonicalize_with, check_witness, check_witness_with,
+    is_commutative, structural_hash, Canonical, ConstraintGraph, EquivWitness, Witness,
+    CANONICAL_LOOP_NAME,
 };
 pub use hash::{Hasher128, StructuralHash};
 pub use variants::{
     permute_statements, perturb, rename_arrays, rename_vregs, swap_commutative, variant,
+    variant_with,
 };

@@ -7,7 +7,7 @@
 //! for every seed, and [`perturb`] produces a *non*-equivalent mutation for
 //! the negative direction.
 
-use crate::canon::{constraint_graph, is_commutative};
+use crate::canon::{is_commutative, ConstraintGraph};
 use vliw_ir::{InitVal, Loop, OpId, Opcode, Operation, VReg};
 
 /// Small deterministic PRNG (xorshift64*), seeded per call site.
@@ -94,18 +94,19 @@ fn swap_commutative_in_place(l: &mut Loop, seed: u64) {
 }
 
 /// The ready list stays in ascending index order: the seeded draw picks by
-/// position in it, so its order is part of the output.
-fn permute_statements_in_place(l: &mut Loop, seed: u64) {
+/// position in it, so its order is part of the output. `g` is `l`'s
+/// constraint graph.
+fn permute_statements_in_place(l: &mut Loop, seed: u64, g: &ConstraintGraph) {
     let mut rng = Rng::new(seed ^ 0x7065_726d);
-    let (preds, succs) = constraint_graph(l);
     let n = l.ops.len();
-    let mut waiting: Vec<usize> = preds.iter().map(Vec::len).collect();
+    let mut waiting: Vec<usize> = (0..n).map(|i| g.preds(i).len()).collect();
     let mut ready: Vec<usize> = (0..n).filter(|&i| waiting[i] == 0).collect();
     let mut order = Vec::with_capacity(n);
     while !ready.is_empty() {
         let pick = ready.remove(rng.below(ready.len()));
         order.push(pick);
-        for &s in &succs[pick] {
+        for &s in g.succs(pick) {
+            let s = s as usize;
             waiting[s] -= 1;
             if waiting[s] == 0 {
                 let at = ready.binary_search(&s).unwrap_err();
@@ -155,18 +156,26 @@ pub fn swap_commutative(l: &Loop, seed: u64) -> Loop {
 /// renumbering op ids densely.
 pub fn permute_statements(l: &Loop, seed: u64) -> Loop {
     let mut out = l.clone();
-    permute_statements_in_place(&mut out, seed);
+    permute_statements_in_place(&mut out, seed, &ConstraintGraph::new(l));
     out
 }
 
 /// Compose every invisible transformation: rename registers and names,
 /// swap commutative operands, permute statements — in place on one clone.
 pub fn variant(l: &Loop, seed: u64) -> Loop {
+    variant_with(l, seed, &ConstraintGraph::new(l))
+}
+
+/// [`variant`] with `l`'s constraint graph already built. Renaming and
+/// commutative swaps leave the graph unchanged, so the statement
+/// permutation runs on `g` as given.
+pub fn variant_with(l: &Loop, seed: u64, g: &ConstraintGraph) -> Loop {
+    debug_assert_eq!(g, &ConstraintGraph::new(l), "graph of another loop");
     let mut out = l.clone();
     rename_vregs_in_place(&mut out, seed);
     rename_arrays_in_place(&mut out, seed);
     swap_commutative_in_place(&mut out, seed.wrapping_add(1));
-    permute_statements_in_place(&mut out, seed.wrapping_add(2));
+    permute_statements_in_place(&mut out, seed.wrapping_add(2), g);
     out
 }
 

@@ -1,12 +1,68 @@
 //! Per-bank, per-class register assignment driver.
 
-use crate::color::{color_graph, ColorOutcome};
+use crate::color::color_with_costs;
 use crate::interfere::InterferenceGraph;
-use crate::live::{kernel_live_ranges, max_pressure, LiveRange};
+use crate::live::{kernel_live_ranges, max_pressure_of, CyclicInterval, LiveRange};
 use vliw_ddg::Ddg;
 use vliw_ir::{Loop, RegClass};
 use vliw_machine::{ClusterId, MachineDesc};
 use vliw_sched::Schedule;
+
+/// Live ranges grouped by register file, one pass over the ranges: the
+/// indices of each (bank, class) file's ranges, in range order.
+pub struct RegisterFiles {
+    /// `members[at[f]..at[f + 1]]` belong to file `f = bank * 2 + class`.
+    at: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl RegisterFiles {
+    /// Group `ranges` of `body`: each range joins the file of its
+    /// register's bank in `vreg_bank` and its class. A register whose bank
+    /// is missing from `vreg_bank` or not below `n_banks` joins no file.
+    pub fn new(
+        body: &Loop,
+        ranges: &[LiveRange],
+        vreg_bank: &[ClusterId],
+        n_banks: usize,
+    ) -> RegisterFiles {
+        let file = |r: &LiveRange| {
+            let bank = vreg_bank.get(r.vreg.index())?.index();
+            (bank < n_banks).then(|| bank * 2 + body.class_of(r.vreg).index())
+        };
+        let mut at = vec![0u32; 2 * n_banks + 1];
+        for f in ranges.iter().filter_map(file) {
+            at[f + 1] += 1;
+        }
+        for f in 0..2 * n_banks {
+            at[f + 1] += at[f];
+        }
+        let mut fill = at.clone();
+        let mut members = vec![0u32; at[2 * n_banks] as usize];
+        for (i, r) in ranges.iter().enumerate() {
+            if let Some(f) = file(r) {
+                members[fill[f] as usize] = i as u32;
+                fill[f] += 1;
+            }
+        }
+        RegisterFiles { at, members }
+    }
+
+    /// Indices of the ranges in `bank`'s `class` file, ascending.
+    pub(crate) fn members(&self, bank: usize, class: RegClass) -> &[u32] {
+        let f = bank * 2 + class.index();
+        &self.members[self.at[f] as usize..self.at[f + 1] as usize]
+    }
+
+    /// Peak simultaneous liveness in `bank`'s `class` file (its MaxLive).
+    pub fn max_pressure(&self, ranges: &[LiveRange], bank: usize, class: RegClass) -> usize {
+        max_pressure_of(
+            self.members(bank, class)
+                .iter()
+                .map(|&i| ranges[i as usize].interval),
+        )
+    }
+}
 
 /// Colouring statistics for one (bank, class) register file.
 #[derive(Debug, Clone)]
@@ -76,35 +132,37 @@ pub fn allocate(
     let mut assignment: Vec<Vec<Option<u32>>> = vec![vec![None; unroll as usize]; body.n_vregs()];
     let mut spilled = Vec::new();
     let mut stats = Vec::new();
+    let files = RegisterFiles::new(body, &all_ranges, vreg_bank, machine.n_clusters());
+    let mut intervals: Vec<CyclicInterval> = Vec::new();
 
     for bank in machine.cluster_ids() {
         for class in RegClass::ALL {
-            let ranges: Vec<LiveRange> = all_ranges
-                .iter()
-                .filter(|r| vreg_bank[r.vreg.index()] == bank && body.class_of(r.vreg) == class)
-                .cloned()
-                .collect();
-            if ranges.is_empty() {
+            let members = files.members(bank.index(), class);
+            if members.is_empty() {
                 continue;
             }
+            let range = |i: usize| &all_ranges[members[i] as usize];
             let capacity = match class {
                 RegClass::Int => machine.clusters[bank.index()].int_regs,
                 RegClass::Float => machine.clusters[bank.index()].float_regs,
             };
-            let graph = InterferenceGraph::build(&ranges);
-            let out: ColorOutcome = color_graph(&graph, &ranges, capacity);
+            intervals.clear();
+            intervals.extend((0..members.len()).map(|i| range(i).interval));
+            let graph = InterferenceGraph::from_intervals(&intervals);
+            let out = color_with_costs(&graph, |i| range(i).cost, capacity);
             debug_assert!(out.is_valid(&graph));
-            for (i, r) in ranges.iter().enumerate() {
-                assignment[r.vreg.index()][r.instance as usize] = out.colors[i];
-                if out.colors[i].is_none() {
+            for (i, &c) in out.colors.iter().enumerate() {
+                let r = range(i);
+                assignment[r.vreg.index()][r.instance as usize] = c;
+                if c.is_none() {
                     spilled.push((r.vreg, r.instance));
                 }
             }
             stats.push(BankClassStats {
                 bank,
                 class,
-                n_ranges: ranges.len(),
-                max_pressure: max_pressure(&ranges),
+                n_ranges: members.len(),
+                max_pressure: max_pressure_of(intervals.iter().copied()),
                 n_colors_used: out.n_colors_used,
                 n_spilled: out.n_spilled,
             });

@@ -1,6 +1,6 @@
 //! Chaitin-style simplify/spill colouring with Briggs' optimistic push.
 
-use crate::interfere::InterferenceGraph;
+use crate::interfere::{bits, InterferenceGraph};
 use crate::live::LiveRange;
 
 /// Result of colouring one (bank, class) interference graph.
@@ -17,15 +17,9 @@ pub struct ColorOutcome {
 impl ColorOutcome {
     /// Check the defining property: no two interfering nodes share a colour.
     pub fn is_valid(&self, g: &InterferenceGraph) -> bool {
-        for i in 0..g.n_nodes() {
-            let Some(ci) = self.colors[i] else { continue };
-            for &j in g.neighbours(i) {
-                if self.colors[j] == Some(ci) {
-                    return false;
-                }
-            }
-        }
-        true
+        (0..g.n_nodes()).all(|i| {
+            self.colors[i].is_none_or(|c| g.neighbours(i).all(|j| self.colors[j] != Some(c)))
+        })
     }
 }
 
@@ -37,59 +31,111 @@ impl ColorOutcome {
 /// takes the lowest colour unused by its already-coloured neighbours;
 /// optimistic nodes that find no colour are spilled.
 pub fn color_graph(g: &InterferenceGraph, ranges: &[LiveRange], k: usize) -> ColorOutcome {
+    assert_eq!(ranges.len(), g.n_nodes());
+    color_with_costs(g, |i| ranges[i].cost, k)
+}
+
+/// [`color_graph`] with node `i`'s spill cost given by `cost(i)`.
+///
+/// Simplify removes, among nodes of remaining degree `< k`, one of the
+/// highest degree (the highest index among ties). The candidates sit in
+/// one bitset per degree, so a pick reads the top non-empty bucket instead
+/// of rescanning every node; only the spill-candidate choice scans.
+pub(crate) fn color_with_costs(
+    g: &InterferenceGraph,
+    cost: impl Fn(usize) -> f64,
+    k: usize,
+) -> ColorOutcome {
     let n = g.n_nodes();
-    assert_eq!(ranges.len(), n);
-    let mut removed = vec![false; n];
+    let words = n.div_ceil(64);
     let mut degree: Vec<usize> = (0..n).map(|i| g.degree(i)).collect();
+    let mut live = vec![0u64; words];
+    // `low[d * words..]`: the live nodes of degree `d < k`. Degrees never
+    // exceed `n - 1`, so `min(k, n)` buckets hold every candidate.
+    let n_low = k.min(n);
+    let mut low = vec![0u64; n_low * words];
+    for (i, &d) in degree.iter().enumerate() {
+        live[i / 64] |= 1 << (i % 64);
+        if d < k {
+            low[d * words + i / 64] |= 1 << (i % 64);
+        }
+    }
+    let mut top = n_low;
     let mut stack: Vec<usize> = Vec::with_capacity(n);
 
     for _ in 0..n {
-        // Prefer a trivially colourable node (degree < k).
-        let pick = (0..n)
-            .filter(|&i| !removed[i] && degree[i] < k)
-            .max_by_key(|&i| degree[i])
-            .or_else(|| {
-                // Spill candidate: cheapest per unit of degree relief.
-                (0..n).filter(|&i| !removed[i]).min_by(|&a, &b| {
-                    let ka = ranges[a].cost / (degree[a] + 1) as f64;
-                    let kb = ranges[b].cost / (degree[b] + 1) as f64;
-                    ka.partial_cmp(&kb).unwrap().then(a.cmp(&b))
-                })
-            })
-            .expect("n iterations, one removal each");
-        removed[pick] = true;
+        while top > 0 && low[(top - 1) * words..top * words].iter().all(|&w| w == 0) {
+            top -= 1;
+        }
+        let pick = if top > 0 {
+            let bucket = &low[(top - 1) * words..top * words];
+            let w = bucket.iter().rposition(|&w| w != 0).expect("non-empty");
+            w * 64 + 63 - bucket[w].leading_zeros() as usize
+        } else {
+            // Spill candidate: cheapest per unit of degree relief, lowest
+            // index among ties.
+            let mut best: Option<(usize, f64)> = None;
+            for i in bits(&live) {
+                let key = cost(i) / (degree[i] + 1) as f64;
+                if best.is_none_or(|(_, b)| key.partial_cmp(&b).unwrap().is_lt()) {
+                    best = Some((i, key));
+                }
+            }
+            best.expect("n iterations, one removal each").0
+        };
+        live[pick / 64] &= !(1 << (pick % 64));
+        if degree[pick] < k {
+            low[degree[pick] * words + pick / 64] &= !(1 << (pick % 64));
+        }
         stack.push(pick);
-        for &nb in g.neighbours(pick) {
-            if !removed[nb] {
-                degree[nb] -= 1;
+        for w in 0..words {
+            let mut nbs = g.row(pick)[w] & live[w];
+            while nbs != 0 {
+                let nb = w * 64 + nbs.trailing_zeros() as usize;
+                nbs &= nbs - 1;
+                let (d, bit) = (degree[nb], 1 << (nb % 64));
+                degree[nb] = d - 1;
+                if d < k {
+                    low[d * words + w] &= !bit;
+                }
+                if d - 1 < k {
+                    low[(d - 1) * words + w] |= bit;
+                    top = top.max(d);
+                }
             }
         }
     }
 
     let mut colors: Vec<Option<u32>> = vec![None; n];
     let mut n_spilled = 0usize;
+    let k_words = k.div_ceil(64);
+    let mut used = vec![0u64; k_words];
+    let mut palette = vec![0u64; k_words];
     while let Some(i) = stack.pop() {
-        let mut used = vec![false; k];
-        for &nb in g.neighbours(i) {
+        used.fill(0);
+        for nb in g.neighbours(i) {
             if let Some(c) = colors[nb] {
-                used[c as usize] = true;
+                used[c as usize / 64] |= 1 << (c % 64);
             }
         }
-        match used.iter().position(|&u| !u) {
-            Some(c) => colors[i] = Some(c as u32),
+        let free = used
+            .iter()
+            .enumerate()
+            .find(|&(_, &w)| w != u64::MAX)
+            .map(|(w, &u)| w * 64 + (!u).trailing_zeros() as usize)
+            .filter(|&c| c < k);
+        match free {
+            Some(c) => {
+                colors[i] = Some(c as u32);
+                palette[c / 64] |= 1 << (c % 64);
+            }
             None => n_spilled += 1,
         }
     }
-    let n_colors_used = colors
-        .iter()
-        .flatten()
-        .copied()
-        .collect::<std::collections::HashSet<_>>()
-        .len();
     ColorOutcome {
         colors,
         n_spilled,
-        n_colors_used,
+        n_colors_used: palette.iter().map(|w| w.count_ones() as usize).sum(),
     }
 }
 
@@ -97,7 +143,87 @@ pub fn color_graph(g: &InterferenceGraph, ranges: &[LiveRange], k: usize) -> Col
 mod tests {
     use super::*;
     use crate::live::CyclicInterval;
+    use proptest::prelude::*;
     use vliw_ir::VReg;
+
+    /// The rescanning simplify/select the bucketed one replaced: each pick
+    /// scans every node, each pop allocates its used-colour table.
+    fn color_graph_rescan(g: &InterferenceGraph, ranges: &[LiveRange], k: usize) -> ColorOutcome {
+        let n = g.n_nodes();
+        let mut removed = vec![false; n];
+        let mut degree: Vec<usize> = (0..n).map(|i| g.degree(i)).collect();
+        let mut stack: Vec<usize> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let pick = (0..n)
+                .filter(|&i| !removed[i] && degree[i] < k)
+                .max_by_key(|&i| degree[i])
+                .or_else(|| {
+                    (0..n).filter(|&i| !removed[i]).min_by(|&a, &b| {
+                        let ka = ranges[a].cost / (degree[a] + 1) as f64;
+                        let kb = ranges[b].cost / (degree[b] + 1) as f64;
+                        ka.partial_cmp(&kb).unwrap().then(a.cmp(&b))
+                    })
+                })
+                .expect("n iterations, one removal each");
+            removed[pick] = true;
+            stack.push(pick);
+            for nb in g.neighbours(pick) {
+                if !removed[nb] {
+                    degree[nb] -= 1;
+                }
+            }
+        }
+        let mut colors: Vec<Option<u32>> = vec![None; n];
+        let mut n_spilled = 0usize;
+        while let Some(i) = stack.pop() {
+            let mut used = vec![false; k];
+            for nb in g.neighbours(i) {
+                if let Some(c) = colors[nb] {
+                    used[c as usize] = true;
+                }
+            }
+            match used.iter().position(|&u| !u) {
+                Some(c) => colors[i] = Some(c as u32),
+                None => n_spilled += 1,
+            }
+        }
+        let mut distinct: Vec<u32> = colors.iter().flatten().copied().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        ColorOutcome {
+            colors,
+            n_spilled,
+            n_colors_used: distinct.len(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Bucketed simplify picks exactly the node the rescan picks, on
+        /// graphs past one bitset word and with spill-bound palettes.
+        #[test]
+        fn bucketed_colouring_matches_the_rescan(
+            iv in proptest::collection::vec((0i64..24, 1i64..=24, 1u32..6), 0..90),
+            k in 0usize..12,
+        ) {
+            let r: Vec<LiveRange> = iv
+                .iter()
+                .enumerate()
+                .map(|(i, &(s, l, cost))| LiveRange {
+                    vreg: VReg(i as u32),
+                    instance: 0,
+                    interval: CyclicInterval::new(s, l, 24),
+                    cost: f64::from(cost),
+                })
+                .collect();
+            let g = InterferenceGraph::build(&r);
+            let (fast, slow) = (color_graph(&g, &r, k), color_graph_rescan(&g, &r, k));
+            prop_assert_eq!(fast.colors, slow.colors);
+            prop_assert_eq!(fast.n_spilled, slow.n_spilled);
+            prop_assert_eq!(fast.n_colors_used, slow.n_colors_used);
+        }
+    }
 
     fn ranges_from_intervals(iv: &[(i64, i64)], circle: i64) -> Vec<LiveRange> {
         iv.iter()

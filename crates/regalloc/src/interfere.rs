@@ -1,13 +1,16 @@
 //! Interference graph over live-range nodes.
 
-use crate::live::LiveRange;
+use crate::live::{point_mask, CyclicInterval, LiveRange};
 
 /// Undirected interference graph; node indices refer to the range slice it
-/// was built from.
+/// was built from. Each node's neighbours are one bitset row.
 #[derive(Debug, Clone)]
 pub struct InterferenceGraph {
     n: usize,
-    adj: Vec<Vec<usize>>,
+    /// `u64` words per row.
+    words: usize,
+    /// `rows[i * words..(i + 1) * words]`: the neighbours of node `i`.
+    rows: Vec<u64>,
 }
 
 impl InterferenceGraph {
@@ -16,17 +19,41 @@ impl InterferenceGraph {
     /// their (longer-than-II) lifetimes overlap — that is exactly what MVE
     /// renaming is for.
     pub fn build(ranges: &[LiveRange]) -> Self {
-        let n = ranges.len();
-        let mut adj = vec![Vec::new(); n];
+        let intervals: Vec<CyclicInterval> = ranges.iter().map(|r| r.interval).collect();
+        Self::from_intervals(&intervals)
+    }
+
+    /// [`InterferenceGraph::build`] over bare intervals. On a circle of at
+    /// most 64 cycles each interval becomes a point mask and a pair test is
+    /// one `and`.
+    pub(crate) fn from_intervals(intervals: &[CyclicInterval]) -> Self {
+        let n = intervals.len();
+        let words = n.div_ceil(64);
+        let mut g = InterferenceGraph {
+            n,
+            words,
+            rows: vec![0; n * words],
+        };
+        let short = intervals.iter().all(|iv| iv.circle <= 64);
+        let masks: Vec<u64> = if short {
+            intervals.iter().map(point_mask).collect()
+        } else {
+            Vec::new()
+        };
         for i in 0..n {
             for j in (i + 1)..n {
-                if ranges[i].interval.overlaps(&ranges[j].interval) {
-                    adj[i].push(j);
-                    adj[j].push(i);
+                let hit = if short {
+                    masks[i] & masks[j] != 0
+                } else {
+                    intervals[i].overlaps(&intervals[j])
+                };
+                if hit {
+                    g.rows[i * words + j / 64] |= 1 << (j % 64);
+                    g.rows[j * words + i / 64] |= 1 << (i % 64);
                 }
             }
         }
-        InterferenceGraph { n, adj }
+        g
     }
 
     /// Number of nodes.
@@ -34,20 +61,39 @@ impl InterferenceGraph {
         self.n
     }
 
-    /// Degree of node `i`.
-    pub fn degree(&self, i: usize) -> usize {
-        self.adj[i].len()
+    /// Node `i`'s neighbour bitset.
+    pub(crate) fn row(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.words..(i + 1) * self.words]
     }
 
-    /// Neighbours of node `i`.
-    pub fn neighbours(&self, i: usize) -> &[usize] {
-        &self.adj[i]
+    /// Degree of node `i`.
+    pub fn degree(&self, i: usize) -> usize {
+        self.row(i).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Neighbours of node `i`, ascending.
+    pub fn neighbours(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        bits(self.row(i))
     }
 
     /// Do `i` and `j` interfere?
     pub fn interferes(&self, i: usize, j: usize) -> bool {
-        self.adj[i].contains(&j)
+        self.row(i)[j / 64] >> (j % 64) & 1 == 1
     }
+}
+
+/// The set bits of a bitset, ascending.
+pub(crate) fn bits(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(k, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                k * 64 + b
+            })
+        })
+    })
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ pub mod interfere;
 pub mod live;
 pub mod spill;
 
-pub use alloc::{allocate, validate_allocation, AllocResult, BankClassStats};
+pub use alloc::{allocate, validate_allocation, AllocResult, BankClassStats, RegisterFiles};
 pub use color::{color_graph, ColorOutcome};
 pub use interfere::InterferenceGraph;
 pub use live::{kernel_live_ranges, max_pressure, CyclicInterval, LiveRange};

@@ -120,14 +120,31 @@ pub fn kernel_live_ranges(
     }
     let circle = k as i64 * ii;
 
+    // Spill cost: ops defining plus ops reading each register, one pass.
+    // (A register outside the body's register file has no range to cost.)
+    let mut refs = vec![0u32; n];
+    for op in &body.ops {
+        for v in op.def.into_iter().chain(op.distinct_uses()) {
+            if let Some(r) = refs.get_mut(v.index()) {
+                *r += 1;
+            }
+        }
+    }
+    let mut live_in = vec![false; n];
+    for &v in &body.live_in {
+        if let Some(l) = live_in.get_mut(v.index()) {
+            *l = true;
+        }
+    }
+
     let mut ranges = Vec::new();
     for v in (0..n as u32).map(VReg) {
         let i = v.index();
-        let cost = (body.defs_of(v).len() + body.uses_of(v).len()) as f64;
+        let cost = refs[i] as f64;
         if start[i] == i64::MAX {
             // Never defined. Live-in invariants hold a register throughout;
             // unreferenced registers (none in practice) are skipped.
-            if body.is_live_in(v) {
+            if live_in[i] {
                 ranges.push(LiveRange {
                     vreg: v,
                     instance: 0,
@@ -153,14 +170,67 @@ pub fn kernel_live_ranges(
 /// Maximum number of simultaneously live ranges among `ranges` (register
 /// pressure on the circle).
 pub fn max_pressure(ranges: &[LiveRange]) -> usize {
-    let Some(first) = ranges.first() else {
-        return 0;
+    max_pressure_of(ranges.iter().map(|r| r.interval))
+}
+
+/// Maximum number of `intervals` covering one point of their (shared)
+/// circle: one sweep over a difference array of the circle's points.
+pub(crate) fn max_pressure_of(intervals: impl Iterator<Item = CyclicInterval>) -> usize {
+    let mut diff: Vec<i64> = Vec::new();
+    for iv in intervals {
+        let c = iv.circle;
+        if diff.is_empty() {
+            diff.resize(c as usize + 1, 0);
+        }
+        debug_assert_eq!(diff.len(), c as usize + 1, "one circle per sweep");
+        if iv.len <= 0 {
+            continue;
+        }
+        let (start, end) = if iv.len >= c {
+            (0, c)
+        } else {
+            let s = iv.start.rem_euclid(c);
+            (s, s + iv.len)
+        };
+        diff[start as usize] += 1;
+        if end <= c {
+            diff[end as usize] -= 1;
+        } else {
+            diff[c as usize] -= 1;
+            diff[0] += 1;
+            diff[(end - c) as usize] -= 1;
+        }
+    }
+    let (mut live, mut peak) = (0i64, 0i64);
+    for d in diff.iter().take(diff.len().saturating_sub(1)) {
+        live += d;
+        peak = peak.max(live);
+    }
+    peak as usize
+}
+
+/// Point mask of an interval on a circle of at most 64 cycles: bit `p` set
+/// iff the interval covers point `p`, so two intervals overlap exactly
+/// when their masks intersect.
+pub(crate) fn point_mask(iv: &CyclicInterval) -> u64 {
+    debug_assert!(iv.circle <= 64);
+    let full = if iv.circle == 64 {
+        u64::MAX
+    } else {
+        (1u64 << iv.circle) - 1
     };
-    let circle = first.interval.circle;
-    (0..circle)
-        .map(|p| ranges.iter().filter(|r| r.interval.covers(p)).count())
-        .max()
-        .unwrap_or(0)
+    if iv.len <= 0 {
+        return 0;
+    }
+    if iv.len >= iv.circle {
+        return full;
+    }
+    let s = iv.start.rem_euclid(iv.circle) as u32;
+    let arc = (1u64 << iv.len) - 1;
+    if s == 0 {
+        return arc;
+    }
+    (arc << s | arc >> (iv.circle as u32 - s)) & full
 }
 
 #[cfg(test)]

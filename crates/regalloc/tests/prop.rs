@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use vliw_ir::VReg;
-use vliw_regalloc::{color_graph, CyclicInterval, InterferenceGraph, LiveRange};
+use vliw_regalloc::{color_graph, max_pressure, CyclicInterval, InterferenceGraph, LiveRange};
 
 fn ranges(circle: i64) -> impl Strategy<Value = Vec<LiveRange>> {
     proptest::collection::vec((0..circle, 1..=circle), 1..24).prop_map(move |iv| {
@@ -34,6 +34,35 @@ proptest! {
         let y = CyclicInterval::new(b.0, b.1, 10);
         let common = (0..10).any(|p| x.covers(p) && y.covers(p));
         prop_assert_eq!(x.overlaps(&y), common);
+    }
+
+    /// Interference is interval overlap, whether the circle fits a point
+    /// mask (16 and 64 cycles) or not (80).
+    #[test]
+    fn interference_is_overlap(a in ranges(16), b in ranges(64), c in ranges(80)) {
+        for rs in [a, b, c] {
+            let g = InterferenceGraph::build(&rs);
+            for i in 0..rs.len() {
+                for j in 0..rs.len() {
+                    let overlap = i != j && rs[i].interval.overlaps(&rs[j].interval);
+                    prop_assert_eq!(g.interferes(i, j), overlap);
+                }
+            }
+        }
+    }
+
+    /// The sweep's MaxLive is the largest number of ranges covering any
+    /// one point.
+    #[test]
+    fn pressure_is_the_densest_point(a in ranges(16), b in ranges(64), c in ranges(80)) {
+        for rs in [a, b, c] {
+            let circle = rs[0].interval.circle;
+            let densest = (0..circle)
+                .map(|p| rs.iter().filter(|r| r.interval.covers(p)).count())
+                .max()
+                .unwrap_or(0);
+            prop_assert_eq!(max_pressure(&rs), densest);
+        }
     }
 
     #[test]
