@@ -149,6 +149,9 @@ impl crate::passes::LintPass for PressurePass {
         ) else {
             return;
         };
+        if !crate::sched_lints::expandable(cb, sched) {
+            return; // Live ranges divide by II; SCHED004 reports the schedule.
+        }
         let lat = &ctx.machine.latencies;
         let (unroll, ranges) =
             kernel_live_ranges(cb, cddg, sched, |op| lat.of(cb.op(op).opcode) as i64);

@@ -7,6 +7,7 @@ use crate::artifacts::Artifacts;
 use crate::diag::{Diagnostic, LintCode, Report, SourceLoc, Stage};
 use std::collections::BTreeMap;
 use vliw_ddg::DepKind;
+use vliw_ir::DefUseIndex;
 
 /// Checks the copy network of the clustered body.
 pub struct CopyPass;
@@ -21,17 +22,8 @@ impl crate::passes::LintPass for CopyPass {
             return;
         };
 
-        // Def positions per register, for reaching-def queries.
-        let mut defs_of: Vec<Vec<usize>> = vec![Vec::new(); cb.n_vregs()];
-        let mut use_count = vec![0usize; cb.n_vregs()];
-        for op in &cb.ops {
-            if let Some(d) = op.def {
-                defs_of[d.index()].push(op.id.index());
-            }
-            for &u in &op.uses {
-                use_count[u.index()] += 1;
-            }
-        }
+        // Def and use positions per register, for reaching-def queries.
+        let du = DefUseIndex::new(cb);
 
         // Duplicate detection: (reaching producer, destination bank) → copies.
         // BTreeMap so duplicate-copy findings are emitted in a stable order
@@ -90,7 +82,7 @@ impl crate::passes::LintPass for CopyPass {
                     ),
                 ));
             }
-            if use_count[d.index()] == 0 && !cb.live_out.contains(&d) {
+            if du.uses(d).is_empty() && !cb.live_out.contains(&d) {
                 report.push(Diagnostic::new(
                     LintCode::Copy004,
                     Stage::Copies,
@@ -108,12 +100,12 @@ impl crate::passes::LintPass for CopyPass {
             // the last def for use-before-def recurrences), mirroring copy
             // insertion's sharing key. Invariant sources should have been
             // hoisted, not copied in the kernel.
-            let srcdefs = &defs_of[src.index()];
+            let srcdefs = du.defs(src);
             match srcdefs
                 .iter()
-                .copied()
+                .map(|p| p.index())
                 .rfind(|&p| p < op.id.index())
-                .or(srcdefs.last().copied())
+                .or(srcdefs.last().map(|p| p.index()))
             {
                 Some(producer) => {
                     sources

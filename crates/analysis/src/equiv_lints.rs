@@ -41,6 +41,9 @@ impl crate::passes::LintPass for DynamicOraclePass {
         let (Some(cb), Some(sched)) = (ctx.clustered_body, ctx.clustered_sched) else {
             return;
         };
+        if !crate::sched_lints::expandable(cb, sched) {
+            return; // Nothing to run; SCHED004 reports the schedule.
+        }
         for err in equivalence_failures(cb, sched, &ctx.machine.latencies) {
             report.push(equiv_diagnostic(&err));
         }

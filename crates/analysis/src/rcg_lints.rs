@@ -89,6 +89,9 @@ impl crate::passes::LintPass for RcgPass {
             return;
         };
         let body = ctx.body;
+        if !crate::sched_lints::expandable(body, ideal) {
+            return; // Kernel rows divide by II; SCHED004 reports the schedule.
+        }
         let n = g.n_nodes();
         // Every adjacency entry: row `a` holds `a`'s list.
         let adjacency = PairRows::new(n, |emit| {

@@ -53,6 +53,12 @@ pub fn schedule_diag(e: &ScheduleError, s: &Schedule, which: &str) -> Diagnostic
             SourceLoc::default(),
             format!("{which} schedule shape mismatch: {e}"),
         ),
+        ScheduleError::ZeroIi => Diagnostic::new(
+            LintCode::Sched004,
+            Stage::Schedule,
+            SourceLoc::default(),
+            format!("{which} schedule has II 0; a modulo schedule needs II ≥ 1"),
+        ),
         ScheduleError::NegativeTime(o) => Diagnostic::new(
             LintCode::Sched004,
             Stage::Schedule,
@@ -115,6 +121,9 @@ impl crate::passes::LintPass for ExpansionPass {
         let (Some(cb), Some(sched)) = (ctx.clustered_body, ctx.clustered_sched) else {
             return;
         };
+        if !expandable(cb, sched) {
+            return; // SCHED004 reports it; there is no expansion to check.
+        }
         let owned;
         let flat = match ctx.flat {
             Some(f) => f,
@@ -127,8 +136,20 @@ impl crate::passes::LintPass for ExpansionPass {
     }
 }
 
+/// True when `s` can be expanded and replayed for `body`: one time and one
+/// cluster per op, II ≥ 1 and no negative issue time. The passes that
+/// divide by II or index cycles by issue time stand down on any other
+/// schedule, which `SchedPass` reports as SCHED004.
+pub(crate) fn expandable(body: &Loop, s: &Schedule) -> bool {
+    s.ii > 0
+        && s.times.len() == body.n_ops()
+        && s.clusters.len() == body.n_ops()
+        && s.times.iter().all(|&t| t >= 0)
+}
+
 /// The `EXP005` core, shared with mutation tests that corrupt a
-/// [`FlatProgram`] directly.
+/// [`FlatProgram`] directly. `s` must pass the SCHED004 checks (II ≥ 1, no
+/// negative issue time); the program's own layout is checked here.
 pub fn check_expansion(body: &Loop, s: &Schedule, flat: &FlatProgram, report: &mut Report) {
     let push = |report: &mut Report, loc: SourceLoc, msg: String| {
         report.push(Diagnostic::new(LintCode::Exp005, Stage::Expand, loc, msg));
@@ -218,10 +239,22 @@ pub fn check_expansion(body: &Loop, s: &Schedule, flat: &FlatProgram, report: &m
             ),
         );
     }
+    if !flat.is_well_formed() {
+        push(
+            report,
+            SourceLoc::default(),
+            format!(
+                "flat program's {} cycle offset(s) do not lay out its {} issue(s)",
+                flat.starts.len(),
+                flat.n_issues()
+            ),
+        );
+        return;
+    }
     // Seen (op, iteration) pairs, a dense bitmap indexed `op·trip + iter`:
     // one bit per issue a correct expansion holds.
     let mut seen = vec![0u64; want_issues.div_ceil(64)];
-    for (cycle, issues) in flat.cycles.iter().enumerate() {
+    for (cycle, issues) in flat.cycles().enumerate() {
         for iss in issues {
             if iss.op.index() >= body.n_ops() || iss.iter >= trip {
                 push(

@@ -278,12 +278,7 @@ fn oversubscribed_mrt_row_fires_sched002() {
 fn corrupted_expansion_fires_exp005() {
     let g = daxpy();
     let mut flat = expand(&g.clustered_body, &g.sched);
-    let issue = flat
-        .cycles
-        .iter_mut()
-        .flat_map(|c| c.iter_mut())
-        .next()
-        .expect("flat program has issues");
+    let issue = flat.issues.first_mut().expect("flat program has issues");
     issue.iter += 1;
     let mut report = vliw_analysis::Report::new();
     vliw_analysis::check_expansion(&g.clustered_body, &g.sched, &flat, &mut report);
@@ -306,17 +301,22 @@ fn duplicated_and_out_of_domain_issues_fire_exp005() {
     let body = &g.clustered_body;
     let mut flat = expand(body, &g.sched);
     let (cycle, dup) = flat
-        .cycles
-        .iter()
+        .cycles()
         .enumerate()
         .find_map(|(c, issues)| issues.first().map(|&i| (c, i)))
         .expect("flat program has issues");
-    flat.cycles[cycle].push(dup);
+    // Append to a cycle through the flat layout: insert at the cycle's end
+    // and shift every later cycle's offset.
+    flat.issues.insert(flat.starts[cycle + 1] as usize, dup);
+    for start in &mut flat.starts[cycle + 1..] {
+        *start += 1;
+    }
     let stray = Issue {
         op: OpId(body.n_ops() as u32 + 3),
         iter: body.trip_count + 5,
     };
-    flat.cycles.last_mut().expect("non-empty").push(stray);
+    flat.issues.push(stray);
+    *flat.starts.last_mut().expect("non-empty") += 1;
     let mut report = vliw_analysis::Report::new();
     vliw_analysis::check_expansion(body, &g.sched, &flat, &mut report);
     let found: Vec<&str> = report
@@ -354,6 +354,38 @@ fn duplicated_and_out_of_domain_issues_fire_exp005() {
         DUPLICATED_ISSUES,
         "the report's text drifted"
     );
+}
+
+/// Cycle offsets that do not lay out the issue list are reported, not
+/// sliced.
+#[test]
+fn malformed_cycle_offsets_fire_exp005() {
+    let g = daxpy();
+    let mut flat = expand(&g.clustered_body, &g.sched);
+    flat.starts[1] = flat.starts[2] + 1;
+    let mut report = vliw_analysis::Report::new();
+    vliw_analysis::check_expansion(&g.clustered_body, &g.sched, &flat, &mut report);
+    assert_renders(&report, LintCode::Exp005, MALFORMED_OFFSETS);
+}
+
+/// One negative issue time is SCHED004; the passes that index cycles by
+/// issue time (pressure, expansion) stand down instead of panicking.
+#[test]
+fn negative_issue_time_fires_sched004() {
+    let mut g = daxpy();
+    g.sched.times[5] = -1;
+    let report = analyze(&g.back());
+    assert_renders(&report, LintCode::Sched004, NEGATIVE_TIME);
+}
+
+/// II 0 is SCHED004; the passes that divide by II (pressure, the resource
+/// replay, expansion) stand down instead of panicking.
+#[test]
+fn zero_ii_fires_sched004() {
+    let mut g = daxpy();
+    g.sched.ii = 0;
+    let report = analyze(&g.back());
+    assert_renders(&report, LintCode::Sched004, ZERO_II);
 }
 
 /// A dangling operand (register index past the register file) is the
@@ -472,5 +504,22 @@ error[EXP005 prelude-kernel-postlude-stage-mismatch] @ op27, cycle 153 (expand):
 
 const LOWERED_ATTRACTION: &str = "\
 error[RCG001 missing-attraction-edge-for-def-use-pair] @ v0 (rcg): def/use pair v0—v3 lacks its attraction weight: expected 40.0000, found 20.0000
+1 error(s), 0 warning(s), 0 note(s)
+";
+
+const MALFORMED_OFFSETS: &str = "\
+error[EXP005 prelude-kernel-postlude-stage-mismatch] (expand): flat program's 155 cycle offset(s) do not lay out its 1152 issue(s)
+1 error(s), 0 warning(s), 0 note(s)
+";
+
+const NEGATIVE_TIME: &str = "\
+error[SCHED004 schedule-shape-error] @ op5, cycle -1 (schedule): clustered schedule issues op5 at negative time
+error[SCHED001 dependence-violated-modulo-ii] @ op5, cycle -1 (schedule): clustered schedule violates dependence op4→op5 modulo II 3: need separation 2, got -8
+error[SCHED001 dependence-violated-modulo-ii] @ op5, cycle -1 (schedule): clustered schedule violates dependence op2→op5 modulo II 3: need separation 1, got -1
+3 error(s), 0 warning(s), 0 note(s)
+";
+
+const ZERO_II: &str = "\
+error[SCHED004 schedule-shape-error] (schedule): clustered schedule has II 0; a modulo schedule needs II ≥ 1
 1 error(s), 0 warning(s), 0 note(s)
 ";

@@ -29,7 +29,9 @@ use vliw_ddg::{build_ddg, compute_slack, rec_ii, rec_ii_dense};
 use vliw_ir::Loop;
 use vliw_machine::MachineDesc;
 use vliw_regalloc::allocate;
-use vliw_sched::{schedule_loop, schedule_loop_with, ImsConfig, SchedContext, SchedProblem};
+use vliw_sched::{
+    expand, schedule_loop, schedule_loop_with, ImsConfig, SchedContext, SchedProblem,
+};
 use vliw_sim::{check_equivalence, run_reference};
 
 /// Nanoseconds per iteration: warm up, then repeat until ≥25 ms of samples.
@@ -75,6 +77,14 @@ impl Json {
     fn num(&mut self, key: &str, v: f64) {
         self.pad();
         let _ = write!(self.buf, "\"{key}\": {v:.1}");
+    }
+    fn share(&mut self, key: &str, v: f64) {
+        self.pad();
+        if v.is_finite() {
+            let _ = write!(self.buf, "\"{key}\": {v:.4}");
+        } else {
+            let _ = write!(self.buf, "\"{key}\": null");
+        }
     }
     fn int(&mut self, key: &str, v: u64) {
         self.pad();
@@ -184,6 +194,18 @@ fn micro_section(j: &mut Json, tag: &str, body: &Loop, machine: &MachineDesc) {
     j.num(
         "build_rcg_ns",
         bench_ns(|| build_rcg(body, &ideal, &slack, &pcfg)),
+    );
+    // The flat expansion both schedules get (the simulator and the
+    // expansion lint walk it) and the dependence graph of the clustered
+    // body, next to the ideal body's `build_ddg_ns` above.
+    j.num("expand_ns", bench_ns(|| expand(body, &ideal)));
+    j.num(
+        "build_ddg_clustered_ns",
+        bench_ns(|| build_ddg(&clustered.body, &machine.latencies)),
+    );
+    j.num(
+        "expand_clustered_ns",
+        bench_ns(|| expand(&clustered.body, &sched)),
     );
     j.num(
         "chaitin_briggs_ns",
@@ -327,9 +349,29 @@ fn stage_sweep(corpus: &[Loop], machine: &MachineDesc) -> (u64, [f64; STAGES.len
     (total_ii, ms)
 }
 
+/// The host's cumulative (steal, total) CPU ticks from the first line of
+/// `/proc/stat`, or `None` where there is no such file.
+fn cpu_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let ticks: Vec<u64> = stat
+        .lines()
+        .next()?
+        .strip_prefix("cpu ")?
+        .split_whitespace()
+        .map(|t| t.parse().ok())
+        .collect::<Option<_>>()?;
+    // user nice system idle iowait irq softirq steal [guest guest_nice]:
+    // guest time is already counted in user and nice.
+    let counted = ticks.get(..8)?;
+    Some((counted[7], counted.iter().sum()))
+}
+
 fn stage_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
     let mut total_ii = None;
     let mut times: [Vec<f64>; STAGES.len()] = Default::default();
+    // The hypervisor's steal share over the sweeps, so a slow run can be
+    // told from a slow change.
+    let before = cpu_ticks();
     for _ in 0..STAGE_RUNS {
         let (ii, ms) = stage_sweep(corpus, machine);
         assert_eq!(
@@ -341,9 +383,14 @@ fn stage_section(j: &mut Json, corpus: &[Loop], machine: &MachineDesc) {
             t.push(m);
         }
     }
+    let steal = match (before, cpu_ticks()) {
+        (Some((s0, t0)), Some((s1, t1))) if t1 > t0 => (s1 - s0) as f64 / (t1 - t0) as f64,
+        _ => f64::NAN,
+    };
     j.open("stages");
     j.int("corpus_loops", corpus.len() as u64);
     j.int("runs", STAGE_RUNS as u64);
+    j.share("steal_share", steal);
     for (stage, t) in STAGES.iter().zip(&mut times) {
         t.sort_by(f64::total_cmp);
         j.num(&format!("{stage}_ms"), quantile(t, 0.5));

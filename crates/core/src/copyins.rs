@@ -17,7 +17,7 @@
 
 use crate::greedy::Partition;
 use std::collections::HashMap;
-use vliw_ir::{AluKind, InitVal, Loop, OpId, Opcode, Operation, VReg};
+use vliw_ir::{AluKind, DefUseIndex, InitVal, Loop, OpId, Opcode, Operation, VReg};
 use vliw_machine::ClusterId;
 
 /// The result of copy insertion: a rewritten loop plus placement metadata.
@@ -71,19 +71,14 @@ pub fn insert_copies(body: &Loop, part: &Partition) -> ClusteredLoop {
     assert_eq!(part.bank_of.len(), body.n_vregs());
     let n_orig_ops = body.n_ops();
 
-    // Precompute def positions per vreg for reaching-def queries.
-    let mut defs_of: Vec<Vec<usize>> = vec![Vec::new(); body.n_vregs()];
-    for op in &body.ops {
-        if let Some(d) = op.def {
-            defs_of[d.index()].push(op.id.index());
-        }
-    }
+    // Def positions per vreg for reaching-def and invariance queries.
+    let du = DefUseIndex::new(body);
     let reaching_def = |u: VReg, use_pos: usize| -> usize {
-        let defs = &defs_of[u.index()];
+        let defs = du.defs(u);
         defs.iter()
-            .copied()
+            .map(|d| d.index())
             .rfind(|&d| d < use_pos)
-            .unwrap_or_else(|| *defs.last().expect("variant use must have a def"))
+            .unwrap_or_else(|| defs.last().expect("variant use must have a def").index())
     };
 
     // New register table starts as a copy of the original.
@@ -118,7 +113,7 @@ pub fn insert_copies(body: &Loop, part: &Partition) -> ClusteredLoop {
             if part.bank(u) == c {
                 continue;
             }
-            let shadow = if body.is_invariant(u) {
+            let shadow = if body.is_live_in(u) && du.defs(u).is_empty() {
                 *hoisted.entry((u, c)).or_insert_with(|| {
                     n_hoisted += 1;
                     let s = fresh(&mut vreg_classes, &mut vreg_bank, body.class_of(u), c);

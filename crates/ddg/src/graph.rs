@@ -95,23 +95,115 @@ impl Index<(usize, usize)> for PathMatrix {
 }
 
 /// A dependence graph over the operations of one loop body.
+///
+/// The edges live in one list, in insertion order. Each op's outgoing and
+/// incoming edges are ranges of two index arrays (`succ`, `pred`) sorted by
+/// op, with `succ_start`/`pred_start` holding one offset per op plus one;
+/// within an op the indices ascend, so every adjacency list keeps the order
+/// its edges were added in.
 #[derive(Debug, Clone)]
 pub struct Ddg {
     n: usize,
     edges: Vec<DepEdge>,
-    succ: Vec<Vec<usize>>,
-    pred: Vec<Vec<usize>>,
+    succ_start: Vec<u32>,
+    succ: Vec<u32>,
+    pred_start: Vec<u32>,
+    pred: Vec<u32>,
+}
+
+/// Edges being collected for a [`Ddg`], merged on insertion: a duplicate
+/// `(from, to, distance, kind)` keeps the first edge's position and the
+/// largest latency. Each op's earlier edges are a chain through `next`
+/// starting at `head[op]`, newest first.
+pub(crate) struct EdgeSet {
+    n: usize,
+    edges: Vec<DepEdge>,
+    head: Vec<u32>,
+    next: Vec<u32>,
+}
+
+/// End of an [`EdgeSet`] chain.
+const NIL: u32 = u32::MAX;
+
+impl EdgeSet {
+    /// An empty set over `n` operations with room for `cap` edges.
+    pub(crate) fn with_capacity(n: usize, cap: usize) -> Self {
+        EdgeSet {
+            n,
+            edges: Vec::with_capacity(cap),
+            head: vec![NIL; n],
+            next: Vec::with_capacity(cap),
+        }
+    }
+
+    /// Add `e`, or raise the latency of the edge it duplicates.
+    pub(crate) fn add(&mut self, e: DepEdge) {
+        debug_assert!(e.from.index() < self.n && e.to.index() < self.n);
+        let mut i = self.head[e.from.index()];
+        while i != NIL {
+            let old = &mut self.edges[i as usize];
+            if old.to == e.to && old.distance == e.distance && old.kind == e.kind {
+                old.latency = old.latency.max(e.latency);
+                return;
+            }
+            i = self.next[i as usize];
+        }
+        self.next.push(self.head[e.from.index()]);
+        self.head[e.from.index()] = self.edges.len() as u32;
+        self.edges.push(e);
+    }
+
+    /// Freeze into a graph with offset adjacency.
+    pub(crate) fn finish(self) -> Ddg {
+        let EdgeSet { n, edges, .. } = self;
+        let (succ_start, succ) = group_by(n, &edges, |e| e.from.index());
+        let (pred_start, pred) = group_by(n, &edges, |e| e.to.index());
+        Ddg {
+            n,
+            edges,
+            succ_start,
+            succ,
+            pred_start,
+            pred,
+        }
+    }
+}
+
+/// Counting sort of edge indices by `key`: returns `n + 1` offsets and the
+/// indices, ascending within each key.
+fn group_by(n: usize, edges: &[DepEdge], key: impl Fn(&DepEdge) -> usize) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; n + 1];
+    for e in edges {
+        start[key(e)] += 1;
+    }
+    // Running sums make `start[k]` the end of key `k`; filling backwards
+    // walks each end back to its start.
+    let mut acc = 0u32;
+    for s in &mut start[..n] {
+        acc += *s;
+        *s = acc;
+    }
+    start[n] = acc;
+    let mut order = vec![0u32; edges.len()];
+    for (i, e) in edges.iter().enumerate().rev() {
+        let k = key(e);
+        start[k] -= 1;
+        order[start[k] as usize] = i as u32;
+    }
+    (start, order)
 }
 
 impl Ddg {
-    /// Create an empty graph over `n` operations.
-    pub fn new(n: usize) -> Self {
-        Ddg {
-            n,
-            edges: Vec::new(),
-            succ: vec![Vec::new(); n],
-            pred: vec![Vec::new(); n],
+    /// The graph over `n` operations holding `edges` in order. A duplicate
+    /// `(from, to, distance, kind)` keeps the first edge's position and the
+    /// largest latency.
+    pub fn from_edges(n: usize, edges: impl IntoIterator<Item = DepEdge>) -> Self {
+        let edges = edges.into_iter();
+        let mut set = EdgeSet::with_capacity(n, edges.size_hint().0);
+        for e in edges {
+            set.add(e);
         }
+        set.finish()
     }
 
     /// Number of operations (nodes).
@@ -126,32 +218,32 @@ impl Ddg {
         &self.edges
     }
 
-    /// Add an edge. Duplicate (from, to, distance, kind) pairs keep only the
-    /// largest latency.
-    pub fn add_edge(&mut self, e: DepEdge) {
-        debug_assert!(e.from.index() < self.n && e.to.index() < self.n);
-        if let Some(idx) = self.succ[e.from.index()].iter().copied().find(|&i| {
-            let old = self.edges[i];
-            old.to == e.to && old.distance == e.distance && old.kind == e.kind
-        }) {
-            let old = &mut self.edges[idx];
-            old.latency = old.latency.max(e.latency);
-            return;
-        }
-        let idx = self.edges.len();
-        self.edges.push(e);
-        self.succ[e.from.index()].push(idx);
-        self.pred[e.to.index()].push(idx);
+    /// Indices into [`Ddg::edges`] of `op`'s outgoing edges, ascending.
+    #[inline]
+    pub(crate) fn succ_indices(&self, op: OpId) -> &[u32] {
+        let i = op.index();
+        &self.succ[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
+    }
+
+    /// Indices into [`Ddg::edges`] of `op`'s incoming edges, ascending.
+    #[inline]
+    pub(crate) fn pred_indices(&self, op: OpId) -> &[u32] {
+        let i = op.index();
+        &self.pred[self.pred_start[i] as usize..self.pred_start[i + 1] as usize]
     }
 
     /// Outgoing edges of `op`.
     pub fn succs(&self, op: OpId) -> impl Iterator<Item = &DepEdge> {
-        self.succ[op.index()].iter().map(move |&i| &self.edges[i])
+        self.succ_indices(op)
+            .iter()
+            .map(move |&i| &self.edges[i as usize])
     }
 
     /// Incoming edges of `op`.
     pub fn preds(&self, op: OpId) -> impl Iterator<Item = &DepEdge> {
-        self.pred[op.index()].iter().map(move |&i| &self.edges[i])
+        self.pred_indices(op)
+            .iter()
+            .map(move |&i| &self.edges[i as usize])
     }
 
     /// Is the candidate `ii` feasible — i.e. does the graph have **no**
@@ -323,9 +415,9 @@ impl Ddg {
             color[s] = 1;
             stack.push((s, 0));
             while let Some((u, i)) = stack.last_mut() {
-                if let Some(&edge_idx) = self.succ[*u].get(*i) {
+                if let Some(&edge_idx) = self.succ_indices(OpId(*u as u32)).get(*i) {
                     *i += 1;
-                    let v = self.edges[edge_idx].to.index();
+                    let v = self.edges[edge_idx as usize].to.index();
                     match color[v] {
                         0 => {
                             color[v] = 1;
@@ -360,20 +452,14 @@ mod tests {
 
     #[test]
     fn duplicate_edges_keep_max_latency() {
-        let mut g = Ddg::new(2);
-        g.add_edge(edge(0, 1, 2, 0));
-        g.add_edge(edge(0, 1, 5, 0));
-        g.add_edge(edge(0, 1, 3, 0));
+        let g = Ddg::from_edges(2, [edge(0, 1, 2, 0), edge(0, 1, 5, 0), edge(0, 1, 3, 0)]);
         assert_eq!(g.edges().len(), 1);
         assert_eq!(g.edges()[0].latency, 5);
     }
 
     #[test]
     fn adjacency_lists() {
-        let mut g = Ddg::new(3);
-        g.add_edge(edge(0, 1, 1, 0));
-        g.add_edge(edge(0, 2, 1, 0));
-        g.add_edge(edge(1, 2, 1, 0));
+        let g = Ddg::from_edges(3, [edge(0, 1, 1, 0), edge(0, 2, 1, 0), edge(1, 2, 1, 0)]);
         assert_eq!(g.succs(OpId(0)).count(), 2);
         assert_eq!(g.preds(OpId(2)).count(), 2);
         assert_eq!(g.preds(OpId(0)).count(), 0);
@@ -382,9 +468,7 @@ mod tests {
     #[test]
     fn positive_cycle_detected_below_recii() {
         // Cycle 0→1→0: total latency 5, total distance 1 ⇒ RecII = 5.
-        let mut g = Ddg::new(2);
-        g.add_edge(edge(0, 1, 3, 0));
-        g.add_edge(edge(1, 0, 2, 1));
+        let g = Ddg::from_edges(2, [edge(0, 1, 3, 0), edge(1, 0, 2, 1)]);
         assert!(g.longest_paths(4).is_none());
         assert!(g.longest_paths(5).is_some());
         assert!(!g.is_feasible(4));
@@ -394,9 +478,7 @@ mod tests {
 
     #[test]
     fn acyclic_graph_feasible_at_ii_1() {
-        let mut g = Ddg::new(3);
-        g.add_edge(edge(0, 1, 10, 0));
-        g.add_edge(edge(1, 2, 10, 0));
+        let g = Ddg::from_edges(3, [edge(0, 1, 10, 0), edge(1, 2, 10, 0)]);
         assert!(g.longest_paths(1).is_some());
         assert!(g.is_feasible(1));
         assert!(!g.has_recurrence());
@@ -408,9 +490,7 @@ mod tests {
 
     #[test]
     fn longest_from_source_matches_matrix_column_max() {
-        let mut g = Ddg::new(3);
-        g.add_edge(edge(0, 1, 10, 0));
-        g.add_edge(edge(1, 2, 7, 0));
+        let g = Ddg::from_edges(3, [edge(0, 1, 10, 0), edge(1, 2, 7, 0)]);
         let dist = g.longest_from_source(1).unwrap();
         assert_eq!(dist, vec![0, 10, 17]);
         assert!(g.longest_from_source(0).is_some()); // acyclic: any II works
@@ -420,9 +500,7 @@ mod tests {
     fn adjusted_feasibility_lengthens_edges() {
         // Cycle 0→1→0: RecII = 5. Stretching the forward edge by 2 (a copy
         // on the 0→1 value) raises it to 7.
-        let mut g = Ddg::new(2);
-        g.add_edge(edge(0, 1, 3, 0));
-        g.add_edge(edge(1, 0, 2, 1));
+        let g = Ddg::from_edges(2, [edge(0, 1, 3, 0), edge(1, 0, 2, 1)]);
         let stretch = |e: &DepEdge| if e.from == OpId(0) { 2 } else { 0 };
         let mut s = Vec::new();
         assert!(g.is_feasible_adjusted(5, |_| 0, &mut s));
@@ -434,8 +512,7 @@ mod tests {
 
     #[test]
     fn self_loop_is_a_recurrence() {
-        let mut g = Ddg::new(2);
-        g.add_edge(edge(0, 0, 2, 1));
+        let g = Ddg::from_edges(2, [edge(0, 0, 2, 1)]);
         assert!(g.has_recurrence());
         assert!(!g.is_feasible(1));
         assert!(g.is_feasible(2));
@@ -443,9 +520,7 @@ mod tests {
 
     #[test]
     fn path_matrix_buffer_is_reusable() {
-        let mut g = Ddg::new(2);
-        g.add_edge(edge(0, 1, 3, 0));
-        g.add_edge(edge(1, 0, 2, 1));
+        let g = Ddg::from_edges(2, [edge(0, 1, 3, 0), edge(1, 0, 2, 1)]);
         let mut m = PathMatrix::new();
         assert!(!g.longest_paths_into(4, &mut m));
         assert!(g.longest_paths_into(5, &mut m));

@@ -340,9 +340,7 @@ mod tests {
 
     #[test]
     fn matches_scratch_probe_at_root() {
-        let mut g = Ddg::new(2);
-        g.add_edge(edge(0, 1, 3, 0));
-        g.add_edge(edge(1, 0, 2, 1));
+        let g = Ddg::from_edges(2, [edge(0, 1, 3, 0), edge(1, 0, 2, 1)]);
         // RecII = 5.
         assert!(!IncrementalFeasibility::for_ddg(&g, 4, |_| 0).root_feasible());
         let m = IncrementalFeasibility::for_ddg(&g, 5, |_| 0);
@@ -354,9 +352,7 @@ mod tests {
 
     #[test]
     fn raise_propagate_rollback_restores_exactly() {
-        let mut g = Ddg::new(2);
-        g.add_edge(edge(0, 1, 3, 0));
-        g.add_edge(edge(1, 0, 2, 1));
+        let g = Ddg::from_edges(2, [edge(0, 1, 3, 0), edge(1, 0, 2, 1)]);
         let mut m = IncrementalFeasibility::for_ddg(&g, 6, |_| 0);
         let before = m.potentials().to_vec();
         // +2 on the forward edge keeps the cycle ≤ 0 at II=6 (3+2+2−6=1>0 —
@@ -375,10 +371,7 @@ mod tests {
 
     #[test]
     fn conflict_cycle_is_a_positive_cycle() {
-        let mut g = Ddg::new(3);
-        g.add_edge(edge(0, 1, 1, 0));
-        g.add_edge(edge(1, 2, 1, 0));
-        g.add_edge(edge(2, 0, 1, 1));
+        let g = Ddg::from_edges(3, [edge(0, 1, 1, 0), edge(1, 2, 1, 0), edge(2, 0, 1, 1)]);
         let mut m = IncrementalFeasibility::for_ddg(&g, 3, |_| 0);
         assert!(m.root_feasible());
         m.push_frame();
@@ -415,8 +408,8 @@ mod tests {
         };
         for _case in 0..200 {
             let n = 2 + next(6) as usize;
-            let mut g = Ddg::new(n);
             let n_edges = 1 + next(2 * n as u64) as usize;
+            let mut edges = Vec::with_capacity(n_edges);
             for _ in 0..n_edges {
                 let from = next(n as u64) as u32;
                 let to = next(n as u64) as u32;
@@ -425,8 +418,9 @@ mod tests {
                 } else {
                     next(2) as u32
                 };
-                g.add_edge(edge(from, to, 1 + next(4) as i64, dist));
+                edges.push(edge(from, to, 1 + next(4) as i64, dist));
             }
+            let g = Ddg::from_edges(n, edges);
             let ii = 1 + next(8) as u32;
             let mut extra = vec![0i64; g.edges().len()];
             let mut s = Vec::new();

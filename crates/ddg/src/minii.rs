@@ -83,6 +83,16 @@ mod tests {
     use vliw_ir::{LoopBuilder, OpId, RegClass};
     use vliw_machine::{LatencyTable, MachineDesc};
 
+    fn flow(f: u32, t: u32, latency: i64, distance: u32) -> DepEdge {
+        DepEdge {
+            from: OpId(f),
+            to: OpId(t),
+            latency,
+            distance,
+            kind: DepKind::Flow,
+        }
+    }
+
     #[test]
     fn res_ii_rounds_up() {
         let mut b = LoopBuilder::new("r");
@@ -98,51 +108,22 @@ mod tests {
 
     #[test]
     fn rec_ii_of_acyclic_graph_is_1() {
-        let mut g = Ddg::new(3);
-        g.add_edge(DepEdge {
-            from: OpId(0),
-            to: OpId(1),
-            latency: 12,
-            distance: 0,
-            kind: DepKind::Flow,
-        });
+        let g = Ddg::from_edges(3, [flow(0, 1, 12, 0)]);
         assert_eq!(rec_ii(&g), 1);
     }
 
     #[test]
     fn rec_ii_simple_cycle() {
         // latency 7 over distance 2 ⇒ RecII = ⌈7/2⌉ = 4.
-        let mut g = Ddg::new(2);
-        g.add_edge(DepEdge {
-            from: OpId(0),
-            to: OpId(1),
-            latency: 5,
-            distance: 0,
-            kind: DepKind::Flow,
-        });
-        g.add_edge(DepEdge {
-            from: OpId(1),
-            to: OpId(0),
-            latency: 2,
-            distance: 2,
-            kind: DepKind::Flow,
-        });
+        let g = Ddg::from_edges(2, [flow(0, 1, 5, 0), flow(1, 0, 2, 2)]);
         assert_eq!(rec_ii(&g), 4);
     }
 
     #[test]
     fn rec_ii_takes_worst_cycle() {
-        let mut g = Ddg::new(4);
         // Cycle A: 3/1 ⇒ 3. Cycle B: 10/2 ⇒ 5.
-        for (f, t, lat, d) in [(0, 1, 2, 0), (1, 0, 1, 1), (2, 3, 6, 0), (3, 2, 4, 2)] {
-            g.add_edge(DepEdge {
-                from: OpId(f),
-                to: OpId(t),
-                latency: lat,
-                distance: d,
-                kind: DepKind::Flow,
-            });
-        }
+        let cycles = [(0, 1, 2, 0), (1, 0, 1, 1), (2, 3, 6, 0), (3, 2, 4, 2)];
+        let g = Ddg::from_edges(4, cycles.map(|(f, t, lat, d)| flow(f, t, lat, d)));
         assert_eq!(rec_ii(&g), 5);
         assert_eq!(rec_ii_dense(&g), 5);
     }

@@ -90,19 +90,21 @@ mod tests {
     use super::*;
     use crate::graph::{DepEdge, DepKind};
 
-    fn chain_graph() -> Ddg {
-        // 0 →(3) 1 →(2) 2, plus independent op 3.
-        let mut g = Ddg::new(4);
-        for (f, t, lat) in [(0u32, 1u32, 3i64), (1, 2, 2)] {
-            g.add_edge(DepEdge {
-                from: OpId(f),
-                to: OpId(t),
-                latency: lat,
-                distance: 0,
-                kind: DepKind::Flow,
-            });
+    fn flow(f: u32, t: u32, latency: i64, distance: u32) -> DepEdge {
+        DepEdge {
+            from: OpId(f),
+            to: OpId(t),
+            latency,
+            distance,
+            kind: DepKind::Flow,
         }
-        g
+    }
+
+    /// 0 →(3) 1 →(2) 2, plus independent op 3.
+    const CHAIN: [(u32, u32, i64); 2] = [(0, 1, 3), (1, 2, 2)];
+
+    fn chain_graph() -> Ddg {
+        Ddg::from_edges(4, CHAIN.map(|(f, t, lat)| flow(f, t, lat, 0)))
     }
 
     #[test]
@@ -124,15 +126,9 @@ mod tests {
 
     #[test]
     fn carried_edges_ignored() {
-        let mut g = chain_graph();
-        // Add a distance-1 back edge: must not affect slack.
-        g.add_edge(DepEdge {
-            from: OpId(2),
-            to: OpId(0),
-            latency: 100,
-            distance: 1,
-            kind: DepKind::Flow,
-        });
+        // A distance-1 back edge on the chain: must not affect slack.
+        let edges = CHAIN.map(|(f, t, lat)| flow(f, t, lat, 0));
+        let g = Ddg::from_edges(4, edges.into_iter().chain([flow(2, 0, 100, 1)]));
         let s = compute_slack(&g, |_| 1);
         assert_eq!(s.estart[0], 0);
         assert!(s.length < 100);
@@ -141,16 +137,8 @@ mod tests {
     #[test]
     fn diamond_slack() {
         // 0 → {1 (lat 5), 2 (lat 1)} → 3; op2 has slack 4.
-        let mut g = Ddg::new(4);
-        for (f, t, lat) in [(0u32, 1u32, 1i64), (0, 2, 1), (1, 3, 5), (2, 3, 1)] {
-            g.add_edge(DepEdge {
-                from: OpId(f),
-                to: OpId(t),
-                latency: lat,
-                distance: 0,
-                kind: DepKind::Flow,
-            });
-        }
+        let diamond = [(0, 1, 1), (0, 2, 1), (1, 3, 5), (2, 3, 1)];
+        let g = Ddg::from_edges(4, diamond.map(|(f, t, lat)| flow(f, t, lat, 0)));
         let s = compute_slack(&g, |_| 1);
         assert_eq!(s.slack(OpId(2)), 4);
         assert_eq!(s.slack(OpId(1)), 0);

@@ -13,7 +13,7 @@ fn arbitrary_graph() -> impl Strategy<Value = Ddg> {
         proptest::collection::vec((any::<u8>(), any::<u8>(), 1u8..13, 0u8..3), 1..24),
     )
         .prop_map(|(n, raw)| {
-            let mut g = Ddg::new(n);
+            let mut edges = Vec::new();
             for (f, t, lat, dist) in raw {
                 let from = OpId((f as usize % n) as u32);
                 let to = OpId((t as usize % n) as u32);
@@ -27,7 +27,7 @@ fn arbitrary_graph() -> impl Strategy<Value = Ddg> {
                 } else {
                     (from, to, dist)
                 };
-                g.add_edge(DepEdge {
+                edges.push(DepEdge {
                     from,
                     to,
                     latency: lat as i64,
@@ -35,7 +35,7 @@ fn arbitrary_graph() -> impl Strategy<Value = Ddg> {
                     kind: DepKind::Flow,
                 });
             }
-            g
+            Ddg::from_edges(n, edges)
         })
 }
 
@@ -46,7 +46,7 @@ fn acyclic_graph() -> impl Strategy<Value = Ddg> {
         proptest::collection::vec((any::<u8>(), any::<u8>(), 1u8..13), 1..24),
     )
         .prop_map(|(n, raw)| {
-            let mut g = Ddg::new(n);
+            let mut edges = Vec::new();
             for (f, t, lat) in raw {
                 let a = f as usize % n;
                 let b = t as usize % n;
@@ -54,7 +54,7 @@ fn acyclic_graph() -> impl Strategy<Value = Ddg> {
                     continue;
                 }
                 let (from, to) = (a.min(b), a.max(b));
-                g.add_edge(DepEdge {
+                edges.push(DepEdge {
                     from: OpId(from as u32),
                     to: OpId(to as u32),
                     latency: lat as i64,
@@ -62,7 +62,7 @@ fn acyclic_graph() -> impl Strategy<Value = Ddg> {
                     kind: DepKind::Flow,
                 });
             }
-            g
+            Ddg::from_edges(n, edges)
         })
 }
 

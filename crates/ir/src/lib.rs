@@ -11,7 +11,9 @@
 //!   pipelining in the paper), including live-in/live-out sets, per-array
 //!   simulation metadata, and nesting depth,
 //! * [`LoopBuilder`] — an ergonomic builder that keeps the def/use,
-//!   register-class and memory metadata consistent by construction.
+//!   register-class and memory metadata consistent by construction,
+//! * [`DefUseIndex`] — every register's defining and reading operations,
+//!   built in linear time for the dependence builder and copy insertion.
 //!
 //! The paper (Hiser, Carr, Sweany, Beaty; IPPS 2000) runs its experiments on
 //! single-block innermost loops extracted from Spec95 Fortran, represented as
@@ -28,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+pub mod defuse;
 pub mod func;
 pub mod looprep;
 pub mod op;
@@ -37,6 +40,7 @@ pub mod reg;
 pub mod verify;
 
 pub use builder::LoopBuilder;
+pub use defuse::DefUseIndex;
 pub use func::{Function, FunctionBuilder};
 pub use looprep::{ArrayId, ArrayInfo, InitVal, Loop};
 pub use op::{AluKind, MemRef, OpId, Opcode, Operation};

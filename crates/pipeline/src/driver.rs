@@ -380,9 +380,10 @@ pub fn run_loop_governed(
     // Step 4: copies + clustered reschedule.
     let clustered = insert_copies(body, &partition);
     debug_assert!(clustered.all_operands_local());
-    let mut work_body = clustered.body.clone();
-    let mut work_cluster = clustered.cluster_of.clone();
-    let mut work_banks = clustered.vreg_bank.clone();
+    // Only the copy counts are read from `clustered` after this.
+    let mut work_body = clustered.body;
+    let mut work_cluster = clustered.cluster_of;
+    let mut work_banks = clustered.vreg_bank;
     let mut cddg = build_ddg(&work_body, &machine.latencies);
     let mut sched = {
         let problem = SchedProblem::clustered(&work_body, machine, &work_cluster);

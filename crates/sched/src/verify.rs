@@ -13,6 +13,8 @@ use vliw_ir::OpId;
 pub enum ScheduleError {
     /// Wrong number of entries.
     Shape,
+    /// The initiation interval is 0: no kernel row exists.
+    ZeroIi,
     /// An issue time is negative.
     NegativeTime(OpId),
     /// A dependence edge is violated modulo II.
@@ -36,6 +38,7 @@ impl fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScheduleError::Shape => write!(f, "schedule shape mismatch"),
+            ScheduleError::ZeroIi => write!(f, "initiation interval is 0"),
             ScheduleError::NegativeTime(o) => write!(f, "{o} scheduled at negative time"),
             ScheduleError::Dependence {
                 from,
@@ -68,9 +71,11 @@ pub fn verify_schedule(
 }
 
 /// Collect **every** legality violation of `s`, in a stable order: shape,
-/// negative times, dependences, then resource/cluster replay. The lint
-/// framework (`vliw-analysis`) reports through this so one corrupted
-/// schedule yields its full list of findings rather than just the first.
+/// a zero II, negative times, dependences, then resource/cluster replay
+/// (skipped under a zero II or a negative time, where rows are undefined).
+/// The lint framework (`vliw-analysis`) reports through this so one
+/// corrupted schedule yields its full list of findings rather than just
+/// the first.
 pub fn verify_schedule_all(
     problem: &SchedProblem<'_>,
     ddg: &Ddg,
@@ -81,6 +86,9 @@ pub fn verify_schedule_all(
         return vec![ScheduleError::Shape];
     }
     let mut out = Vec::new();
+    if s.ii == 0 {
+        out.push(ScheduleError::ZeroIi);
+    }
     let mut any_negative = false;
     for (i, &t) in s.times.iter().enumerate() {
         if t < 0 {
@@ -101,9 +109,9 @@ pub fn verify_schedule_all(
             });
         }
     }
-    // Resources: replay every placement into a fresh MRT. Skipped when any
-    // issue time is negative — rows are undefined there.
-    if any_negative {
+    // Resources: replay every placement into a fresh MRT. Skipped when II
+    // is 0 or any issue time is negative — rows are undefined there.
+    if s.ii == 0 || any_negative {
         return out;
     }
     let mut mrt = ModuloReservationTable::new(problem.machine, s.ii, n);
@@ -201,6 +209,21 @@ mod tests {
         };
         // ii=1, 4-wide: row 0 holds all four ops — fits.
         verify_schedule(&p, &g, &s).unwrap();
+    }
+
+    #[test]
+    fn zero_ii_is_reported_not_divided_by() {
+        let (l, m) = setup();
+        let g = build_ddg(&l, &m.latencies);
+        let p = SchedProblem::ideal(&l, &m);
+        let s = Schedule {
+            ii: 0,
+            times: vec![0, 0, 2, 4],
+            clusters: vec![ClusterId(0); 4],
+        };
+        let errs = verify_schedule_all(&p, &g, &s);
+        assert_eq!(errs.first(), Some(&ScheduleError::ZeroIi));
+        assert!(!errs.iter().any(|e| matches!(e, ScheduleError::Resource(_))));
     }
 
     #[test]

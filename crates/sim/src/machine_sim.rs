@@ -150,7 +150,7 @@ fn simulate_flat(
         }
     };
 
-    for (cycle, issues) in program.cycles.iter().enumerate() {
+    for (cycle, issues) in program.cycles().enumerate() {
         let cycle = cycle as i64;
         // Commit stores whose latency has elapsed.
         pending_stores.retain(|&(commit, arr, idx, val)| {

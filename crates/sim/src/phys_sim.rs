@@ -152,7 +152,7 @@ pub fn check_physical_equivalence(
     let mut live_out_capture: HashMap<VReg, Value> = HashMap::new();
     let program = expand(body, sched);
 
-    for (cycle, issues) in program.cycles.iter().enumerate() {
+    for (cycle, issues) in program.cycles().enumerate() {
         let cycle = cycle as i64;
         // Prelude seed moves scheduled for this cycle.
         while next_seed < seed_writes.len() && seed_writes[next_seed].0 <= cycle {
