@@ -27,15 +27,36 @@ fi
 
 echo "==> governed solver loops charge the resource pool"
 # The exact and joint solvers are the only unbounded-memory paths in the
-# serve tier; their governed entry points must charge working sets against
-# the server's resource pool and poll the budget between expansions, or
-# vliw-served's --mem-budget silently stops meaning anything.
+# serve tier; their entry points must charge working sets against the
+# server's resource pool, and every search loop, the fixed-II leaf
+# included, must poll the solve's one Budget between expansions, or
+# vliw-served's --mem-budget and request deadlines silently stop meaning
+# anything.
+SOLVER_LOOPS=(crates/exact/src/search.rs crates/joint/src/solver.rs crates/joint/src/fixed_ii.rs)
 for f in crates/exact/src/search.rs crates/joint/src/solver.rs; do
     grep -q '\.charge(' "$f" \
         || { echo "error: $f no longer charges the resource pool"; exit 1; }
-    grep -q 'exceeded()' "$f" \
-        || { echo "error: $f no longer polls the resource budget"; exit 1; }
 done
+for f in "${SOLVER_LOOPS[@]}"; do
+    grep -q 'exceeded()' "$f" \
+        || { echo "error: $f no longer polls the solve budget"; exit 1; }
+done
+# A searcher that keeps a deadline of its own escapes the request deadline
+# and the taint rule that keeps deadline-truncated results out of the
+# cache: the clocks live in the Budget alone. The files are checked up to
+# their first `#[cfg(test)]`.
+CLOCKS=$(
+    for f in "${SOLVER_LOOPS[@]}"; do
+        awk -v f="$f" '/#\[cfg\(test\)\]/ { exit }
+            /Instant::now\(\) *[<>]|[<>]=? *Instant::now\(\)|Option<Instant>/ { print f ":" NR ":" $0 }' "$f"
+    done
+)
+if [ -n "$CLOCKS" ]; then
+    echo "$CLOCKS"
+    echo "error: a searcher compares the clock against a deadline of its own (see"
+    echo "above); poll the solve's Budget through exceeded() instead."
+    exit 1
+fi
 
 echo "==> request paths compile only on the worker pool"
 # Every request, and every entry of a batch, reaches a compile through the

@@ -26,10 +26,11 @@
 //! * **dominance pruning** — a register with no unassigned neighbours
 //!   contributes independently of every later decision and is placed at its
 //!   cheapest bank without branching ([`search`]);
-//! * an **anytime time budget** — the incumbent starts from a caller-supplied
-//!   seed (in the pipeline: the greedy partition), so interrupting the search
-//!   at the deadline returns a partition never worse than the seed, flagged
-//!   `optimal: false` ([`ExactResult`]).
+//! * an **anytime budget** — the incumbent starts from a caller-supplied
+//!   seed (in the pipeline: the greedy partition), so a search stopped by
+//!   its own `budget_ms`, a request deadline or the resource pool
+//!   ([`solve_within`]) returns a partition never worse than the seed,
+//!   flagged `optimal: false` ([`ExactResult`]).
 //!
 //! The bound is maintained incrementally: the search keeps, per unassigned
 //! register and bank, the cost of placing it there against the assigned
@@ -55,5 +56,5 @@ pub mod search;
 pub use objective::partition_cost;
 pub use oracle::brute_force;
 pub use search::{
-    branch_order, dense_adjacency, solve, solve_governed, ExactConfig, ExactResult, SolveStats,
+    branch_order, dense_adjacency, solve, solve_within, ExactConfig, ExactResult, SolveStats,
 };

@@ -32,9 +32,9 @@
 //!   balance term) interacts with nothing decided later, so it is placed at
 //!   its cheapest bank outright instead of branching; a per-register count
 //!   of unassigned neighbours makes the test O(1);
-//! * **anytime deadline** — the deadline is polled every 1024 expansions;
-//!   on expiry the search unwinds and reports the incumbent with
-//!   `optimal = false`.
+//! * **anytime budget** — the solve's [`Budget`] is polled every 1024
+//!   expansions; once a limit is reached the search unwinds and reports
+//!   the incumbent with `optimal = false`.
 //!
 //! Ties between equal-cost leaves (within `EPS`) are broken toward the
 //! lexicographically smallest `bank_of` vector, making the returned
@@ -49,7 +49,7 @@ use crate::objective::partition_cost;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 use vliw_core::{Partition, RcgGraph};
-use vliw_governor::TrackedBudget;
+use vliw_governor::Budget;
 use vliw_ir::VReg;
 use vliw_machine::ClusterId;
 
@@ -285,22 +285,14 @@ struct Searcher<'a> {
     best_cost: f64,
     /// Incumbent assignment (starts as the seed's).
     best_assign: Vec<u8>,
-    deadline: Option<Instant>,
-    /// Server-granted resource budget; polled at the same cadence as the
-    /// deadline so a pool trip or cancel unwinds through the anytime exit.
-    budget: Option<&'a TrackedBudget>,
+    /// The solve's limits, polled every 1024 expansions.
+    budget: &'a Budget,
     timed_out: bool,
     stats: SolveStats,
 }
 
 impl<'a> Searcher<'a> {
-    fn new(
-        p: &'a Problem,
-        seed_cost: f64,
-        seed_assign: Vec<u8>,
-        deadline: Option<Instant>,
-        budget: Option<&'a TrackedBudget>,
-    ) -> Self {
+    fn new(p: &'a Problem, seed_cost: f64, seed_assign: Vec<u8>, budget: &'a Budget) -> Self {
         Searcher {
             assigned: vec![UNASSIGNED; p.n],
             counts: vec![0; p.n_banks],
@@ -312,7 +304,6 @@ impl<'a> Searcher<'a> {
             trail: Vec::with_capacity(2 * p.adj_entries()),
             best_cost: seed_cost,
             best_assign: seed_assign,
-            deadline,
             budget,
             timed_out: false,
             stats: SolveStats::default(),
@@ -533,17 +524,9 @@ impl<'a> Searcher<'a> {
             return;
         }
         self.stats.nodes_expanded += 1;
-        if self.stats.nodes_expanded & 1023 == 0 {
-            if let Some(d) = self.deadline {
-                if Instant::now() >= d {
-                    self.timed_out = true;
-                    return;
-                }
-            }
-            if self.budget.is_some_and(|b| b.exceeded()) {
-                self.timed_out = true;
-                return;
-            }
+        if self.stats.nodes_expanded & 1023 == 0 && self.budget.exceeded() {
+            self.timed_out = true;
+            return;
         }
         if depth == self.p.n {
             self.record_leaf();
@@ -684,7 +667,7 @@ pub fn solve(
     seed: Option<&Partition>,
     cfg: &ExactConfig,
 ) -> ExactResult {
-    solve_governed(g, n_banks, seed, cfg, None)
+    solve_within(g, n_banks, seed, cfg, &Budget::default())
 }
 
 /// Bytes the search working set occupies for problem `p`: the adjacency
@@ -713,49 +696,49 @@ fn working_set_bytes(p: &Problem) -> u64 {
     (adj + order + cliques + stars + assign + table + free + trail + branches) as u64
 }
 
-/// [`solve`] under a server-granted [`TrackedBudget`]: the search charges
-/// its working set against the pool up front and polls the budget at the
-/// deadline cadence, so pool exhaustion (or a server-side cancel) degrades
-/// to the same anytime exit as a deadline trip — the seed incumbent comes
-/// back with `optimal = false` instead of the process growing unbounded.
-pub fn solve_governed(
+/// [`solve`] under `budget` as well as `cfg.budget_ms`: the search
+/// charges its working set against the budget's pool grant up front and
+/// polls every limit through one `exceeded()`, so a request deadline or
+/// pool exhaustion takes the same anytime exit as the config's own budget —
+/// the incumbent comes back with `optimal = false`, never worse than the
+/// seed, instead of the request overrunning or the process growing
+/// unbounded.
+pub fn solve_within(
     g: &RcgGraph,
     n_banks: usize,
     seed: Option<&Partition>,
     cfg: &ExactConfig,
-    budget: Option<&TrackedBudget>,
+    budget: &Budget,
 ) -> ExactResult {
     assert!(n_banks >= 1, "at least one bank");
     assert!(n_banks < UNASSIGNED as usize, "bank indices must fit in u8");
     let start = Instant::now();
-    let deadline = (cfg.budget_ms > 0).then(|| start + Duration::from_millis(cfg.budget_ms));
+    budget.start_clock(cfg.budget_ms);
 
     let p = Problem::new(g, n_banks, cfg.balance_weight);
     let (seed_cost, seed_assign) = seed_incumbent(g, n_banks, seed, cfg.balance_weight);
 
-    if let Some(b) = budget {
-        if !b.charge(working_set_bytes(&p)) {
-            // The pool cannot even cover the root working set: return the
-            // seed as a truncated anytime result without searching.
-            return ExactResult {
-                partition: Partition {
-                    bank_of: seed_assign
-                        .into_iter()
-                        .map(|b| ClusterId(u32::from(b)))
-                        .collect(),
-                    n_banks,
-                },
-                cost: seed_cost,
-                optimal: false,
-                stats: SolveStats {
-                    elapsed: start.elapsed(),
-                    ..SolveStats::default()
-                },
-            };
-        }
+    if !budget.charge(working_set_bytes(&p)) {
+        // The pool cannot even cover the root working set: return the
+        // seed as a truncated anytime result without searching.
+        return ExactResult {
+            partition: Partition {
+                bank_of: seed_assign
+                    .into_iter()
+                    .map(|b| ClusterId(u32::from(b)))
+                    .collect(),
+                n_banks,
+            },
+            cost: seed_cost,
+            optimal: false,
+            stats: SolveStats {
+                elapsed: start.elapsed(),
+                ..SolveStats::default()
+            },
+        };
     }
 
-    let mut s = Searcher::new(&p, seed_cost, seed_assign, deadline, budget);
+    let mut s = Searcher::new(&p, seed_cost, seed_assign, budget);
     s.dfs(0);
     s.stats.elapsed = start.elapsed();
 
@@ -964,7 +947,8 @@ mod tests {
         // away keeps one pair (2.0 + 1.0), and the cheapest split keeps
         // one leaf (2.0 + 3.0); the term takes the least, 3.0, per star.
         // The first bound prices none of it: no clique outgrows 8 banks.
-        let s = Searcher::new(&p, f64::INFINITY, vec![0; 12], None, None);
+        let budget = Budget::default();
+        let s = Searcher::new(&p, f64::INFINITY, vec![0; 12], &budget);
         assert_eq!(s.star_term(&p.stars[0]), 3.0);
         assert_eq!(s.edge_bound(), (0.0, 0.0));
         assert_eq!(s.clique_term(0..p.split), 0.0);
@@ -1005,7 +989,8 @@ mod tests {
                     "{n_banks} banks: no star to charge"
                 );
                 let (seed_cost, seed_assign) = seed_incumbent(&g, n_banks, None, 0.0);
-                let mut s = Searcher::new(&p, seed_cost, seed_assign, None, None);
+                let budget = Budget::default();
+                let mut s = Searcher::new(&p, seed_cost, seed_assign, &budget);
                 let trail_cap = s.trail.capacity();
                 s.dfs(0);
                 assert!(!s.timed_out);
@@ -1103,7 +1088,8 @@ mod tests {
                 }
             }
             let p = Problem::new(&g, n_banks, 0.0);
-            let mut s = Searcher::new(&p, 0.0, vec![0; n], None, None);
+            let budget = Budget::default();
+            let mut s = Searcher::new(&p, 0.0, vec![0; n], &budget);
             for &(pick, bank) in &picks[..=n] {
                 let lb = s.partial + s.edge_bound().0 + s.clique_term(0..p.split);
                 let mut completion = s.assigned.clone();
@@ -1155,7 +1141,8 @@ mod tests {
                 }
             }
             let p = Problem::new(&g, n_banks, 0.0);
-            let mut s = Searcher::new(&p, 0.0, vec![0; n], None, None);
+            let budget = Budget::default();
+            let mut s = Searcher::new(&p, 0.0, vec![0; n], &budget);
             let mut stack = Vec::new();
             for &(pick, bank, op) in &moves {
                 let open: Vec<usize> = (0..n).filter(|&v| s.assigned[v] == UNASSIGNED).collect();
@@ -1250,7 +1237,8 @@ mod tests {
                 }
             }
             let p = Problem::new(&g, n_banks, 0.0);
-            let mut s = Searcher::new(&p, 0.0, vec![0; n], None, None);
+            let budget = Budget::default();
+            let mut s = Searcher::new(&p, 0.0, vec![0; n], &budget);
             for &(pick, bank) in &picks[..=n] {
                 let sb = s.star_bound(s.partial, s.edge_bound().1, f64::INFINITY);
                 let reference = s.partial

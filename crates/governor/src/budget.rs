@@ -1,18 +1,30 @@
-//! The handle solver loops poll: wall-clock deadline + charged memory.
+//! The one budget an exact or joint solve runs under.
 //!
-//! Design constraints, in order: (1) `exceeded()` must be cheap enough
-//! to call every few hundred search nodes — one relaxed atomic load on
-//! the common path; (2) `charge()` must keep the global pool honest
-//! without a lock per allocation — it reserves from the pool in
-//! [`CHARGE_CHUNK_BYTES`] chunks and burns down the local headroom; (3)
-//! exhaustion is *cooperative*: the solver sees `exceeded()` and takes
-//! its existing anytime/truncation exit, so a budget trip degrades to a
-//! typed partial result rather than an abort.
+//! A [`Budget`] knows three limits and the searches poll all of them
+//! through one [`exceeded`](Budget::exceeded):
+//!
+//! * the solver config's own `budget_ms`, armed by the solver when it
+//!   starts ([`start_clock`](Budget::start_clock)). It is part of the
+//!   request text and the cache key, so a search it stops is reproducible;
+//! * the request deadline ([`with_deadline`](Budget::with_deadline)): ¾ of
+//!   the time the request has left, the rest kept for the pipeline after
+//!   the partition and for the reply;
+//! * the pool grant ([`Governor::open_budget`](crate::Governor::open_budget)),
+//!   which [`charge`](Budget::charge) grows in [`CHARGE_CHUNK_BYTES`]
+//!   chunks against the server's resource pool.
+//!
+//! The last two are transient: they depend on the server's state, not on
+//! the request text. The budget records which limit stopped the search
+//! ([`stopped_by`](Budget::stopped_by)), so the serve tier can tell a
+//! reproducible truncation from one it must never cache. A stop is
+//! cooperative and sticky: the search sees `exceeded()` and takes its
+//! anytime exit, so a budget trip degrades to a typed partial result.
 
 use crate::pool::Grant;
 use crate::GovernorGauges;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Pool-reservation granularity for `charge()`. Large enough that a
@@ -20,188 +32,174 @@ use std::time::{Duration, Instant};
 /// enough that accounting tracks real usage within ~1 MiB.
 pub const CHARGE_CHUNK_BYTES: u64 = 1 << 20;
 
-/// Marker returned by [`TrackedBudget::check`] when the budget is spent.
+/// The limit that stopped a search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetExceeded;
+pub enum Limit {
+    /// The solver config's `budget_ms`.
+    Explicit,
+    /// The request deadline.
+    Deadline,
+    /// A charge the resource pool refused.
+    Pool,
+}
 
-struct BudgetInner {
-    deadline: Option<Instant>,
-    /// Set once any dimension (time or memory) is exhausted, or when the
-    /// server cancels the request. Solvers poll only this.
-    cancel: AtomicBool,
-    /// Bytes charged by the solver so far.
-    mem_used: AtomicU64,
-    /// Bytes reserved from the pool (grant size). `mem_used` may run
-    /// ahead transiently while a grow is in flight on another thread.
-    mem_reserved: AtomicU64,
-    grant: Mutex<Grant>,
+impl Limit {
+    /// Whether the limit comes from server state rather than the request
+    /// text: a search it stopped may not be reproduced by the same request.
+    pub fn is_transient(self) -> bool {
+        self != Limit::Explicit
+    }
+}
+
+/// A pool grant and the bytes a solve has charged against it.
+struct Pooled {
+    grant: RefCell<Grant>,
+    used: Cell<u64>,
     gauges: Arc<GovernorGauges>,
 }
 
-/// Shared budget handle: clone-cheap, thread-safe. The exact search and
-/// every rung of the joint solver's II ladder poll the same budget.
-#[derive(Clone)]
-pub struct TrackedBudget {
-    inner: Arc<BudgetInner>,
+impl Drop for Pooled {
+    fn drop(&mut self) {
+        self.gauges.inflight_grants.fetch_sub(1, Ordering::Relaxed);
+        // The grant's own Drop returns its bytes to the pool.
+    }
 }
 
-impl TrackedBudget {
-    pub(crate) fn new(
-        grant: Grant,
-        deadline_ms: u64,
-        gauges: Arc<GovernorGauges>,
-    ) -> TrackedBudget {
-        let reserved = grant.bytes();
-        TrackedBudget {
-            inner: Arc::new(BudgetInner {
-                deadline: (deadline_ms > 0)
-                    .then(|| Instant::now() + Duration::from_millis(deadline_ms)),
-                cancel: AtomicBool::new(false),
-                mem_used: AtomicU64::new(0),
-                mem_reserved: AtomicU64::new(reserved),
-                grant: Mutex::new(grant),
+/// The limits of one solve; see the module docs. `Budget::default()` has
+/// none, and every searcher of the solve polls the same `&Budget`.
+#[derive(Default)]
+pub struct Budget {
+    explicit: Cell<Option<Instant>>,
+    deadline: Option<Instant>,
+    pool: Option<Pooled>,
+    stop: Cell<Option<Limit>>,
+}
+
+impl Budget {
+    pub(crate) fn pooled(grant: Grant, gauges: Arc<GovernorGauges>) -> Budget {
+        Budget {
+            pool: Some(Pooled {
+                grant: RefCell::new(grant),
+                used: Cell::new(0),
                 gauges,
             }),
+            ..Budget::default()
         }
     }
 
-    /// Cheap poll: has any budget dimension been exhausted? Suitable for
-    /// per-node solver loops. The deadline comparison only runs until
-    /// the first trip; after that the flag short-circuits.
+    /// Add the request deadline: a request with `left` time to go stops its
+    /// search ¾ of `left` from now. `None` adds no deadline.
+    pub fn with_deadline(mut self, left: Option<Duration>) -> Budget {
+        self.deadline =
+            left.and_then(|left| Instant::now().checked_add(left.saturating_mul(3) / 4));
+        self
+    }
+
+    /// Start the solver config's own clock: the search stops `budget_ms`
+    /// from now (`0` = no limit of its own). Each solver calls it once, as
+    /// it starts.
+    pub fn start_clock(&self, budget_ms: u64) {
+        let limit = Duration::from_millis(budget_ms);
+        self.explicit.set(
+            (budget_ms > 0)
+                .then(|| Instant::now().checked_add(limit))
+                .flatten(),
+        );
+    }
+
+    /// Has any limit been reached? Cheap enough to poll every few hundred
+    /// search nodes: one read while nothing has stopped the search and no
+    /// clock runs, one clock read while one does. The first limit found
+    /// reached is recorded and every later poll returns true.
     #[inline]
     pub fn exceeded(&self) -> bool {
-        if self.inner.cancel.load(Ordering::Relaxed) {
+        if self.stop.get().is_some() {
             return true;
         }
-        if let Some(d) = self.inner.deadline {
-            if Instant::now() >= d {
-                self.inner.cancel.store(true, Ordering::Relaxed);
-                return true;
-            }
+        let explicit = self.explicit.get();
+        if explicit.is_none() && self.deadline.is_none() {
+            return false;
+        }
+        let now = Instant::now();
+        let hit = if explicit.is_some_and(|d| now >= d) {
+            Limit::Explicit
+        } else if self.deadline.is_some_and(|d| now >= d) {
+            Limit::Deadline
+        } else {
+            return false;
+        };
+        self.stop.set(Some(hit));
+        true
+    }
+
+    /// The limit that stopped the search, if one did. A pure read: a solve
+    /// that finished without seeing a limit reports `None` even if a clock
+    /// has run out since.
+    pub fn stopped_by(&self) -> Option<Limit> {
+        self.stop.get()
+    }
+
+    /// Charge `bytes` of solver memory against the pool grant (free
+    /// without one). Grows the grant in [`CHARGE_CHUNK_BYTES`] chunks; if
+    /// the pool cannot cover the growth the budget stops (the next
+    /// `exceeded()` returns true) and `charge` returns false. Callers that
+    /// allocated speculatively keep the memory: the reservation lags by
+    /// under one chunk.
+    pub fn charge(&self, bytes: u64) -> bool {
+        let Some(pool) = &self.pool else {
+            return true;
+        };
+        let used = pool.used.get() + bytes;
+        pool.used.set(used);
+        let mut grant = pool.grant.borrow_mut();
+        let reserved = grant.bytes();
+        if used <= reserved || grant.grow((used - reserved).max(CHARGE_CHUNK_BYTES)) {
+            return true;
+        }
+        if self.stop.get().is_none() {
+            self.stop.set(Some(Limit::Pool));
         }
         false
-    }
-
-    /// `Err(BudgetExceeded)` variant of [`exceeded`](Self::exceeded) for `?`-style exits.
-    #[inline]
-    pub fn check(&self) -> Result<(), BudgetExceeded> {
-        if self.exceeded() {
-            Err(BudgetExceeded)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Mark the budget exhausted from outside (server-side cancel).
-    pub fn cancel(&self) {
-        self.inner.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether a trip has already been *observed* — the deadline latched
-    /// by an [`exceeded`](Self::exceeded) poll, a failed
-    /// [`charge`](Self::charge), or a [`cancel`](Self::cancel).
-    /// Unlike `exceeded`, this is a pure read: checking it after a solve
-    /// does not arm the deadline retroactively, so a solve that finished
-    /// without ever seeing the budget reports untripped even if the
-    /// deadline has passed since. The serve tier uses this to decide
-    /// whether a truncated result is reproducible (cacheable) or was
-    /// shaped by transient server state (never cached).
-    pub fn tripped(&self) -> bool {
-        self.inner.cancel.load(Ordering::Relaxed)
-    }
-
-    /// Charge `bytes` of solver memory against the pool. Grows the
-    /// underlying grant in [`CHARGE_CHUNK_BYTES`] chunks; if the pool
-    /// cannot cover the growth the budget trips (the *next* `exceeded()`
-    /// poll returns true) and `charge` returns false. Callers that
-    /// allocated speculatively keep the memory — accounting stays honest
-    /// because the reservation only lags by under one chunk.
-    pub fn charge(&self, bytes: u64) -> bool {
-        let used = self.inner.mem_used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        let reserved = self.inner.mem_reserved.load(Ordering::Relaxed);
-        if used <= reserved {
-            return true;
-        }
-        // Slow path: top up the grant to cover `used`, rounded up a chunk.
-        let mut grant = self.inner.grant.lock().unwrap();
-        let reserved = self.inner.mem_reserved.load(Ordering::Relaxed);
-        if used <= reserved {
-            return true; // another thread grew it while we waited
-        }
-        let want = (used - reserved).max(CHARGE_CHUNK_BYTES);
-        if grant.grow(want) {
-            self.inner
-                .mem_reserved
-                .store(grant.bytes(), Ordering::Relaxed);
-            true
-        } else {
-            self.inner.cancel.store(true, Ordering::Relaxed);
-            false
-        }
     }
 
     /// Release `bytes` previously charged (freed arenas). Keeps the
     /// chunk-rounded reservation; the pool gets it all back on drop.
     pub fn uncharge(&self, bytes: u64) {
-        let mut cur = self.inner.mem_used.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match self.inner.mem_used.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
+        if let Some(pool) = &self.pool {
+            pool.used.set(pool.used.get().saturating_sub(bytes));
         }
-    }
-
-    pub fn mem_used(&self) -> u64 {
-        self.inner.mem_used.load(Ordering::Relaxed)
-    }
-
-    pub fn mem_reserved(&self) -> u64 {
-        self.inner.mem_reserved.load(Ordering::Relaxed)
-    }
-
-    /// Remaining wall time, if a deadline was set.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.inner
-            .deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-}
-
-impl Drop for BudgetInner {
-    fn drop(&mut self) {
-        self.gauges.inflight_grants.fetch_sub(1, Ordering::Relaxed);
-        // The Grant field's own Drop returns the bytes to the pool.
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Governor, ShedPolicy};
+    use crate::{Governor, Lane, ShedPolicy};
+
+    fn used(b: &Budget) -> u64 {
+        b.pool.as_ref().unwrap().used.get()
+    }
+
+    fn reserved(b: &Budget) -> u64 {
+        b.pool.as_ref().unwrap().grant.borrow().bytes()
+    }
 
     #[test]
     fn charge_within_grant_is_cheap_and_true() {
         let g = Governor::new(64 << 20, 1, ShedPolicy::Never);
-        let b = g.open_budget(0).unwrap();
+        let b = g.open_budget(Lane::Heavy).unwrap();
         assert!(b.charge(1024));
         assert!(!b.exceeded());
-        assert_eq!(b.mem_used(), 1024);
+        assert_eq!(used(&b), 1024);
     }
 
     #[test]
     fn charge_grows_grant_in_chunks() {
         let g = Governor::new(64 << 20, 1, ShedPolicy::Never);
-        let b = g.open_budget(0).unwrap();
-        let initial = b.mem_reserved();
+        let b = g.open_budget(Lane::Heavy).unwrap();
+        let initial = reserved(&b);
         assert!(b.charge(initial + 1));
-        assert!(b.mem_reserved() > initial);
+        assert!(reserved(&b) > initial);
         assert!(g.pool().used() > initial);
     }
 
@@ -209,39 +207,80 @@ mod tests {
     fn exhausted_pool_trips_budget() {
         // Pool of 2 MiB, heavy capacity under 2 MiB, admission grant 512 KiB.
         let g = Governor::new(2 << 20, 1, ShedPolicy::Never);
-        let b = g.open_budget(0).unwrap();
+        let b = g.open_budget(Lane::Heavy).unwrap();
         // Charge far past what the pool can ever cover.
         assert!(!b.charge(64 << 20));
         assert!(b.exceeded());
-        assert_eq!(b.check(), Err(BudgetExceeded));
+        assert_eq!(b.stopped_by(), Some(Limit::Pool));
+        assert!(Limit::Pool.is_transient(), "a refused charge is transient");
     }
 
     #[test]
     fn deadline_trips_budget() {
-        let g = Governor::new(64 << 20, 1, ShedPolicy::Never);
-        let b = g.open_budget(1).unwrap();
+        let b = Budget::default().with_deadline(Some(Duration::ZERO));
+        assert!(b.exceeded());
+        assert_eq!(b.stopped_by(), Some(Limit::Deadline));
+        assert!(
+            Limit::Deadline.is_transient(),
+            "the request deadline is transient"
+        );
+        // A request with a minute left keeps ¾ of it for the search.
+        let b = Budget::default().with_deadline(Some(Duration::from_secs(60)));
+        assert!(!b.exceeded());
+        assert_eq!(b.stopped_by(), None);
+    }
+
+    #[test]
+    fn explicit_budget_trips_and_is_not_transient() {
+        let b = Budget::default().with_deadline(Some(Duration::from_secs(60)));
+        b.start_clock(1);
         std::thread::sleep(Duration::from_millis(5));
         assert!(b.exceeded());
+        assert_eq!(b.stopped_by(), Some(Limit::Explicit));
+        assert!(!Limit::Explicit.is_transient());
+    }
+
+    #[test]
+    fn no_limit_never_trips() {
+        let b = Budget::default();
+        b.start_clock(0);
+        assert!(b.charge(u64::MAX / 2), "no grant, nothing to refuse");
+        assert!(!b.exceeded());
+        assert_eq!(b.stopped_by(), None);
+    }
+
+    #[test]
+    fn the_first_limit_reached_is_the_one_recorded() {
+        let g = Governor::new(2 << 20, 1, ShedPolicy::Never);
+        let b = g
+            .open_budget(Lane::Heavy)
+            .unwrap()
+            .with_deadline(Some(Duration::ZERO));
+        assert!(b.exceeded());
+        assert!(!b.charge(64 << 20));
+        assert_eq!(b.stopped_by(), Some(Limit::Deadline));
     }
 
     #[test]
     fn drop_returns_bytes_to_pool() {
         let g = Governor::new(64 << 20, 1, ShedPolicy::Never);
-        let b = g.open_budget(0).unwrap();
+        let b = g.open_budget(Lane::Heavy).unwrap();
         b.charge(4 << 20);
-        let b2 = b.clone();
+        b.uncharge(4 << 20);
+        assert_eq!(used(&b), 0);
+        assert!(g.pool().used() > 0, "uncharge keeps the reservation");
         drop(b);
-        assert!(g.pool().used() > 0, "clone still holds the grant");
-        drop(b2);
         assert_eq!(g.pool().used(), 0);
     }
 
     #[test]
-    fn cancel_is_sticky() {
-        let g = Governor::new(64 << 20, 1, ShedPolicy::Never);
-        let b = g.open_budget(0).unwrap();
+    fn a_trip_is_sticky() {
+        let g = Governor::new(2 << 20, 1, ShedPolicy::Never);
+        let b = g.open_budget(Lane::Heavy).unwrap();
         assert!(!b.exceeded());
-        b.cancel();
+        assert!(!b.charge(64 << 20));
+        b.uncharge(64 << 20);
+        assert!(b.exceeded(), "returning the bytes does not undo the stop");
         assert!(b.exceeded());
     }
 }

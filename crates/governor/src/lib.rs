@@ -3,9 +3,9 @@
 //! with typed load shedding (DESIGN.md §15).
 //!
 //! This crate is a dependency *leaf*: the solvers (`vliw-exact`,
-//! `vliw-joint`) poll a [`TrackedBudget`] handle from their search loops,
-//! and the serve tier builds a [`Governor`] that hands those handles out
-//! under a global [`ResourcePool`]. Nothing here knows about sockets,
+//! `vliw-joint`) poll one [`Budget`] from their search loops, and the
+//! serve tier builds a [`Governor`] that opens pool grants for them under
+//! a global [`ResourcePool`]. Nothing here knows about sockets,
 //! JSON, or schedules — it is pure accounting and queueing policy, which
 //! keeps it unit-testable without a server.
 
@@ -14,7 +14,7 @@ mod fair;
 mod lanes;
 mod pool;
 
-pub use budget::{BudgetExceeded, TrackedBudget, CHARGE_CHUNK_BYTES};
+pub use budget::{Budget, Limit, CHARGE_CHUNK_BYTES};
 pub use fair::DwrrQueue;
 pub use lanes::{Lane, LaneClassifier, HEAVY_SERVICE_THRESHOLD_US, HEAVY_VREG_THRESHOLD};
 pub use pool::{Grant, PoolError, ResourcePool};
@@ -118,7 +118,7 @@ pub struct Governor {
     heavy_workers: usize,
     gauges: Arc<GovernorGauges>,
     /// Admission-time memory charge per heavy request: the grant the
-    /// solver's [`TrackedBudget`] starts from (it can grow later).
+    /// solver's [`Budget`] starts from (it can grow later).
     heavy_admission_bytes: u64,
 }
 
@@ -232,57 +232,33 @@ impl Governor {
         wait.clamp(25, 5_000)
     }
 
-    /// Open a tracked budget for an admitted heavy request. `deadline_ms`
-    /// (0 = none) bounds wall time; the memory side starts from the
-    /// admission grant and grows against the pool. Returns `Reject` if
-    /// even the admission grant cannot fit inside the whole pool.
-    pub fn open_budget(&self, deadline_ms: u64) -> Result<TrackedBudget, PoolError> {
-        let grant = match self.pool.grant_heavy(self.heavy_admission_bytes) {
-            Ok(g) => g,
-            Err(e) => {
-                match e {
-                    PoolError::Shed { .. } => self.gauges.sheds.fetch_add(1, Ordering::Relaxed),
-                    PoolError::Rejected => self.gauges.rejects.fetch_add(1, Ordering::Relaxed),
-                };
-                return Err(e);
-            }
+    /// Open the pool side of a solve's [`Budget`]. A heavy request's grant
+    /// starts from the admission grant and draws on the heavy share of the
+    /// pool; an interactive request that still runs a solver (an exact or
+    /// joint instance under the heavy thresholds, or a heavy shape demoted
+    /// by an observed warm hit that then misses the cache) gets a small
+    /// grant that may draw on the *full* pool, including the interactive
+    /// reserve, so it succeeds even while heavy grants occupy their whole
+    /// share. Either grows on demand, which keeps `--mem-budget` a hard cap
+    /// on solver memory for every lane. A heavy ask past the heavy share is
+    /// rejected; otherwise a full pool sheds.
+    pub fn open_budget(&self, lane: Lane) -> Result<Budget, PoolError> {
+        let grant = match lane {
+            Lane::Heavy => self.pool.grant_heavy(self.heavy_admission_bytes),
+            Lane::Interactive => self.pool.grant_interactive(
+                INTERACTIVE_ADMISSION_BYTES
+                    .min(self.pool.limit() / 4)
+                    .max(1),
+            ),
         };
+        let grant = grant.inspect_err(|e| {
+            match e {
+                PoolError::Shed { .. } => self.gauges.sheds.fetch_add(1, Ordering::Relaxed),
+                PoolError::Rejected => self.gauges.rejects.fetch_add(1, Ordering::Relaxed),
+            };
+        })?;
         self.gauges.inflight_grants.fetch_add(1, Ordering::Relaxed);
-        Ok(TrackedBudget::new(
-            grant,
-            deadline_ms,
-            Arc::clone(&self.gauges),
-        ))
-    }
-
-    /// Open a tracked budget for an interactive-lane request that still
-    /// runs a budgeted solver (an exact/joint instance under the heavy
-    /// thresholds, or a heavy shape demoted by an observed warm hit that
-    /// then misses the cache). The grant is small and draws on the *full*
-    /// pool — including the interactive reserve, so it succeeds even while
-    /// heavy grants occupy their whole share — which keeps `--mem-budget`
-    /// a hard cap on solver memory for every lane. Only shedding is
-    /// possible: the ask is clamped under the pool limit by construction.
-    pub fn open_budget_interactive(&self, deadline_ms: u64) -> Result<TrackedBudget, PoolError> {
-        let ask = INTERACTIVE_ADMISSION_BYTES
-            .min(self.pool.limit() / 4)
-            .max(1);
-        let grant = match self.pool.grant_interactive(ask) {
-            Ok(g) => g,
-            Err(e) => {
-                match e {
-                    PoolError::Shed { .. } => self.gauges.sheds.fetch_add(1, Ordering::Relaxed),
-                    PoolError::Rejected => self.gauges.rejects.fetch_add(1, Ordering::Relaxed),
-                };
-                return Err(e);
-            }
-        };
-        self.gauges.inflight_grants.fetch_add(1, Ordering::Relaxed);
-        Ok(TrackedBudget::new(
-            grant,
-            deadline_ms,
-            Arc::clone(&self.gauges),
-        ))
+        Ok(Budget::pooled(grant, Arc::clone(&self.gauges)))
     }
 }
 
@@ -347,11 +323,14 @@ mod tests {
         let g = Governor::new(8 << 20, 1, ShedPolicy::Never);
         // Heavy grants occupy their entire share of the pool.
         let _held = g.pool().grant_heavy(g.pool().heavy_capacity()).unwrap();
-        assert!(matches!(g.open_budget(0), Err(PoolError::Shed { .. })));
-        // An interactive compile still gets a tracked budget (the reserve
+        assert!(matches!(
+            g.open_budget(Lane::Heavy),
+            Err(PoolError::Shed { .. })
+        ));
+        // An interactive compile still gets a pool budget (the reserve
         // exists precisely so it can), and it is real accounting: charges
         // past the pool limit trip it.
-        let b = g.open_budget_interactive(0).unwrap();
+        let b = g.open_budget(Lane::Interactive).unwrap();
         assert_eq!(g.gauges().inflight_grants.load(Ordering::Relaxed), 1);
         assert!(!b.charge(64 << 20), "charge past the pool limit refused");
         assert!(b.exceeded());
@@ -362,7 +341,7 @@ mod tests {
     #[test]
     fn open_budget_tracks_inflight_gauge() {
         let g = Governor::new(64 << 20, 2, ShedPolicy::Never);
-        let b = g.open_budget(0).unwrap();
+        let b = g.open_budget(Lane::Heavy).unwrap();
         assert_eq!(g.gauges().inflight_grants.load(Ordering::Relaxed), 1);
         drop(b);
         assert_eq!(g.gauges().inflight_grants.load(Ordering::Relaxed), 0);

@@ -34,11 +34,11 @@
 //! edges outward from the change, and backtracking restores the potentials
 //! from a trail instead of re-running Bellman–Ford over every edge. The
 //! search is therefore **complete**: it returns a schedule iff one exists
-//! at this II, modulo the wall-clock deadline (reported as
+//! at this II, unless its budget stops it first (reported as
 //! [`FixedIiOutcome::TimedOut`], never misreported as infeasibility).
 
-use std::time::Instant;
 use vliw_ddg::{Ddg, IncrementalFeasibility};
+use vliw_governor::Budget;
 use vliw_ir::OpId;
 use vliw_machine::CopyModel;
 use vliw_sched::{ModuloReservationTable, OpPlacement, SchedProblem, Schedule};
@@ -50,7 +50,8 @@ pub enum FixedIiOutcome {
     Found(Schedule),
     /// Proven: no modulo schedule of this problem exists at this II.
     Infeasible,
-    /// The deadline expired before the search closed; nothing is proven.
+    /// A limit of the budget stopped the search before it closed; nothing
+    /// is proven.
     TimedOut,
 }
 
@@ -72,15 +73,16 @@ fn div_ceil(a: i64, b: i64) -> i64 {
 
 /// Search for a modulo schedule of `problem` at exactly `ii`.
 ///
-/// Complete up to the deadline: `Infeasible` is a proof, `Found` carries a
-/// schedule that satisfies every dependence in `ddg` and every resource in
-/// the machine's reservation model. `stats` accumulates across calls so an
-/// enclosing search can report total effort.
+/// Complete within `budget`, polled every 256 nodes: `Infeasible` is a
+/// proof, `Found` carries a schedule that satisfies every dependence in
+/// `ddg` and every resource in the machine's reservation model. `stats`
+/// accumulates across calls so an enclosing search can report total
+/// effort.
 pub fn schedule_fixed_ii(
     problem: &SchedProblem<'_>,
     ddg: &Ddg,
     ii: u32,
-    deadline: Option<Instant>,
+    budget: &Budget,
     stats: &mut FixedIiStats,
 ) -> FixedIiOutcome {
     assert_eq!(ddg.n_ops(), problem.n_ops());
@@ -96,7 +98,7 @@ pub fn schedule_fixed_ii(
     if problem.res_ii() > ii {
         return FixedIiOutcome::Infeasible; // some resource is oversubscribed
     }
-    if deadline.is_some_and(|d| Instant::now() >= d) {
+    if budget.exceeded() {
         return FixedIiOutcome::TimedOut; // nothing searched, nothing claimed
     }
     let mut estart = Vec::new();
@@ -145,7 +147,7 @@ pub fn schedule_fixed_ii(
         mrt: ModuloReservationTable::new(problem.machine, ii, n),
         incr,
         incident,
-        deadline,
+        budget,
         timed_out: false,
         stats,
     };
@@ -221,7 +223,7 @@ struct Searcher<'p, 'a, 's> {
     /// Per op: DDG edge indices incident to it (its weights change only
     /// when one of its endpoints is decided).
     incident: Vec<Vec<u32>>,
-    deadline: Option<Instant>,
+    budget: &'p Budget,
     timed_out: bool,
     stats: &'s mut FixedIiStats,
 }
@@ -264,13 +266,9 @@ impl Searcher<'_, '_, '_> {
             return None;
         }
         self.stats.nodes += 1;
-        if self.stats.nodes & 255 == 0 {
-            if let Some(d) = self.deadline {
-                if Instant::now() >= d {
-                    self.timed_out = true;
-                    return None;
-                }
-            }
+        if self.stats.nodes & 255 == 0 && self.budget.exceeded() {
+            self.timed_out = true;
+            return None;
         }
         if depth == self.order.len() {
             // The last decision's propagation already proved the (now exact)
@@ -347,7 +345,7 @@ mod tests {
         let p = SchedProblem::ideal(&l, &m);
         let mut st = FixedIiStats::default();
         // ResII = ceil(20/4) = 5 and there is no recurrence.
-        match schedule_fixed_ii(&p, &g, 5, None, &mut st) {
+        match schedule_fixed_ii(&p, &g, 5, &Budget::default(), &mut st) {
             FixedIiOutcome::Found(s) => {
                 assert_eq!(s.ii, 5);
                 verify_schedule(&p, &g, &s).unwrap();
@@ -365,7 +363,7 @@ mod tests {
         let p = SchedProblem::ideal(&l, &m);
         let mut st = FixedIiStats::default();
         assert!(matches!(
-            schedule_fixed_ii(&p, &g, 4, None, &mut st),
+            schedule_fixed_ii(&p, &g, 4, &Budget::default(), &mut st),
             FixedIiOutcome::Infeasible
         ));
     }
@@ -387,10 +385,10 @@ mod tests {
         let p = SchedProblem::ideal(&l, &m);
         let mut st = FixedIiStats::default();
         assert!(matches!(
-            schedule_fixed_ii(&p, &g, 3, None, &mut st),
+            schedule_fixed_ii(&p, &g, 3, &Budget::default(), &mut st),
             FixedIiOutcome::Infeasible
         ));
-        match schedule_fixed_ii(&p, &g, 4, None, &mut st) {
+        match schedule_fixed_ii(&p, &g, 4, &Budget::default(), &mut st) {
             FixedIiOutcome::Found(s) => verify_schedule(&p, &g, &s).unwrap(),
             other => panic!("expected a schedule at RecII, got {other:?}"),
         }
@@ -409,7 +407,7 @@ mod tests {
         let p = SchedProblem::clustered(&l, &m, &cluster_of);
         let ims = schedule_loop(&p, &g, &ImsConfig::default()).unwrap();
         let mut st = FixedIiStats::default();
-        match schedule_fixed_ii(&p, &g, ims.ii, None, &mut st) {
+        match schedule_fixed_ii(&p, &g, ims.ii, &Budget::default(), &mut st) {
             FixedIiOutcome::Found(s) => {
                 assert_eq!(s.ii, ims.ii);
                 verify_schedule(&p, &g, &s).unwrap();
@@ -425,11 +423,30 @@ mod tests {
         let g = build_ddg(&l, &m.latencies);
         let p = SchedProblem::ideal(&l, &m);
         let mut st = FixedIiStats::default();
-        let past = Instant::now() - std::time::Duration::from_millis(1);
+        let expired = Budget::default().with_deadline(Some(std::time::Duration::ZERO));
         assert!(matches!(
-            schedule_fixed_ii(&p, &g, 20, Some(past), &mut st),
+            schedule_fixed_ii(&p, &g, 20, &expired, &mut st),
             FixedIiOutcome::TimedOut
         ));
+    }
+
+    #[test]
+    fn tripped_pool_budget_reports_timeout_not_infeasible() {
+        use vliw_governor::{Governor, Lane, Limit, ShedPolicy};
+        let l = daxpy(8);
+        let m = MachineDesc::monolithic(2);
+        let g = build_ddg(&l, &m.latencies);
+        let p = SchedProblem::ideal(&l, &m);
+        let gov = Governor::new(2 << 20, 1, ShedPolicy::Never);
+        let budget = gov.open_budget(Lane::Interactive).unwrap();
+        assert!(!budget.charge(64 << 20), "the pool refuses the charge");
+        let mut st = FixedIiStats::default();
+        assert!(matches!(
+            schedule_fixed_ii(&p, &g, 20, &budget, &mut st),
+            FixedIiOutcome::TimedOut
+        ));
+        assert_eq!(budget.stopped_by(), Some(Limit::Pool));
+        assert_eq!(st.nodes, 0, "nothing searched");
     }
 
     #[test]
@@ -440,7 +457,7 @@ mod tests {
         let p = SchedProblem::ideal(&l, &m);
         let mut st = FixedIiStats::default();
         assert!(matches!(
-            schedule_fixed_ii(&p, &g, 1, None, &mut st),
+            schedule_fixed_ii(&p, &g, 1, &Budget::default(), &mut st),
             FixedIiOutcome::Found(_)
         ));
     }

@@ -49,9 +49,10 @@
 //! ([`forced_copy_floor`]) so a seed sitting on the floor closes with zero
 //! search.
 //!
-//! The search is **anytime**: a wall-clock budget cuts it off, the best
-//! incumbent is returned, and `optimal` is reported `false` with the lowest
-//! *unproven* II as the honest bound — `optimal: true` is only ever claimed
+//! The search is **anytime**: its budget (the config's `budget_ms`, and
+//! under [`solve_joint_within`] a request deadline and a pool grant) cuts
+//! it off, the best incumbent is returned, and `optimal` is reported
+//! `false` with the lowest *unproven* II as the honest bound — `optimal: true` is only ever claimed
 //! when every II below the returned one was exhausted. The result's
 //! `seed_lb` records the pre-search analytic floor, so callers can tell a
 //! truncated solve whose ladder certified rungs beyond analysis
@@ -73,7 +74,4 @@ pub use fixed_ii::{schedule_fixed_ii, FixedIiOutcome, FixedIiStats};
 pub use propagate::{
     capacity_conflict, forced_copy_floor, recurrence_feasible, NoGood, NoGoodKind, NoGoodStore,
 };
-pub use solver::{
-    solve_joint, solve_joint_governed, solve_joint_traced, solve_joint_traced_governed,
-    JointConfig, JointResult, JointStats,
-};
+pub use solver::{solve_joint, solve_joint_within, JointConfig, JointResult, JointStats};

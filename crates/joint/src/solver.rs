@@ -29,7 +29,7 @@ use vliw_core::{
 };
 use vliw_ddg::{build_ddg, Ddg, DepKind, IncrementalFeasibility};
 use vliw_exact::bound::{assign_edge_cost, UNASSIGNED};
-use vliw_governor::TrackedBudget;
+use vliw_governor::Budget;
 use vliw_ir::Loop;
 use vliw_machine::{ClusterId, CopyModel, MachineDesc};
 use vliw_sched::{schedule_loop, ImsConfig, SchedProblem, Schedule};
@@ -182,56 +182,33 @@ pub fn solve_joint(
     part_cfg: &PartitionConfig,
     cfg: &JointConfig,
 ) -> JointResult {
-    solve_joint_traced_governed(body, machine, part_cfg, cfg, None).0
+    solve_joint_within(body, machine, part_cfg, cfg, &Budget::default()).0
 }
 
-/// [`solve_joint`] under a server-granted [`TrackedBudget`]: the ladder
-/// charges its working sets against the pool and polls the budget at the
-/// same cadence as the wall-clock deadline, so pool exhaustion degrades to
-/// the ordinary anytime truncation (best incumbent, `optimal = false`).
-pub fn solve_joint_governed(
+/// [`solve_joint`] under `budget` as well as `cfg.budget_ms`, additionally
+/// returning the no-good store the ladder accumulated (property tests
+/// audit every recorded conflict against the full, non-incremental
+/// oracles). The ladder charges its working sets against the budget's pool
+/// grant, and every rung, bank node and fixed-II leaf polls its limits
+/// through one `exceeded()`, so a request deadline or pool exhaustion
+/// takes the same anytime exit as the config's own budget: the best
+/// incumbent, `optimal = false` and the honest lower bound.
+pub fn solve_joint_within(
     body: &Loop,
     machine: &MachineDesc,
     part_cfg: &PartitionConfig,
     cfg: &JointConfig,
-    budget: Option<&TrackedBudget>,
-) -> JointResult {
-    solve_joint_traced_governed(body, machine, part_cfg, cfg, budget).0
-}
-
-/// [`solve_joint`], additionally returning the no-good store the ladder
-/// accumulated — property tests audit every recorded conflict against the
-/// full (non-incremental) oracles.
-pub fn solve_joint_traced(
-    body: &Loop,
-    machine: &MachineDesc,
-    part_cfg: &PartitionConfig,
-    cfg: &JointConfig,
-) -> (JointResult, NoGoodStore) {
-    solve_joint_traced_governed(body, machine, part_cfg, cfg, None)
-}
-
-/// [`solve_joint_traced`] with an optional resource budget (see
-/// [`solve_joint_governed`]).
-pub fn solve_joint_traced_governed(
-    body: &Loop,
-    machine: &MachineDesc,
-    part_cfg: &PartitionConfig,
-    cfg: &JointConfig,
-    budget: Option<&TrackedBudget>,
+    budget: &Budget,
 ) -> (JointResult, NoGoodStore) {
     let start = Instant::now();
-    let deadline = (cfg.budget_ms > 0).then(|| start + Duration::from_millis(cfg.budget_ms));
+    budget.start_clock(cfg.budget_ms);
     let mut stats = JointStats::default();
     let mut store = NoGoodStore::new(body.n_vregs(), machine.n_clusters());
 
     // Charge the ladder's base working set (DDG mirror, RCG, incumbents,
     // per-rung searcher state) before any of it is built. A pool refusal
-    // here trips the budget; the dfs/probe polls below then truncate.
-    if let Some(b) = budget {
-        let base = (body.n_ops() * 128 + body.n_vregs() * 64) as u64;
-        let _ = b.charge(base);
-    }
+    // here trips the budget; the ladder's poll below then truncates.
+    let _ = budget.charge((body.n_ops() * 128 + body.n_vregs() * 64) as u64);
 
     // Greedy incumbent: the paper's partition-then-schedule pipeline.
     let ctx = LoopContext::new(body, machine);
@@ -285,13 +262,12 @@ pub fn solve_joint_traced_governed(
     // exhausted, so the first hit is optimal by construction. Conflicts
     // recorded at one rung replay as unit propagations at the next.
     for target in lb..inc_ii {
-        if budget.is_some_and(|b| b.exceeded()) {
+        if budget.exceeded() {
             return (finish(inc_part, inc_sched, target, false, stats), store);
         }
         store.activate(target);
         match search_ii(
-            body, machine, &rcg, &ctx.ddg, &inc_part, target, deadline, budget, &mut stats,
-            &mut store,
+            body, machine, &rcg, &ctx.ddg, &inc_part, target, budget, &mut stats, &mut store,
         ) {
             IiOutcome::Found(part, sched) => {
                 return (finish(part, sched, target, true, stats), store);
@@ -324,8 +300,7 @@ fn search_ii(
     ddg: &Ddg,
     seed_part: &Partition,
     target: u32,
-    deadline: Option<Instant>,
-    budget: Option<&TrackedBudget>,
+    budget: &Budget,
     stats: &mut JointStats,
     store: &mut NoGoodStore,
 ) -> IiOutcome {
@@ -341,17 +316,13 @@ fn search_ii(
         let n_vregs = body.n_vregs();
         (n_vregs * n_banks + ddg.edges().len() * 32 + n_vregs * 16) as u64
     };
-    if let Some(b) = budget {
-        if !b.charge(rung_bytes) {
-            return IiOutcome::TimedOut;
-        }
+    if !budget.charge(rung_bytes) {
+        return IiOutcome::TimedOut;
     }
     let out = search_ii_rung(
-        body, machine, rcg, ddg, seed_part, target, deadline, budget, stats, store,
+        body, machine, rcg, ddg, seed_part, target, budget, stats, store,
     );
-    if let Some(b) = budget {
-        b.uncharge(rung_bytes);
-    }
+    budget.uncharge(rung_bytes);
     out
 }
 
@@ -364,8 +335,7 @@ fn search_ii_rung(
     ddg: &Ddg,
     seed_part: &Partition,
     target: u32,
-    deadline: Option<Instant>,
-    budget: Option<&TrackedBudget>,
+    budget: &Budget,
     stats: &mut JointStats,
     store: &mut NoGoodStore,
 ) -> IiOutcome {
@@ -416,7 +386,6 @@ fn search_ii_rung(
         ddg,
         incr,
         affected,
-        deadline,
         budget,
         timed_out: false,
         stats,
@@ -486,10 +455,9 @@ struct BankSearcher<'a> {
     incr: IncrementalFeasibility,
     /// Per vreg: DDG edge indices whose adjustment its decision can change.
     affected: Vec<Vec<u32>>,
-    deadline: Option<Instant>,
-    /// Server-granted resource budget; polled with the deadline and charged
-    /// for every conflict recorded into the no-good store.
-    budget: Option<&'a TrackedBudget>,
+    /// The solve's limits: polled every 64 bank nodes and by every leaf,
+    /// and charged for every conflict recorded into the no-good store.
+    budget: &'a Budget,
     timed_out: bool,
     stats: &'a mut JointStats,
     store: &'a mut NoGoodStore,
@@ -647,10 +615,8 @@ impl BankSearcher<'_> {
     /// structure that genuinely accumulates. A refused charge trips the
     /// budget; the next `dfs` poll unwinds.
     fn charge_nogood(&mut self, n_lits: u64) {
-        if let Some(b) = self.budget {
-            if !b.charge(48 + 8 * n_lits) {
-                self.timed_out = true;
-            }
+        if !self.budget.charge(48 + 8 * n_lits) {
+            self.timed_out = true;
         }
     }
 
@@ -662,7 +628,7 @@ impl BankSearcher<'_> {
         let cddg = build_ddg(&cl.body, &self.machine.latencies);
         let problem = SchedProblem::clustered(&cl.body, self.machine, &cl.cluster_of);
         let mut fstats = FixedIiStats::default();
-        let out = schedule_fixed_ii(&problem, &cddg, self.target, self.deadline, &mut fstats);
+        let out = schedule_fixed_ii(&problem, &cddg, self.target, self.budget, &mut fstats);
         self.stats.sched_nodes += fstats.nodes;
         self.stats.propagations += fstats.q_checks;
         match out {
@@ -695,17 +661,9 @@ impl BankSearcher<'_> {
             return false;
         }
         self.stats.bank_nodes += 1;
-        if self.stats.bank_nodes & 63 == 0 {
-            if let Some(d) = self.deadline {
-                if Instant::now() >= d {
-                    self.timed_out = true;
-                    return false;
-                }
-            }
-            if self.budget.is_some_and(|b| b.exceeded()) {
-                self.timed_out = true;
-                return false;
-            }
+        if self.stats.bank_nodes & 63 == 0 && self.budget.exceeded() {
+            self.timed_out = true;
+            return false;
         }
         if depth == self.order.len() {
             return self.leaf();

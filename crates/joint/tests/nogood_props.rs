@@ -13,11 +13,12 @@
 
 use vliw_ddg::{build_ddg, DepKind, IncrementalFeasibility};
 use vliw_exact::bound::UNASSIGNED;
+use vliw_governor::Budget;
 use vliw_ir::{Loop, LoopBuilder, RegClass};
 use vliw_joint::propagate::{
     capacity_conflict, copy_extras, deciding_vregs, recurrence_feasible, variant_mask,
 };
-use vliw_joint::{solve_joint_traced, JointConfig, NoGoodKind};
+use vliw_joint::{solve_joint_within, JointConfig, NoGoodKind};
 use vliw_machine::MachineDesc;
 
 fn daxpy(unroll: usize) -> Loop {
@@ -73,11 +74,12 @@ fn recorded_nogoods_replay_infeasible_under_full_oracle() {
             let copy_extra = copy_extras(&l, m);
             let ddg = build_ddg(&l, &m.latencies);
             let n_banks = m.n_clusters();
-            let (_, store) = solve_joint_traced(
+            let (_, store) = solve_joint_within(
                 &l,
                 m,
                 &vliw_core::PartitionConfig::default(),
                 &JointConfig { budget_ms: 300 },
+                &Budget::default(),
             );
             let mut marks = vec![false; l.n_vregs() * n_banks];
             let mut scratch = Vec::new();

@@ -9,6 +9,7 @@
 
 use vliw_core::{insert_copies, Partition, PartitionConfig};
 use vliw_ddg::build_ddg;
+use vliw_governor::Budget;
 use vliw_ir::{Loop, LoopBuilder, RegClass};
 use vliw_joint::{schedule_fixed_ii, solve_joint, FixedIiOutcome, FixedIiStats, JointConfig};
 use vliw_machine::{ClusterId, MachineDesc};
@@ -22,13 +23,13 @@ fn min_ii_of_partition(body: &Loop, machine: &MachineDesc, part: &Partition) -> 
     let problem = SchedProblem::clustered(&cl.body, machine, &cl.cluster_of);
     let mut stats = FixedIiStats::default();
     for ii in 1..=64 {
-        match schedule_fixed_ii(&problem, &cddg, ii, None, &mut stats) {
+        match schedule_fixed_ii(&problem, &cddg, ii, &Budget::default(), &mut stats) {
             FixedIiOutcome::Found(s) => {
                 verify_schedule(&problem, &cddg, &s).unwrap();
                 return ii;
             }
             FixedIiOutcome::Infeasible => continue,
-            FixedIiOutcome::TimedOut => unreachable!("no deadline was set"),
+            FixedIiOutcome::TimedOut => unreachable!("the budget has no limit"),
         }
     }
     panic!("no II up to 64 for {}", body.name);

@@ -13,6 +13,7 @@ use vliw_core::{
 };
 use vliw_ddg::build_ddg;
 use vliw_ddg::Ddg;
+use vliw_governor::Budget;
 use vliw_ir::Loop;
 use vliw_machine::{CopyModel, MachineDesc};
 use vliw_regalloc::allocate;
@@ -270,20 +271,21 @@ fn gate(mode: LintMode, loop_name: &str, stage: &str, acc: &mut Report, found: R
 /// issue width and latencies (§4.1's definition), regardless of `machine`'s
 /// clustering.
 pub fn run_loop(body: &Loop, machine: &MachineDesc, cfg: &PipelineConfig) -> LoopResult {
-    run_loop_governed(body, machine, cfg, None)
+    run_loop_within(body, machine, cfg, &Budget::default())
 }
 
-/// [`run_loop`] under a server-granted [`vliw_governor::TrackedBudget`]:
-/// the exact and joint partitioners charge their working sets against the
-/// pool and poll the budget from their search loops, so a pool trip (or a
-/// server-side cancel) degrades to the same anytime truncation as a
-/// wall-clock deadline. The heuristic partitioners run unbudgeted — their
-/// footprint is bounded and small.
-pub fn run_loop_governed(
+/// [`run_loop`] with the exact or joint partitioner under `budget`'s
+/// request deadline and pool grant as well as the config's own
+/// `budget_ms`: the solver charges its working sets against the grant and
+/// polls every limit from its search loops, so a request deadline or a
+/// pool trip degrades to the same anytime truncation as the config's
+/// budget. The heuristic partitioners ignore the budget: their footprint
+/// is bounded and small.
+pub fn run_loop_within(
     body: &Loop,
     machine: &MachineDesc,
     cfg: &PipelineConfig,
-    budget: Option<&vliw_governor::TrackedBudget>,
+    budget: &Budget,
 ) -> LoopResult {
     // Steps 1–2: the shared per-loop front end — DDG, slack, RecII, and the
     // ideal schedule on the monolithic twin — built exactly once and reused
@@ -331,10 +333,9 @@ pub fn run_loop_governed(
                 budget_ms,
                 ..Default::default()
             };
-            let r = vliw_exact::solve_governed(g, n_banks, Some(&seed), &exact_cfg, budget);
+            let r = vliw_exact::solve_within(g, n_banks, Some(&seed), &exact_cfg, budget);
             // The optimality claim rides the result so the serve tier can
-            // tell a closed search from a budget-truncated incumbent (a
-            // pool-tripped truncation must never be cached).
+            // tell a closed search from a budget-truncated incumbent.
             exact = Some(ExactOutcome {
                 cost: r.cost,
                 optimal: r.optimal,
@@ -346,7 +347,7 @@ pub fn run_loop_governed(
             // own internally (it also needs the greedy incumbent). Runs
             // sequentially for the same nested-pool reason as Exact.
             rcg = Some(build_rcg(body, ideal, slack, &cfg.partition));
-            let r = vliw_joint::solve_joint_governed(
+            let (r, _) = vliw_joint::solve_joint_within(
                 body,
                 machine,
                 &cfg.partition,

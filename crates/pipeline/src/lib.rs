@@ -24,7 +24,7 @@ pub mod function;
 pub mod stats;
 
 pub use driver::{
-    run_loop, run_loop_governed, schedule_with, schedule_with_ctx, ExactOutcome, JointOutcome,
+    run_loop, run_loop_within, schedule_with, schedule_with_ctx, ExactOutcome, JointOutcome,
     LintMode, LoopResult, PartitionerKind, PipelineConfig, SchedulerKind,
 };
 pub use encode::{format_pipeline_config, parse_pipeline_config, ConfigParseError};

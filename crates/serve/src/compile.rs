@@ -13,9 +13,9 @@
 //! thread. It publishes the result to the cache, then signals and retires
 //! the slot, so a request that misses the table afterwards is guaranteed a
 //! cache hit. Later requesters of the same key wait on the slot for at most
-//! their own deadline. A request's deadline therefore bounds the solve
-//! (the joint clamp and the governed budget) and a follower's wait, never
-//! the leader's own compile.
+//! their own deadline. A request's deadline therefore bounds the exact or
+//! joint solve (its [`Budget`] stops the search at ¾ of the time left) and
+//! a follower's wait, never the leader's own compile.
 //!
 //! Each tier entry holds its result's rendered envelope ([`Cached`]), so a
 //! hit is served as shared bytes without rendering. Parsing happens at most
@@ -29,11 +29,11 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vliw_governor::{PoolError, TrackedBudget};
+use vliw_governor::{Budget, Limit, PoolError};
 use vliw_ir::Loop;
 use vliw_machine::MachineDesc;
 use vliw_normal::Witness;
-use vliw_pipeline::{run_loop_governed, PartitionerKind, PipelineConfig};
+use vliw_pipeline::{run_loop_within, PartitionerKind, PipelineConfig};
 
 /// How a request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,33 +123,6 @@ struct Inflight {
 /// recomputation, never correctness.
 const KEY_MEMO_CAP: usize = 16 * 1024;
 
-/// Anytime routing for the joint partitioner: clamp the solver's own
-/// wall-clock budget to a fraction of the request deadline, so an
-/// over-budget loop returns *in time* with the greedy incumbent, an honest
-/// `optimal: false`, and the proven `lower_bound_ii`, instead of running
-/// past the deadline with nothing to show.
-/// Three quarters of the deadline go to the solver; the remainder covers
-/// the rest of the pipeline (copies, reschedule, allocation, lints) plus
-/// response rendering. Returns the effective config and whether the budget
-/// was actually tightened — a result truncated by a *request-derived*
-/// budget must never be cached under the canonical config key, or it would
-/// poison identical requests arriving with larger deadlines.
-fn clamp_joint_budget(cfg: &PipelineConfig, deadline: Option<Duration>) -> (PipelineConfig, bool) {
-    let Some(limit) = deadline else {
-        return (cfg.clone(), false);
-    };
-    let PartitionerKind::Joint { budget_ms } = cfg.partitioner else {
-        return (cfg.clone(), false);
-    };
-    let granted = ((limit.as_millis() as u64).saturating_mul(3) / 4).max(1);
-    if budget_ms != 0 && budget_ms <= granted {
-        return (cfg.clone(), false);
-    }
-    let mut out = cfg.clone();
-    out.partitioner = PartitionerKind::Joint { budget_ms: granted };
-    (out, true)
-}
-
 /// Content-cached compiler with in-flight deduplication.
 pub struct CachedCompiler {
     cache: TieredCache,
@@ -189,29 +162,30 @@ impl CachedCompiler {
 
     /// Serve `req` as its rendered result JSON — the server's hot path. A
     /// hit in either tier returns the entry's shared bytes; a miss compiles
-    /// on this thread and renders once. `deadline` bounds the solve and any
-    /// wait on an identical in-flight compile.
+    /// on this thread and renders once. `deadline` bounds the exact or
+    /// joint solve (to ¾ of the time left at the miss) and any wait on an
+    /// identical in-flight compile.
     pub fn serve_rendered(
         &self,
         req: &CompileRequest,
         deadline: Option<Duration>,
     ) -> Result<(Arc<str>, Source), CompileError> {
-        self.serve_rendered_governed(req, deadline, |_| Ok(None))
+        self.serve_rendered_governed(req, deadline, |_| Ok(Budget::default()))
     }
 
-    /// [`serve_rendered`](Self::serve_rendered) under a resource budget.
+    /// [`serve_rendered`](Self::serve_rendered) under a resource pool.
     /// Once the exact key and the semantic alias have both missed, the
-    /// engine calls `open` with the request's remaining time; a hit never
-    /// opens a budget. A pool refusal becomes [`CompileError::Shed`] or
-    /// [`CompileError::Rejected`]. A budget it grants is threaded into the
-    /// exact/joint search loops, so pool exhaustion truncates the solve
-    /// instead of growing the process, and it is dropped before this
-    /// returns.
+    /// engine calls `open` with the request's parsed partitioner; a hit
+    /// never opens a budget. A pool refusal becomes [`CompileError::Shed`]
+    /// or [`CompileError::Rejected`]. The engine adds the request deadline
+    /// to the budget `open` returns and threads it into the exact/joint
+    /// search loops, so pool exhaustion truncates the solve instead of
+    /// growing the process; the budget is dropped before this returns.
     pub fn serve_rendered_governed(
         &self,
         req: &CompileRequest,
         deadline: Option<Duration>,
-        open: impl FnOnce(Option<Duration>) -> Result<Option<TrackedBudget>, PoolError>,
+        open: impl FnOnce(&PartitionerKind) -> Result<Budget, PoolError>,
     ) -> Result<(Arc<str>, Source), CompileError> {
         let (entry, source) = self.serve(req, deadline, open)?;
         Ok((Arc::clone(&entry.json), source))
@@ -238,14 +212,15 @@ impl CachedCompiler {
     /// parsing at all. Only on a raw-key miss is the text parsed — exactly
     /// once — and the parsed structures handed straight to the pipeline;
     /// non-canonical spellings of a cached request converge to the same
-    /// canonical key there. `deadline` bounds the solve and any wait on an
-    /// identical in-flight compile.
+    /// canonical key there. `deadline` bounds the exact or joint solve (to
+    /// ¾ of the time left at the miss) and any wait on an identical
+    /// in-flight compile; a result the deadline truncated is never cached.
     pub fn compile(
         &self,
         req: &CompileRequest,
         deadline: Option<Duration>,
     ) -> Result<(CompileResult, Source), CompileError> {
-        let (entry, source) = self.serve(req, deadline, |_| Ok(None))?;
+        let (entry, source) = self.serve(req, deadline, |_| Ok(Budget::default()))?;
         Ok((entry.result.clone(), source))
     }
 
@@ -260,7 +235,9 @@ impl CachedCompiler {
         deadline: Option<Duration>,
     ) -> Result<(CompileResult, Source), CompileError> {
         let (entry, source) =
-            self.serve_parts(body, machine, cfg, deadline, Instant::now(), |_| Ok(None))?;
+            self.serve_parts(body, machine, cfg, deadline, Instant::now(), |_| {
+                Ok(Budget::default())
+            })?;
         Ok((entry.result.clone(), source))
     }
 
@@ -269,7 +246,7 @@ impl CachedCompiler {
         &self,
         req: &CompileRequest,
         deadline: Option<Duration>,
-        open: impl FnOnce(Option<Duration>) -> Result<Option<TrackedBudget>, PoolError>,
+        open: impl FnOnce(&PartitionerKind) -> Result<Budget, PoolError>,
     ) -> Result<(Arc<Cached>, Source), CompileError> {
         let started = Instant::now();
         if let Some(hit) = self.cache.get(&self.key_for(req)) {
@@ -300,7 +277,7 @@ impl CachedCompiler {
         cfg: &PipelineConfig,
         deadline: Option<Duration>,
         started: Instant,
-        open: impl FnOnce(Option<Duration>) -> Result<Option<TrackedBudget>, PoolError>,
+        open: impl FnOnce(&PartitionerKind) -> Result<Budget, PoolError>,
     ) -> Result<(Arc<Cached>, Source), CompileError> {
         let key = self.key_for(&CompileRequest::from_parts(body, machine, cfg));
         if let Some(hit) = self.cache.get(&key) {
@@ -317,21 +294,15 @@ impl CachedCompiler {
             }
         }
         let remaining = deadline.map(|d| d.saturating_sub(started.elapsed()));
-        let budget = open(remaining)?;
+        let budget = open(&cfg.partitioner)?.with_deadline(remaining);
         self.stats().miss();
         let (slot, leader) = self.join_inflight(&key);
         if !leader {
             return self.wait(&slot, remaining);
         }
-        let (effective_cfg, clamped) = clamp_joint_budget(cfg, deadline);
-        let outcome = self.execute_parts(body, machine, &effective_cfg, &key, budget.as_ref());
-        // A governed budget that actually *tripped* (pool exhaustion or
-        // server deadline observed mid-solve) truncated this result for
-        // reasons outside the request text — never cache those, same as a
-        // deadline clamp. A budget that was never felt leaves the result
-        // reproducible and cacheable.
-        let taint = clamped || budget.as_ref().is_some_and(TrackedBudget::tripped);
-        self.publish(&key, &slot, outcome, alias.as_ref(), taint)
+        let outcome = self.execute_parts(body, machine, cfg, &key, &budget);
+        let transient = budget.stopped_by().is_some_and(Limit::is_transient);
+        self.publish(&key, &slot, outcome, alias.as_ref(), transient)
             .map(|e| (e, Source::Compiled))
             .map_err(CompileError::Internal)
     }
@@ -360,11 +331,11 @@ impl CachedCompiler {
         machine: &MachineDesc,
         cfg: &PipelineConfig,
         key: &str,
-        budget: Option<&TrackedBudget>,
+        budget: &Budget,
     ) -> Result<CompileResult, String> {
         self.stats().compile();
         catch_unwind(AssertUnwindSafe(|| {
-            run_loop_governed(body, machine, cfg, budget)
+            run_loop_within(body, machine, cfg, budget)
         }))
         .map(|lr| {
             let res = CompileResult::from_loop_result(key.to_string(), &lr);
@@ -393,22 +364,23 @@ impl CachedCompiler {
     /// space under the semantic key, so future isomorphic variants of this
     /// loop hit without compiling.
     ///
-    /// A joint *or exact* result truncated under a deadline-`clamped`
-    /// budget — or cut short by a governed resource budget that tripped
-    /// mid-solve — is published to waiters but **not** cached: its key is
-    /// a pure function of the request text (which still names the original
-    /// budget), so caching it would serve the degraded answer to identical
-    /// requests arriving later with room to solve fully.
+    /// The one taint rule: a joint or exact result that is truncated and
+    /// whose search a transient limit stopped (the request deadline or the
+    /// resource pool, `transient_stop`) is published to waiters but **not**
+    /// cached. Its key is a pure function of the request text, which names
+    /// only the solver's own budget, so caching it would serve the degraded
+    /// answer to identical requests arriving later with room to solve
+    /// fully. A truncation by the config's own `budget_ms` is cached.
     fn publish(
         &self,
         key: &str,
         slot: &Inflight,
         outcome: Result<CompileResult, String>,
         alias: Option<&(CacheKey, Witness)>,
-        taint_if_truncated: bool,
+        transient_stop: bool,
     ) -> Result<Arc<Cached>, String> {
         let outcome = outcome.map(|res| {
-            let tainted = taint_if_truncated
+            let tainted = transient_stop
                 && (res.joint.is_some_and(|j| !j.optimal) || res.exact.is_some_and(|e| !e.optimal));
             let entry = Cached::new(res);
             if !tainted {
@@ -674,6 +646,51 @@ mod tests {
         assert_eq!(hit, res);
     }
 
+    /// daxpy unrolled 6× on `embedded(4,4)` under the exact partitioner
+    /// with no budget of its own: the search takes ~25 ms to close in
+    /// release and seconds in debug.
+    fn hard_exact_request() -> CompileRequest {
+        use vliw_ir::{LoopBuilder, RegClass};
+        let mut b = LoopBuilder::new("hard_daxpy_u6");
+        let x = b.array("x", RegClass::Float, 1024);
+        let y = b.array("y", RegClass::Float, 1024);
+        let a = b.live_in_float("a");
+        for u in 0..6i64 {
+            let xv = b.load(x, u, 6);
+            let yv = b.load(y, u, 6);
+            let p = b.fmul(a, xv);
+            let s = b.fadd(yv, p);
+            b.store(y, u, 6, s);
+        }
+        let cfg = PipelineConfig {
+            partitioner: PartitionerKind::Exact { budget_ms: 0 },
+            ..PipelineConfig::default()
+        };
+        CompileRequest::from_parts(&b.finish(128), &MachineDesc::embedded(4, 4), &cfg)
+    }
+
+    /// An in-process deadline far below the exact solve's closing time
+    /// stops the search: the answer is an honest truncation, and since the
+    /// deadline is not in the request text it is never cached, so the
+    /// repeat compiles again.
+    #[test]
+    fn a_deadline_bounds_an_exact_solve_and_its_truncation_is_never_cached() {
+        let engine = engine();
+        let req = hard_exact_request();
+        for attempt in 0..2 {
+            let (res, src) = engine
+                .compile(&req, Some(Duration::from_millis(10)))
+                .unwrap();
+            assert_eq!(src, Source::Compiled, "attempt {attempt}");
+            assert!(
+                !res.exact.expect("exact claims").optimal,
+                "attempt {attempt}"
+            );
+        }
+        let snap = engine.stats().snapshot();
+        assert_eq!((snap.compiles, snap.exact_truncated), (2, 2));
+    }
+
     /// A follower waits at most its own deadline on an identical in-flight
     /// compile, then times out; that is the only way a request times out.
     #[test]
@@ -700,15 +717,15 @@ mod tests {
         dir
     }
 
-    /// A budget opener that counts its calls and grants nothing.
-    fn counting(calls: &Cell<u32>) -> impl FnOnce(Option<Duration>) -> BudgetOpened + '_ {
+    /// A budget opener that counts its calls and grants no pool.
+    fn counting(calls: &Cell<u32>) -> impl FnOnce(&PartitionerKind) -> BudgetOpened + '_ {
         |_| {
             calls.set(calls.get() + 1);
-            Ok(None)
+            Ok(Budget::default())
         }
     }
 
-    type BudgetOpened = Result<Option<TrackedBudget>, PoolError>;
+    type BudgetOpened = Result<Budget, PoolError>;
 
     /// A budget is opened only once every tier has missed: the miss that
     /// compiles opens one, and a memory hit, a disk hit and a semantic

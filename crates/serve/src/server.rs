@@ -16,10 +16,10 @@
 //!
 //! `served` is `"cache"`, `"compiled"` or `"deduped"`. Failures are
 //! `{"ok":false,"error":"..."}` (the connection stays open). `timeout_ms`
-//! is optional. It bounds the solve (the joint clamp and the governed
-//! budget) and the wait on an identical compile that another request is
-//! running, never the request's own compile: a request that compiles is
-//! answered with its result, however long that takes.
+//! is optional. It bounds an exact or joint solve, which stops at ¾ of
+//! the time left, and the wait on an identical compile that another
+//! request is running, never the request's own compile: a request that
+//! compiles is answered with its result, however long that takes.
 //!
 //! A `compile_batch` carries any number of requests in one line and returns
 //! one aggregated response with per-entry `served` labels in request order;
@@ -49,7 +49,8 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vliw_governor::{Governor, Lane, ShedPolicy};
+use vliw_governor::{Budget, Governor, Lane, ShedPolicy};
+use vliw_pipeline::PartitionerKind;
 
 /// Stats fields that are additive across peers — the sharded client's
 /// `stats --aggregate` sums exactly these (latency percentiles are not
@@ -146,10 +147,10 @@ pub struct ServeOptions {
 }
 
 /// What the serving core knows about a request by the time a worker runs
-/// it: how long it queued (subtracted from its deadline so the joint
-/// solver's clamped budget reflects time actually remaining), which lane
-/// admitted it, and the governor that grants heavy work its resource
-/// budget.
+/// it: how long it queued (subtracted from its deadline, so a compile's
+/// solve and its wait on someone else's compile get only the time
+/// actually left), which lane admitted it, and the governor that grants
+/// exact and joint solves their pool budget.
 pub(crate) struct RequestCtx {
     /// Measured time between enqueue and a worker picking the job up.
     pub queue_wait: Duration,
@@ -319,30 +320,20 @@ fn render_ok(rendered: &str, served: &str) -> Json {
     Json::Raw(doc.into())
 }
 
-/// Whether `req` will run a budgeted (exact/joint) solver on a cache
-/// miss. Syntactic, matching the lane classifier's token test — the lane
-/// alone is not enough: small or warm-demoted exact/joint shapes are
-/// classified interactive but still solve on a miss, and they must not
-/// escape the pool's accounting.
-fn runs_governed_solver(req: &CompileRequest) -> bool {
-    req.config_text.contains("partitioner exact") || req.config_text.contains("partitioner joint")
-}
-
 /// Serve one compile request under its request context:
 ///
-/// * the measured queue wait is subtracted from the client deadline, so
-///   the joint solver's clamped budget is ¾ of the time *remaining* —
-///   not ¾ of a deadline that queueing already consumed;
-/// * heavy-lane requests — and interactive exact/joint requests, whose
-///   solvers are just as unbounded in principle — compile under a
-///   [`TrackedBudget`] from the governor's pool, which the engine opens
-///   only once every cache tier has missed (a warm hit of a hard instance
-///   needs no grant): heavies against the heavy share, interactive
-///   compiles against the full pool including the reserve kept for them.
-///   A pool refusal becomes a typed shed/reject response instead of an
-///   untracked solve, so `--mem-budget` caps solver memory on every lane.
-///
-/// [`TrackedBudget`]: vliw_governor::TrackedBudget
+/// * the measured queue wait is subtracted from the client deadline, and
+///   on a miss the engine's [`Budget`] stops an exact or joint search at
+///   ¾ of the time *then* left — not ¾ of a deadline that queueing
+///   already consumed;
+/// * a compile whose parsed config selects the exact or joint partitioner,
+///   and every heavy-lane compile, also gets a pool grant from the
+///   governor, which the engine opens only once every cache tier has
+///   missed (a warm hit of a hard instance needs no grant): heavies
+///   against the heavy share, interactive compiles against the full pool
+///   including the reserve kept for them. A pool refusal becomes a typed
+///   shed/reject response instead of an untracked solve, so `--mem-budget`
+///   caps solver memory on every lane, however the config is spelled.
 pub(crate) fn compile_entry(
     engine: &Arc<CachedCompiler>,
     req: &CompileRequest,
@@ -350,17 +341,16 @@ pub(crate) fn compile_entry(
     ctx: &RequestCtx,
 ) -> Json {
     let started = Instant::now();
-    let governed = ctx.lane == Lane::Heavy || runs_governed_solver(req);
-    let open = |remaining: Option<Duration>| {
-        if !governed {
-            return Ok(None);
+    let open = |partitioner: &PartitionerKind| {
+        let solves = matches!(
+            partitioner,
+            PartitionerKind::Exact { .. } | PartitionerKind::Joint { .. }
+        );
+        if solves || ctx.lane == Lane::Heavy {
+            ctx.governor.open_budget(ctx.lane)
+        } else {
+            Ok(Budget::default())
         }
-        let deadline_ms = remaining.map_or(0, |r| (r.as_millis() as u64).max(1));
-        match ctx.lane {
-            Lane::Heavy => ctx.governor.open_budget(deadline_ms),
-            Lane::Interactive => ctx.governor.open_budget_interactive(deadline_ms),
-        }
-        .map(Some)
     };
     let deadline = timeout.saturating_sub(ctx.queue_wait);
     let outcome = engine.serve_rendered_governed(req, Some(deadline), open);

@@ -730,43 +730,65 @@ fn under_budgeted_joint_compile_returns_typed_truncation() {
     server.stop();
 }
 
+/// `req` with its partitioner line spelled with two spaces: the parser
+/// accepts it and it reaches the same canonical key, so the server must
+/// govern it exactly like the canonical spelling.
+fn respelled(req: &CompileRequest) -> CompileRequest {
+    let config_text = req.config_text.replacen("partitioner ", "partitioner  ", 1);
+    assert_ne!(config_text, req.config_text);
+    CompileRequest {
+        config_text,
+        ..req.clone()
+    }
+}
+
 #[test]
-fn deadline_clamped_joint_results_are_never_cached() {
-    let server = TestServer::start(None);
-    let mut client = server.client();
-
-    // An *unlimited* configured budget under a short request deadline: the
-    // server clamps the solver's budget to 3/4 of the deadline so the
-    // request answers instead of timing out. The clamped result depends on
-    // the deadline, which is not part of the cache key, so it must never
-    // be published under the request's canonical key.
-    let req = hard_joint_request(0);
-    let first = client.compile(&req, Some(1000)).expect("clamped compile");
-    assert_eq!(first.served, "compiled");
-    let joint = first.result.joint.expect("joint claims");
-    assert!(
-        !joint.optimal,
-        "a clamped search cannot close this instance"
-    );
-    assert!(joint.lower_bound_ii <= joint.ii);
-
-    // The leader compiles on the worker and retires its in-flight slot
-    // before the reply is queued, so the repeat elects a fresh leader at
-    // once instead of deduping onto the first compile.
-    let second = client
-        .compile(&req, Some(1000))
-        .expect("second clamped compile");
-    assert_eq!(
-        second.served, "compiled",
-        "a deadline-tainted result must not be served from cache"
-    );
-
-    let stats = client.stats().expect("stats");
-    let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
-    assert_eq!(n("compiles"), 2);
-    assert!(n("joint_truncated") >= 2);
-
-    server.stop();
+fn deadline_stopped_results_are_never_cached() {
+    // An *unlimited* configured budget under a short request deadline, for
+    // both solvers and however the config is spelled: the search stops at
+    // 3/4 of the time left so the request answers instead of timing out.
+    // That truncation depends on the deadline, which is not part of the
+    // cache key, so it must never be published under the request's
+    // canonical key. 10 ms is far below either solve: the joint II=2 rung
+    // takes seconds, and the exact search needs ~25 ms to close in release
+    // (seconds in debug).
+    for (req, claims) in [
+        (hard_joint_request(0), "joint_truncated"),
+        (respelled(&hard_joint_request(0)), "joint_truncated"),
+        (hard_exact_request(), "exact_truncated"),
+        (respelled(&hard_exact_request()), "exact_truncated"),
+    ] {
+        let server = TestServer::start(None);
+        let mut client = server.client();
+        for attempt in 0..2 {
+            // The leader compiles on the worker and retires its in-flight
+            // slot before the reply is queued, so the repeat elects a fresh
+            // leader at once instead of deduping onto the first compile.
+            let out = client
+                .compile(&req, Some(10))
+                .expect("deadline-bound compile");
+            assert_eq!(
+                out.served, "compiled",
+                "{claims} #{attempt}: a deadline-stopped result must not be served from cache"
+            );
+            let optimal = match (out.result.joint, out.result.exact) {
+                (Some(joint), None) => {
+                    assert!(joint.lower_bound_ii <= joint.ii);
+                    joint.optimal
+                }
+                (None, Some(exact)) => exact.optimal,
+                other => panic!("one solver's claims expected, got {other:?}"),
+            };
+            assert!(
+                !optimal,
+                "{claims}: the deadline cannot close this instance"
+            );
+        }
+        let stats = client.stats().expect("stats");
+        let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
+        assert_eq!((n("compiles"), n(claims)), (2, 2));
+        server.stop();
+    }
 }
 
 #[test]
@@ -794,7 +816,8 @@ fn zero_timeout_cold_compile_answers_with_its_result() {
 }
 
 /// The same 25-vreg daxpy body under the *exact* partitioner with an
-/// unlimited explicit budget: only a governed pool trip can truncate it.
+/// unlimited explicit budget: only a request deadline or a pool trip can
+/// truncate it.
 fn hard_exact_request() -> CompileRequest {
     use vliw_ir::{LoopBuilder, RegClass};
     let mut b = LoopBuilder::new("hard_daxpy_u6");
@@ -896,21 +919,27 @@ fn interactive_exact_compiles_are_pool_accounted() {
     };
     let req = CompileRequest::from_parts(&body, &MachineDesc::embedded(4, 4), &cfg);
 
-    let first = client.compile(&req, None).expect("governed compile");
-    assert_eq!(first.served, "compiled");
-    let exact = first.result.exact.expect("exact claims");
-    assert!(
-        !exact.optimal,
-        "a 256-byte pool cannot cover even this working set"
-    );
+    for r in [&req, &respelled(&req)] {
+        let first = client.compile(r, None).expect("governed compile");
+        assert_eq!(first.served, "compiled");
+        let exact = first.result.exact.expect("exact claims");
+        assert!(
+            !exact.optimal,
+            "a 256-byte pool cannot cover even this working set ({:?})",
+            r.config_text
+        );
 
-    // Pool-tripped, so never cached — identical to the heavy-lane rule.
-    let second = client.compile(&req, None).expect("second compile");
-    assert_eq!(second.served, "compiled");
+        // Pool-tripped, so never cached — identical to the heavy-lane rule.
+        let second = client.compile(r, None).expect("second compile");
+        assert_eq!(second.served, "compiled", "{:?}", r.config_text);
+        assert!(!second.result.exact.expect("claims").optimal);
+    }
 
     // The compile drops its budget before its reply is queued, so every
     // grant is back in the pool by the time the answer arrives.
     let stats = client.stats().expect("stats");
+    let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
+    assert_eq!((n("compiles"), n("exact_truncated")), (4, 4));
     let used = stats
         .get("pool_bytes_used")
         .and_then(Json::as_f64)

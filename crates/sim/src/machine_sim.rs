@@ -7,7 +7,7 @@
 use crate::memory::init_memory;
 use crate::value::{eval_op, Value};
 use std::collections::HashMap;
-use vliw_ir::{InitVal, Loop, Opcode, VReg};
+use vliw_ir::{Loop, Opcode, VReg};
 use vliw_machine::LatencyTable;
 use vliw_sched::{expand, FlatProgram, Schedule};
 
@@ -76,7 +76,7 @@ pub fn simulate(body: &Loop, sched: &Schedule, lat: &LatencyTable) -> Result<Sim
 
 /// Which operand slots of each op read the *previous* iteration's value
 /// (textual use-before-def of a loop-variant register).
-fn reads_prev_table(body: &Loop) -> Vec<Vec<bool>> {
+pub(crate) fn reads_prev_table(body: &Loop) -> Vec<Vec<bool>> {
     let mut first_def: Vec<Option<usize>> = vec![None; body.n_vregs()];
     for op in &body.ops {
         if let Some(d) = op.def {
@@ -101,10 +101,7 @@ fn live_in_value(body: &Loop, v: VReg) -> Option<Value> {
     body.live_in
         .iter()
         .position(|&x| x == v)
-        .map(|p| match body.live_in_vals[p] {
-            InitVal::Int(i) => Value::I(i),
-            InitVal::Float(b) => Value::F(f64::from_bits(b)),
-        })
+        .map(|p| Value::from(body.live_in_vals[p]))
 }
 
 fn simulate_flat(

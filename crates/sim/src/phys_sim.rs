@@ -14,12 +14,12 @@
 //! backedge), where `K` is the modulo-variable-expansion unroll factor —
 //! the renaming a post-pass would bake into the unrolled kernel text.
 
-use crate::machine_sim::SimError;
+use crate::machine_sim::{reads_prev_table, SimError};
 use crate::memory::init_memory;
 use crate::reference::run_reference;
 use crate::value::{eval_op, Value};
 use std::collections::HashMap;
-use vliw_ir::{InitVal, Loop, Opcode, RegClass, VReg};
+use vliw_ir::{Loop, Opcode, RegClass, VReg};
 use vliw_machine::{ClusterId, LatencyTable};
 use vliw_regalloc::AllocResult;
 use vliw_sched::{expand, Schedule};
@@ -65,29 +65,6 @@ impl std::fmt::Display for PhysSimError {
 
 impl std::error::Error for PhysSimError {}
 
-/// Which operand slots read the previous iteration (shared logic with the
-/// virtual simulator, recomputed here to keep the modules independent).
-fn reads_prev_table(body: &Loop) -> Vec<Vec<bool>> {
-    let mut first_def: Vec<Option<usize>> = vec![None; body.n_vregs()];
-    for op in &body.ops {
-        if let Some(d) = op.def {
-            first_def[d.index()].get_or_insert(op.id.index());
-        }
-    }
-    body.ops
-        .iter()
-        .map(|op| {
-            op.uses
-                .iter()
-                .map(|u| match first_def[u.index()] {
-                    Some(fd) => fd >= op.id.index(),
-                    None => false,
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// Execute `sched` on physical registers per `alloc`/`vreg_bank` and compare
 /// bit-for-bit with the scalar reference.
 pub fn check_physical_equivalence(
@@ -125,10 +102,7 @@ pub fn check_physical_equivalence(
     // write at `max(0, t_def − II)`.
     let mut seed_writes: Vec<(i64, PhysReg, Value)> = Vec::new();
     for (&v, &init) in body.live_in.iter().zip(&body.live_in_vals) {
-        let val = match init {
-            InitVal::Int(i) => Value::I(i),
-            InitVal::Float(b) => Value::F(f64::from_bits(b)),
-        };
+        let val = Value::from(init);
         match body.defs_of(v).first() {
             None => {
                 regs.insert(phys(v, 0), (i64::MIN, val));

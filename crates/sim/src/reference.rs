@@ -2,7 +2,7 @@
 
 use crate::memory::init_memory;
 use crate::value::{eval_op, Value};
-use vliw_ir::{InitVal, Loop, Opcode, RegClass, VReg};
+use vliw_ir::{Loop, Opcode, RegClass, VReg};
 
 /// Result of a reference run.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,10 +23,7 @@ fn init_regs(body: &Loop) -> Vec<Value> {
         })
         .collect();
     for (&v, &init) in body.live_in.iter().zip(&body.live_in_vals) {
-        regs[v.index()] = match init {
-            InitVal::Int(i) => Value::I(i),
-            InitVal::Float(b) => Value::F(f64::from_bits(b)),
-        };
+        regs[v.index()] = Value::from(init);
     }
     regs
 }

@@ -6,7 +6,7 @@
 //! yields zero (totalised so property tests cannot crash either side), and
 //! floating point is ordinary IEEE f64.
 
-use vliw_ir::{AluKind, Operation};
+use vliw_ir::{AluKind, InitVal, Operation};
 
 /// A runtime value: integer or floating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,6 +15,16 @@ pub enum Value {
     I(i64),
     /// Floating point.
     F(f64),
+}
+
+impl From<InitVal> for Value {
+    /// A live-in register's initial value.
+    fn from(init: InitVal) -> Value {
+        match init {
+            InitVal::Int(i) => Value::I(i),
+            InitVal::Float(b) => Value::F(f64::from_bits(b)),
+        }
+    }
 }
 
 impl Value {
