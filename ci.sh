@@ -60,8 +60,8 @@ fi
 
 echo "==> request paths compile only on the worker pool"
 # Every request, and every entry of a batch, reaches a compile through the
-# reactor's lanes, admission and worker pool, under the heavy-lane quota,
-# and the engine compiles a miss on the thread that asked. A thread
+# reactor's worker pool, a heavy miss through the heavy lane's admission
+# and quota, and the engine compiles a miss on the thread that asked. A thread
 # spawned on a request path would run compiles outside all of it. The
 # engine files are checked up to their first `#[cfg(test)]`: their tests
 # race requests on scoped threads.
@@ -311,6 +311,49 @@ target/release/vliw-client --addr "$ADDR" --stats | tee "$SMOKE_DIR/joint-stats.
 grep -q ' joint_truncated=1 ' "$SMOKE_DIR/joint-stats.log"
 grep -q ' timeouts=0 ' "$SMOKE_DIR/joint-stats.log"
 grep -q ' errors=0 ' "$SMOKE_DIR/joint-stats.log"
+target/release/vliw-client --addr "$ADDR" --shutdown
+wait "$SERVED_PID"
+SERVED_PID=""
+
+echo "==> vliw-serve lane smoke (heavy lane routes on the decoded request)"
+# A request's lane is decided from what it decodes to, after every cache
+# tier has missed. Corpus loops 6 (25 vregs) and 7 (17 vregs) are heavy
+# under a joint config. A server whose heavy lane sheds everything
+# (depth:0) must still serve a heavy request its disk store already holds,
+# and must shed every heavy miss, however its config is spelled (the
+# client sends a --config-file verbatim) and wherever it sits (a batch
+# whose entries share one config carries it in the batch defaults).
+printf 'partitioner joint 50\n' > "$SMOKE_DIR/lane50.cfg"
+printf 'partitioner  joint 51\n' > "$SMOKE_DIR/lane51.cfg"
+printf 'partitioner joint 52\n' > "$SMOKE_DIR/lane52.cfg"
+target/release/vliw-served --addr 127.0.0.1:0 --cache-dir "$SMOKE_DIR/lane" \
+    --shed-policy never > "$SMOKE_DIR/lane1.log" &
+SERVED_PID=$!
+ADDR=$(peer_addr "$SMOKE_DIR/lane1.log")
+target/release/vliw-client --addr "$ADDR" --compile --gen 6 \
+    --config-file "$SMOKE_DIR/lane50.cfg" | tee "$SMOKE_DIR/lane-cold.log"
+grep -q 'compile\[0\] served=compiled' "$SMOKE_DIR/lane-cold.log"
+target/release/vliw-client --addr "$ADDR" --shutdown
+wait "$SERVED_PID"
+target/release/vliw-served --addr 127.0.0.1:0 --cache-dir "$SMOKE_DIR/lane" \
+    --workers 2 --heavy-lane-workers 1 --shed-policy depth:0 > "$SMOKE_DIR/lane2.log" &
+SERVED_PID=$!
+ADDR=$(peer_addr "$SMOKE_DIR/lane2.log")
+target/release/vliw-client --addr "$ADDR" --compile --gen 6 \
+    --config-file "$SMOKE_DIR/lane50.cfg" | tee "$SMOKE_DIR/lane-hit.log"
+grep -q 'compile\[0\] served=cache' "$SMOKE_DIR/lane-hit.log" \
+    || { echo "a cached heavy request was not served from cache"; exit 1; }
+if target/release/vliw-client --addr "$ADDR" --compile --gen 6 \
+    --config-file "$SMOKE_DIR/lane51.cfg" > "$SMOKE_DIR/lane-respelled.log" 2>&1; then
+    echo "a respelled heavy request was not shed"; cat "$SMOKE_DIR/lane-respelled.log"; exit 1
+fi
+grep -q 'server overloaded' "$SMOKE_DIR/lane-respelled.log"
+target/release/vliw-client --addr "$ADDR" --stats | tee "$SMOKE_DIR/lane-stats.log"
+grep -q ' compiles=0 ' "$SMOKE_DIR/lane-stats.log"
+target/release/vliw-client --addr "$ADDR" --batch --gen-range 6:8 \
+    --config-file "$SMOKE_DIR/lane52.cfg" | tee "$SMOKE_DIR/lane-batch.log"
+[ "$(grep -c '^batch\[[01]\] error: server overloaded' "$SMOKE_DIR/lane-batch.log")" -eq 2 ] \
+    || { echo "a heavy batch entry was not shed"; exit 1; }
 target/release/vliw-client --addr "$ADDR" --shutdown
 wait "$SERVED_PID"
 SERVED_PID=""

@@ -1,37 +1,15 @@
-//! Interactive vs heavy lane classification.
+//! The interactive and heavy lanes, and the one rule between them.
 //!
-//! The first-pass heuristic is syntactic and allocation-free: scan the
-//! raw wire line for the canonical `partitioner exact`/`partitioner
-//! joint` config tokens and count `vreg ` declaration lines (the
-//! canonical loop text declares each register on its own `vreg vN CLASS`
-//! line, so substring occurrences == register count). Exact/joint
-//! requests over the vreg threshold go to the heavy lane — the ≤12-vreg
-//! slice closes in milliseconds, so only the larger instances deserve
-//! isolation.
-//!
-//! The heuristic is then *corrected by observation*: request shapes seen
-//! to run slow are promoted to the heavy lane, and heavy-looking shapes
-//! that actually return fast (warm cache hits of a hard instance) are
-//! demoted back to interactive. Both correction sets are fixed-size
-//! lock-free hash tables — slight forgetfulness under collision is fine,
-//! the heuristic re-learns on the next observation.
+//! A lane is chosen from what a request decodes to, once every cache tier
+//! has missed: a hit needs no lane of its own, however hard the instance
+//! behind it. An exact or joint solve with at least
+//! [`HEAVY_VREG_THRESHOLD`] virtual registers is heavy; every other miss,
+//! a smaller solve included, is interactive. The ≤12-vreg slice closes in
+//! milliseconds, so only the larger instances deserve isolation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-/// Requests observed slower than this are promoted to the heavy lane.
-pub const HEAVY_SERVICE_THRESHOLD_US: u64 = 50_000;
-
-/// Heavy-classified requests observed faster than this (warm hits) are
-/// demoted back to the interactive lane.
-const FAST_SERVICE_THRESHOLD_US: u64 = 5_000;
-
-/// Exact/joint requests with at least this many declared vregs are
-/// heavy by default (the smaller slice closes optimally in ~15 ms).
+/// Exact/joint requests with at least this many vregs are heavy (the
+/// smaller slice closes optimally in ~15 ms).
 pub const HEAVY_VREG_THRESHOLD: usize = 13;
-
-/// Slots per correction table. Power of two; collisions overwrite.
-const MARK_SLOTS: usize = 1024;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
@@ -48,170 +26,35 @@ impl Lane {
     }
 }
 
-/// Fixed-size lock-free set of line hashes. `0` means empty, so hashes
-/// are nudged off zero.
-struct MarkTable {
-    slots: Vec<AtomicU64>,
-}
-
-impl MarkTable {
-    fn new() -> MarkTable {
-        MarkTable {
-            slots: (0..MARK_SLOTS).map(|_| AtomicU64::new(0)).collect(),
-        }
+/// The lane rule, on a decoded request: whether it runs an exact or joint
+/// solve, and how many vregs its loop has. `None` when there is no solve
+/// (such a miss runs on the interactive lane with no pool grant);
+/// otherwise the lane the solve runs on and draws its grant against.
+pub fn solve_lane(solves: bool, n_vregs: usize) -> Option<Lane> {
+    match (solves, n_vregs >= HEAVY_VREG_THRESHOLD) {
+        (false, _) => None,
+        (true, false) => Some(Lane::Interactive),
+        (true, true) => Some(Lane::Heavy),
     }
-
-    fn insert(&self, h: u64) {
-        let h = h.max(1);
-        self.slots[(h as usize) & (MARK_SLOTS - 1)].store(h, Ordering::Relaxed);
-    }
-
-    fn remove(&self, h: u64) {
-        let h = h.max(1);
-        let slot = &self.slots[(h as usize) & (MARK_SLOTS - 1)];
-        let _ = slot.compare_exchange(h, 0, Ordering::Relaxed, Ordering::Relaxed);
-    }
-
-    fn contains(&self, h: u64) -> bool {
-        let h = h.max(1);
-        self.slots[(h as usize) & (MARK_SLOTS - 1)].load(Ordering::Relaxed) == h
-    }
-}
-
-/// FNV-1a over the line. Requests are canonicalized upstream, so equal
-/// shapes hash equal; that is all the correction tables need.
-pub fn line_hash(line: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in line.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-pub struct LaneClassifier {
-    slow: MarkTable,
-    fast: MarkTable,
-}
-
-impl LaneClassifier {
-    pub fn new() -> LaneClassifier {
-        LaneClassifier {
-            slow: MarkTable::new(),
-            fast: MarkTable::new(),
-        }
-    }
-
-    /// Syntactic first-pass classification of a raw wire line.
-    pub fn classify_syntactic(line: &str) -> Lane {
-        let exact_or_joint =
-            line.contains("partitioner exact") || line.contains("partitioner joint");
-        if exact_or_joint && count_occurrences(line, "vreg ") >= HEAVY_VREG_THRESHOLD {
-            Lane::Heavy
-        } else {
-            Lane::Interactive
-        }
-    }
-
-    /// Classification with observed-service-time correction applied.
-    pub fn classify(&self, line: &str) -> Lane {
-        let h = line_hash(line);
-        if self.slow.contains(h) {
-            return Lane::Heavy;
-        }
-        if self.fast.contains(h) {
-            return Lane::Interactive;
-        }
-        Self::classify_syntactic(line)
-    }
-
-    /// Feed back an observed service time for `line`.
-    pub fn observe(&self, line: &str, service: Duration) {
-        let us = service.as_micros().min(u128::from(u64::MAX)) as u64;
-        let h = line_hash(line);
-        if us >= HEAVY_SERVICE_THRESHOLD_US {
-            self.fast.remove(h);
-            self.slow.insert(h);
-        } else if us < FAST_SERVICE_THRESHOLD_US {
-            self.slow.remove(h);
-            // Only record a demotion when the heuristic would have sent
-            // it heavy; marking every fast line wastes table slots.
-            if Self::classify_syntactic(line) == Lane::Heavy {
-                self.fast.insert(h);
-            }
-        }
-    }
-}
-
-impl Default for LaneClassifier {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-fn count_occurrences(hay: &str, needle: &str) -> usize {
-    let mut n = 0;
-    let mut rest = hay;
-    while let Some(i) = rest.find(needle) {
-        n += 1;
-        rest = &rest[i + needle.len()..];
-    }
-    n
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn line(partitioner: &str, vregs: usize) -> String {
-        let decls: String = (0..vregs).map(|i| format!("vreg v{i} int\\n")).collect();
-        format!(
-            "{{\"op\":\"compile\",\"loop_text\":\"loop l\\n{decls}\",\"config_text\":\"partitioner {partitioner}\\nscheduler ims\\n\"}}"
-        )
-    }
-
     #[test]
     fn small_or_greedy_requests_are_interactive() {
+        assert_eq!(solve_lane(false, 40), None, "greedy never solves");
+        assert_eq!(solve_lane(true, 8), Some(Lane::Interactive));
         assert_eq!(
-            LaneClassifier::classify_syntactic(&line("greedy", 40)),
-            Lane::Interactive
-        );
-        assert_eq!(
-            LaneClassifier::classify_syntactic(&line("joint 500", 8)),
-            Lane::Interactive
+            solve_lane(true, HEAVY_VREG_THRESHOLD - 1),
+            Some(Lane::Interactive)
         );
     }
 
     #[test]
     fn big_exact_and_joint_requests_are_heavy() {
-        assert_eq!(
-            LaneClassifier::classify_syntactic(&line("joint 500", 25)),
-            Lane::Heavy
-        );
-        assert_eq!(
-            LaneClassifier::classify_syntactic(&line("exact 500", 13)),
-            Lane::Heavy
-        );
-    }
-
-    #[test]
-    fn slow_observation_promotes() {
-        let c = LaneClassifier::new();
-        let l = line("greedy", 4);
-        assert_eq!(c.classify(&l), Lane::Interactive);
-        c.observe(&l, Duration::from_millis(200));
-        assert_eq!(c.classify(&l), Lane::Heavy);
-    }
-
-    #[test]
-    fn fast_observation_demotes_heavy_shapes() {
-        let c = LaneClassifier::new();
-        let l = line("joint 500", 25);
-        assert_eq!(c.classify(&l), Lane::Heavy);
-        c.observe(&l, Duration::from_micros(300));
-        assert_eq!(c.classify(&l), Lane::Interactive);
-        // And a later slow run re-promotes.
-        c.observe(&l, Duration::from_millis(80));
-        assert_eq!(c.classify(&l), Lane::Heavy);
+        assert_eq!(solve_lane(true, 25), Some(Lane::Heavy));
+        assert_eq!(solve_lane(true, HEAVY_VREG_THRESHOLD), Some(Lane::Heavy));
     }
 }

@@ -4,10 +4,12 @@
 //!
 //! This crate is a dependency *leaf*: the solvers (`vliw-exact`,
 //! `vliw-joint`) poll one [`Budget`] from their search loops, and the
-//! serve tier builds a [`Governor`] that opens pool grants for them under
-//! a global [`ResourcePool`]. Nothing here knows about sockets,
-//! JSON, or schedules — it is pure accounting and queueing policy, which
-//! keeps it unit-testable without a server.
+//! serve tier asks [`solve_lane`] which lane a decoded cache miss belongs
+//! on, then builds a [`Governor`] that admits heavy misses to their lane
+//! and opens pool grants for solves under a global [`ResourcePool`].
+//! Nothing here knows about sockets, JSON, or schedules — it is pure
+//! accounting and queueing policy on primitives, which keeps it
+//! unit-testable without a server.
 
 mod budget;
 mod fair;
@@ -16,7 +18,7 @@ mod pool;
 
 pub use budget::{Budget, Limit, CHARGE_CHUNK_BYTES};
 pub use fair::DwrrQueue;
-pub use lanes::{Lane, LaneClassifier, HEAVY_SERVICE_THRESHOLD_US, HEAVY_VREG_THRESHOLD};
+pub use lanes::{solve_lane, Lane, HEAVY_VREG_THRESHOLD};
 pub use pool::{Grant, PoolError, ResourcePool};
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,9 +75,6 @@ pub enum Admission {
     Shed {
         retry_after_ms: u64,
     },
-    /// Permanent: the request can never fit (e.g. larger than the whole
-    /// pool). Retrying is pointless.
-    Reject,
 }
 
 /// Live gauges and counters the `stats` endpoint exposes. Everything is
@@ -108,12 +107,11 @@ impl GovernorGauges {
     }
 }
 
-/// Central governor: one per server process. Combines the byte pool, the
-/// lane classifier, and the shed policy; the reactor consults it at
-/// admission and the compile pool consults it when granting budgets.
+/// Central governor: one per server process. Combines the byte pool and
+/// the shed policy: a worker consults it to admit a miss that [`solve_lane`]
+/// makes heavy to the heavy lane, and to open the pool grant of a solve.
 pub struct Governor {
     pool: ResourcePool,
-    classifier: LaneClassifier,
     policy: ShedPolicy,
     heavy_workers: usize,
     gauges: Arc<GovernorGauges>,
@@ -134,7 +132,6 @@ impl Governor {
     pub fn new(mem_budget: u64, heavy_workers: usize, policy: ShedPolicy) -> Governor {
         Governor {
             pool: ResourcePool::new(mem_budget),
-            classifier: LaneClassifier::new(),
             policy,
             heavy_workers: heavy_workers.max(1),
             gauges: Arc::new(GovernorGauges::default()),
@@ -158,18 +155,13 @@ impl Governor {
         self.heavy_workers
     }
 
-    pub fn classify(&self, line: &str) -> Lane {
-        self.classifier.classify(line)
-    }
-
-    /// Record an observed service time so future classifications of the
-    /// same request shape are corrected (slow "interactive" requests get
-    /// promoted to the heavy lane).
-    pub fn observe_service(&self, line: &str, lane: Lane, service: Duration) {
+    /// Record a job's observed service time. Only heavy-lane runs count:
+    /// they feed the heavy-service EWMA the adaptive policy projects waits
+    /// from.
+    pub fn observe_service(&self, lane: Lane, service: Duration) {
         if lane == Lane::Heavy {
             self.gauges.observe_heavy_service(service);
         }
-        self.classifier.observe(line, service);
     }
 
     /// Decide admission for one request. `heavy_depth` is the current
@@ -206,14 +198,8 @@ impl Governor {
                 }
             }
         };
-        match verdict {
-            Admission::Shed { .. } => {
-                self.gauges.sheds.fetch_add(1, Ordering::Relaxed);
-            }
-            Admission::Reject => {
-                self.gauges.rejects.fetch_add(1, Ordering::Relaxed);
-            }
-            Admission::Admit => {}
+        if verdict != Admission::Admit {
+            self.gauges.sheds.fetch_add(1, Ordering::Relaxed);
         }
         verdict
     }
@@ -232,16 +218,15 @@ impl Governor {
         wait.clamp(25, 5_000)
     }
 
-    /// Open the pool side of a solve's [`Budget`]. A heavy request's grant
-    /// starts from the admission grant and draws on the heavy share of the
-    /// pool; an interactive request that still runs a solver (an exact or
-    /// joint instance under the heavy thresholds, or a heavy shape demoted
-    /// by an observed warm hit that then misses the cache) gets a small
-    /// grant that may draw on the *full* pool, including the interactive
-    /// reserve, so it succeeds even while heavy grants occupy their whole
-    /// share. Either grows on demand, which keeps `--mem-budget` a hard cap
-    /// on solver memory for every lane. A heavy ask past the heavy share is
-    /// rejected; otherwise a full pool sheds.
+    /// Open the pool side of a solve's [`Budget`], on the lane
+    /// [`solve_lane`] gave it. A heavy solve's grant starts from the
+    /// admission grant and draws on the heavy share of the pool; an
+    /// interactive solve (an exact or joint instance under the vreg
+    /// threshold) gets a small grant that may draw on the *full* pool,
+    /// including the interactive reserve, so it succeeds even while heavy
+    /// grants occupy their whole share. Either grows on demand, which keeps
+    /// `--mem-budget` a hard cap on solver memory for every lane. A heavy
+    /// ask past the heavy share is rejected; otherwise a full pool sheds.
     pub fn open_budget(&self, lane: Lane) -> Result<Budget, PoolError> {
         let grant = match lane {
             Lane::Heavy => self.pool.grant_heavy(self.heavy_admission_bytes),

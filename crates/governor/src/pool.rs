@@ -98,30 +98,26 @@ impl ResourcePool {
     }
 
     fn reserve_up_to(&self, bytes: u64, ceiling: u64) -> Result<Grant, PoolError> {
-        let mut cur = self.inner.used.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(bytes);
-            if next > ceiling {
-                return Err(PoolError::Shed {
-                    retry_after_ms: 100,
-                });
-            }
-            match self.inner.used.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    return Ok(Grant {
-                        pool: self.clone(),
-                        bytes,
-                        ceiling,
-                    })
-                }
-                Err(actual) => cur = actual,
-            }
+        if !self.reserve(bytes, ceiling) {
+            return Err(PoolError::Shed {
+                retry_after_ms: 100,
+            });
         }
+        Ok(Grant {
+            pool: self.clone(),
+            bytes,
+            ceiling,
+        })
+    }
+
+    /// Add `bytes` to the pool's use if that keeps it within `ceiling`.
+    fn reserve(&self, bytes: u64, ceiling: u64) -> bool {
+        self.inner
+            .used
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                Some(cur.saturating_add(bytes)).filter(|&next| next <= ceiling)
+            })
+            .is_ok()
     }
 
     fn release(&self, bytes: u64) {
@@ -155,16 +151,11 @@ impl Grant {
     /// was opened with. Returns false (leaving the grant unchanged) if
     /// the pool cannot cover it.
     pub fn grow(&mut self, extra: u64) -> bool {
-        match self.pool.reserve_up_to(extra, self.ceiling) {
-            Ok(g) => {
-                // Absorb the bytes; forget the temporary so its Drop
-                // does not double-release them.
-                self.bytes += g.bytes;
-                std::mem::forget(g);
-                true
-            }
-            Err(_) => false,
+        let grown = self.pool.reserve(extra, self.ceiling);
+        if grown {
+            self.bytes += extra;
         }
+        grown
     }
 
     /// Return `give` bytes early (e.g. a solver phase finished and freed
@@ -227,6 +218,20 @@ mod tests {
         g.shrink(250);
         assert_eq!(p.used(), 50);
         drop(g);
+        assert_eq!(p.used(), 0);
+    }
+
+    /// Growing a grant takes no extra hold on the pool: after grow and
+    /// drop, only the pool's own handle is left.
+    #[test]
+    fn grow_holds_no_extra_pool_handle() {
+        let p = ResourcePool::new(1000);
+        let handles = Arc::strong_count(&p.inner);
+        let mut g = p.grant_heavy(100).unwrap();
+        assert!(g.grow(100) && g.grow(100));
+        assert_eq!(Arc::strong_count(&p.inner), handles + 1, "the grant's one");
+        drop(g);
+        assert_eq!(Arc::strong_count(&p.inner), handles);
         assert_eq!(p.used(), 0);
     }
 

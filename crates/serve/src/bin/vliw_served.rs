@@ -21,13 +21,14 @@
 //! minutes). The server is Linux-only (the reactor waits in `epoll`).
 //!
 //! The server also runs a resource governor (DESIGN.md §15):
-//! `--mem-budget` caps solver memory across all in-flight heavy compiles
-//! (bytes, with optional `k`/`m`/`g` suffix; default 256m),
-//! `--heavy-lane-workers` caps how many pool workers may run heavy
-//! (exact/joint) solves at once (0 = half the pool), and `--shed-policy`
-//! picks when heavy requests are shed with a typed retryable error:
-//! `never`, `depth:N` (queue depth), or `adaptive` (projected wait;
-//! default).
+//! `--mem-budget` caps solver memory across all in-flight exact and joint
+//! compiles (bytes, with optional `k`/`m`/`g` suffix; default 256m). A
+//! request is heavy when, after every cache tier has missed, it decodes to
+//! an exact or joint solve of at least 13 vregs. `--heavy-lane-workers`
+//! caps how many pool workers may run heavy solves at once (0 = half the
+//! pool), and `--shed-policy` picks when a heavy miss is shed with a typed
+//! retryable error instead of joining the heavy lane: `never`, `depth:N`
+//! (queue depth), or `adaptive` (projected wait; default).
 
 use std::sync::OnceLock;
 use std::time::Duration;

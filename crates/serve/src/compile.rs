@@ -6,16 +6,21 @@
 //!
 //! Every request takes one path. It probes the request's exact key, then
 //! the key of its canonical text, then its semantic alias. Only when all of
-//! them miss does the engine open the caller's resource budget and join
-//! the in-flight table, which maps cache key → a condvar-signalled slot.
-//! The first requester of a key (the *leader*) runs the pipeline on its
-//! own thread (a pool worker, on the server); there is no detached compute
+//! them miss does the engine ask the lane rule ([`solve_lane`]) what the
+//! decoded request is: a heavy solve asked on the server's interactive
+//! lane goes back to the caller untouched, to be moved to the heavy lane.
+//! Every other miss joins the in-flight table, which maps cache key → a
+//! condvar-signalled slot. The first requester of a key (the *leader*)
+//! opens the caller's resource budget and runs the pipeline on its own
+//! thread (a pool worker, on the server); there is no detached compute
 //! thread. It publishes the result to the cache, then signals and retires
 //! the slot, so a request that misses the table afterwards is guaranteed a
-//! cache hit. Later requesters of the same key wait on the slot for at most
-//! their own deadline. A request's deadline therefore bounds the exact or
-//! joint solve (its [`Budget`] stops the search at ¾ of the time left) and
-//! a follower's wait, never the leader's own compile.
+//! cache hit. Later requesters of the same key (*followers*) open no budget
+//! and wait on the slot for at most their own deadline; a leader whose
+//! budget is refused hands them its refusal. A request's deadline
+//! therefore bounds the exact or joint solve (its [`Budget`] stops the
+//! search at ¾ of the time left) and a follower's wait, never the leader's
+//! own compile.
 //!
 //! Each tier entry holds its result's rendered envelope ([`Cached`]), so a
 //! hit is served as shared bytes without rendering. Parsing happens at most
@@ -29,7 +34,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use vliw_governor::{Budget, Limit, PoolError};
+use vliw_governor::{solve_lane, Budget, Lane, Limit, PoolError};
 use vliw_ir::Loop;
 use vliw_machine::MachineDesc;
 use vliw_normal::Witness;
@@ -111,11 +116,23 @@ impl From<PoolError> for CompileError {
     }
 }
 
-/// One in-flight execution slot.
+/// One in-flight execution slot: the leader's outcome, once it has one.
 #[derive(Default)]
 struct Inflight {
-    done: Mutex<Option<Result<Arc<Cached>, String>>>,
+    done: Mutex<Option<Result<Arc<Cached>, CompileError>>>,
     cv: Condvar,
+}
+
+/// A served entry and how it was served; `None` for a heavy miss asked on
+/// the interactive lane, which the engine hands back unserved.
+type Served = Option<(Arc<Cached>, Source)>;
+
+/// In-process callers have no lanes to move a request between: every miss
+/// compiles where it is asked, as on the heavy lane, and charges no pool.
+const IN_PROCESS: Lane = Lane::Heavy;
+
+fn no_pool(_: Option<Lane>) -> Result<Budget, PoolError> {
+    Ok(Budget::default())
 }
 
 /// Entries kept in the request→key memo before it is cleared wholesale.
@@ -160,35 +177,43 @@ impl CachedCompiler {
         key
     }
 
-    /// Serve `req` as its rendered result JSON — the server's hot path. A
-    /// hit in either tier returns the entry's shared bytes; a miss compiles
-    /// on this thread and renders once. `deadline` bounds the exact or
-    /// joint solve (to ¾ of the time left at the miss) and any wait on an
-    /// identical in-flight compile.
+    /// Serve `req` as its rendered result JSON. A hit in either tier
+    /// returns the entry's shared bytes; a miss compiles on this thread and
+    /// renders once. `deadline` bounds the exact or joint solve (to ¾ of
+    /// the time left at the miss) and any wait on an identical in-flight
+    /// compile.
     pub fn serve_rendered(
         &self,
         req: &CompileRequest,
         deadline: Option<Duration>,
     ) -> Result<(Arc<str>, Source), CompileError> {
-        self.serve_rendered_governed(req, deadline, |_| Ok(Budget::default()))
+        let (entry, source) = self.serve_here(req, deadline)?;
+        Ok((Arc::clone(&entry.json), source))
     }
 
-    /// [`serve_rendered`](Self::serve_rendered) under a resource pool.
-    /// Once the exact key and the semantic alias have both missed, the
-    /// engine calls `open` with the request's parsed partitioner; a hit
-    /// never opens a budget. A pool refusal becomes [`CompileError::Shed`]
-    /// or [`CompileError::Rejected`]. The engine adds the request deadline
-    /// to the budget `open` returns and threads it into the exact/joint
-    /// search loops, so pool exhaustion truncates the solve instead of
-    /// growing the process; the budget is dropped before this returns.
+    /// [`serve_rendered`](Self::serve_rendered) on a server `lane`, under a
+    /// resource pool — the server's hot path. Once every tier has missed,
+    /// the engine asks [`solve_lane`] what the decoded request is. A heavy
+    /// solve asked on the interactive lane returns `Ok(None)` at once, with
+    /// no in-flight slot joined and no budget opened, so the caller can
+    /// move the request to the heavy lane. Any other miss joins the
+    /// in-flight table: a follower waits on the leader with no budget, and
+    /// the leader calls `open` with the solve's lane (`None` for no solve).
+    /// A pool refusal becomes [`CompileError::Shed`] or
+    /// [`CompileError::Rejected`], for the leader and its followers alike,
+    /// and nothing compiles. The engine adds the request deadline to the
+    /// budget `open` returns and threads it into the exact/joint search
+    /// loops, so pool exhaustion truncates the solve instead of growing the
+    /// process; the budget is dropped before this returns.
     pub fn serve_rendered_governed(
         &self,
         req: &CompileRequest,
         deadline: Option<Duration>,
-        open: impl FnOnce(&PartitionerKind) -> Result<Budget, PoolError>,
-    ) -> Result<(Arc<str>, Source), CompileError> {
-        let (entry, source) = self.serve(req, deadline, open)?;
-        Ok((Arc::clone(&entry.json), source))
+        lane: Lane,
+        open: impl FnOnce(Option<Lane>) -> Result<Budget, PoolError>,
+    ) -> Result<Option<(Arc<str>, Source)>, CompileError> {
+        let served = self.serve(req, deadline, lane, open)?;
+        Ok(served.map(|(entry, source)| (Arc::clone(&entry.json), source)))
     }
 
     /// The cache statistics (shared with the server's `stats` endpoint).
@@ -220,7 +245,7 @@ impl CachedCompiler {
         req: &CompileRequest,
         deadline: Option<Duration>,
     ) -> Result<(CompileResult, Source), CompileError> {
-        let (entry, source) = self.serve(req, deadline, |_| Ok(Budget::default()))?;
+        let (entry, source) = self.serve_here(req, deadline)?;
         Ok((entry.result.clone(), source))
     }
 
@@ -234,11 +259,20 @@ impl CachedCompiler {
         cfg: &PipelineConfig,
         deadline: Option<Duration>,
     ) -> Result<(CompileResult, Source), CompileError> {
-        let (entry, source) =
-            self.serve_parts(body, machine, cfg, deadline, Instant::now(), |_| {
-                Ok(Budget::default())
-            })?;
+        let due = due(deadline);
+        let served = self.serve_parts(body, machine, cfg, due, IN_PROCESS, no_pool)?;
+        let (entry, source) = served.expect("an in-process miss compiles");
         Ok((entry.result.clone(), source))
+    }
+
+    /// Serve an in-process caller, whose every miss compiles here.
+    fn serve_here(
+        &self,
+        req: &CompileRequest,
+        deadline: Option<Duration>,
+    ) -> Result<(Arc<Cached>, Source), CompileError> {
+        let served = self.serve(req, deadline, IN_PROCESS, no_pool)?;
+        Ok(served.expect("an in-process miss compiles"))
     }
 
     /// Probe the raw key of `req`, then parse it and take the parsed path.
@@ -246,14 +280,15 @@ impl CachedCompiler {
         &self,
         req: &CompileRequest,
         deadline: Option<Duration>,
-        open: impl FnOnce(&PartitionerKind) -> Result<Budget, PoolError>,
-    ) -> Result<(Arc<Cached>, Source), CompileError> {
-        let started = Instant::now();
+        lane: Lane,
+        open: impl FnOnce(Option<Lane>) -> Result<Budget, PoolError>,
+    ) -> Result<Served, CompileError> {
+        let due = due(deadline);
         if let Some(hit) = self.cache.get(&self.key_for(req)) {
-            return Ok((hit, Source::Cache));
+            return Ok(Some((hit, Source::Cache)));
         }
         let (body, machine, cfg) = req.decode().map_err(CompileError::BadRequest)?;
-        self.serve_parts(&body, &machine, &cfg, deadline, started, open)
+        self.serve_parts(&body, &machine, &cfg, due, lane, open)
     }
 
     /// The one miss path under every entry point.
@@ -275,13 +310,13 @@ impl CachedCompiler {
         body: &Loop,
         machine: &MachineDesc,
         cfg: &PipelineConfig,
-        deadline: Option<Duration>,
-        started: Instant,
-        open: impl FnOnce(&PartitionerKind) -> Result<Budget, PoolError>,
-    ) -> Result<(Arc<Cached>, Source), CompileError> {
+        due: Option<Instant>,
+        lane: Lane,
+        open: impl FnOnce(Option<Lane>) -> Result<Budget, PoolError>,
+    ) -> Result<Served, CompileError> {
         let key = self.key_for(&CompileRequest::from_parts(body, machine, cfg));
         if let Some(hit) = self.cache.get(&key) {
-            return Ok((hit, Source::Cache));
+            return Ok(Some((hit, Source::Cache)));
         }
         let canon = vliw_normal::canonicalize(body);
         let sem_key = self.key_for(&CompileRequest::from_parts(&canon.body, machine, cfg));
@@ -290,21 +325,36 @@ impl CachedCompiler {
             if let Some(hit) = self.cache.get(sem_key) {
                 self.stats().canon_hit();
                 let res = hit.result.from_canonical_space(key, witness);
-                return Ok((Cached::new(res), Source::Cache));
+                return Ok(Some((Cached::new(res), Source::Cache)));
             }
         }
-        let remaining = deadline.map(|d| d.saturating_sub(started.elapsed()));
-        let budget = open(&cfg.partitioner)?.with_deadline(remaining);
-        self.stats().miss();
+        let solves = matches!(
+            cfg.partitioner,
+            PartitionerKind::Exact { .. } | PartitionerKind::Joint { .. }
+        );
+        let solve = solve_lane(solves, body.n_vregs());
+        if solve == Some(Lane::Heavy) && lane == Lane::Interactive {
+            return Ok(None);
+        }
+        let remaining = due.map(|due| due.saturating_duration_since(Instant::now()));
         let (slot, leader) = self.join_inflight(&key);
         if !leader {
-            return self.wait(&slot, remaining);
+            self.stats().miss();
+            return self.wait(&slot, remaining).map(Some);
         }
+        let budget = match open(solve) {
+            Ok(budget) => budget.with_deadline(remaining),
+            Err(refusal) => {
+                let refusal = CompileError::from(refusal);
+                self.retire(&key, &slot, Err(refusal.clone()));
+                return Err(refusal);
+            }
+        };
+        self.stats().miss();
         let outcome = self.execute_parts(body, machine, cfg, &key, &budget);
         let transient = budget.stopped_by().is_some_and(Limit::is_transient);
         self.publish(&key, &slot, outcome, alias.as_ref(), transient)
-            .map(|e| (e, Source::Compiled))
-            .map_err(CompileError::Internal)
+            .map(|e| Some((e, Source::Compiled)))
     }
 
     /// Join (or create) the in-flight slot for `key`. Returns the slot and
@@ -332,7 +382,7 @@ impl CachedCompiler {
         cfg: &PipelineConfig,
         key: &str,
         budget: &Budget,
-    ) -> Result<CompileResult, String> {
+    ) -> Result<CompileResult, CompileError> {
         self.stats().compile();
         catch_unwind(AssertUnwindSafe(|| {
             run_loop_within(body, machine, cfg, budget)
@@ -353,16 +403,16 @@ impl CachedCompiler {
                 .map(|s| s.to_string())
                 .or_else(|| p.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "pipeline panicked".to_string());
-            format!("pipeline panicked: {msg}")
+            CompileError::Internal(format!("pipeline panicked: {msg}"))
         })
     }
 
-    /// Render `outcome` once and publish it to the cache, then to the slot,
-    /// then retire the slot — in that order, so anyone who misses the
-    /// inflight table after removal is guaranteed a cache hit. When a
-    /// semantic `alias` is given, the result is also stored in canonical
-    /// space under the semantic key, so future isomorphic variants of this
-    /// loop hit without compiling.
+    /// Render `outcome` once and publish it to the cache, then retire the
+    /// slot with it — in that order, so anyone who misses the inflight
+    /// table after removal is guaranteed a cache hit. When a semantic
+    /// `alias` is given, the result is also stored in canonical space under
+    /// the semantic key, so future isomorphic variants of this loop hit
+    /// without compiling.
     ///
     /// The one taint rule: a joint or exact result that is truncated and
     /// whose search a transient limit stopped (the request deadline or the
@@ -375,10 +425,10 @@ impl CachedCompiler {
         &self,
         key: &str,
         slot: &Inflight,
-        outcome: Result<CompileResult, String>,
+        outcome: Result<CompileResult, CompileError>,
         alias: Option<&(CacheKey, Witness)>,
         transient_stop: bool,
-    ) -> Result<Arc<Cached>, String> {
+    ) -> Result<Arc<Cached>, CompileError> {
         let outcome = outcome.map(|res| {
             let tainted = transient_stop
                 && (res.joint.is_some_and(|j| !j.optimal) || res.exact.is_some_and(|e| !e.optimal));
@@ -392,16 +442,22 @@ impl CachedCompiler {
             }
             entry
         });
-        *slot.done.lock().expect("inflight slot poisoned") = Some(outcome.clone());
+        self.retire(key, slot, outcome.clone());
+        outcome
+    }
+
+    /// Hand the leader's `outcome` (an entry, or the error that stopped it)
+    /// to every follower of `slot`, then remove the slot from the table.
+    fn retire(&self, key: &str, slot: &Inflight, outcome: Result<Arc<Cached>, CompileError>) {
+        *slot.done.lock().expect("inflight slot poisoned") = Some(outcome);
         slot.cv.notify_all();
         self.inflight
             .lock()
             .expect("inflight table poisoned")
             .remove(key);
-        outcome
     }
 
-    /// Wait at most `limit` for the leader of `slot` to publish.
+    /// Wait at most `limit` for the leader of `slot` to retire it.
     fn wait(
         &self,
         slot: &Inflight,
@@ -420,16 +476,19 @@ impl CachedCompiler {
             }
         };
         match done.as_ref() {
-            Some(outcome) => outcome
-                .clone()
-                .map(|e| (e, Source::Deduped))
-                .map_err(CompileError::Internal),
+            Some(outcome) => outcome.clone().map(|e| (e, Source::Deduped)),
             None => {
                 self.stats().timeout();
                 Err(CompileError::Timeout)
             }
         }
     }
+}
+
+/// The instant a request's `deadline` runs out, from now (`None`: no
+/// deadline, or one past the clock's range).
+fn due(deadline: Option<Duration>) -> Option<Instant> {
+    deadline.and_then(|d| Instant::now().checked_add(d))
 }
 
 #[cfg(test)]
@@ -718,7 +777,7 @@ mod tests {
     }
 
     /// A budget opener that counts its calls and grants no pool.
-    fn counting(calls: &Cell<u32>) -> impl FnOnce(&PartitionerKind) -> BudgetOpened + '_ {
+    fn counting(calls: &Cell<u32>) -> impl FnOnce(Option<Lane>) -> BudgetOpened + '_ {
         |_| {
             calls.set(calls.get() + 1);
             Ok(Budget::default())
@@ -726,6 +785,17 @@ mod tests {
     }
 
     type BudgetOpened = Result<Budget, PoolError>;
+
+    /// Serve `req` on the interactive lane under `open`.
+    fn governed(
+        engine: &CachedCompiler,
+        req: &CompileRequest,
+        deadline: Option<Duration>,
+        open: impl FnOnce(Option<Lane>) -> BudgetOpened,
+    ) -> Result<(Arc<str>, Source), CompileError> {
+        let served = engine.serve_rendered_governed(req, deadline, Lane::Interactive, open)?;
+        Ok(served.expect("an interactive request served"))
+    }
 
     /// A budget is opened only once every tier has missed: the miss that
     /// compiles opens one, and a memory hit, a disk hit and a semantic
@@ -744,17 +814,13 @@ mod tests {
         {
             let engine = CachedCompiler::new(TieredCache::new(8, Some(DiskStore::new(&root))));
             let opened = Cell::new(0);
-            let (_, src) = engine
-                .serve_rendered_governed(&req, None, counting(&opened))
-                .unwrap();
+            let (_, src) = governed(&engine, &req, None, counting(&opened)).unwrap();
             assert_eq!((src, opened.get()), (Source::Compiled, 1));
         }
         let engine = CachedCompiler::new(TieredCache::new(8, Some(DiskStore::new(&root))));
         for (r, tier) in [(&req, "disk"), (&req, "memory"), (&var_req, "alias")] {
             let opened = Cell::new(0);
-            let (_, src) = engine
-                .serve_rendered_governed(r, None, counting(&opened))
-                .unwrap();
+            let (_, src) = governed(&engine, r, None, counting(&opened)).unwrap();
             assert_eq!((src, opened.get()), (Source::Cache, 0), "{tier} hit");
         }
         let snap = engine.stats().snapshot();
@@ -782,7 +848,7 @@ mod tests {
             let root = tmpdir(&format!("refused-{i}"));
             let engine = CachedCompiler::new(TieredCache::new(8, Some(DiskStore::new(&root))));
             let req = sample_request(6);
-            let got = engine.serve_rendered_governed(&req, None, |_| Err(refusal));
+            let got = governed(&engine, &req, None, |_| Err(refusal));
             assert_eq!(got.unwrap_err(), want);
             let snap = engine.stats().snapshot();
             assert_eq!((snap.compiles, snap.misses), (0, 0));
@@ -791,6 +857,65 @@ mod tests {
             assert!(engine.cache.get(&sem_key).is_none());
             assert!(!root.exists(), "no segment was written");
         }
+    }
+
+    /// A follower opens no budget: it waits on its leader's slot, and a
+    /// slot its leader retired with a refusal hands the follower that
+    /// refusal.
+    #[test]
+    fn a_follower_opens_no_budget_and_gets_its_leaders_refusal() {
+        let engine = engine();
+        let req = sample_request(8);
+        // Stand in for a leader that is still compiling this key.
+        let leader = Arc::new(Inflight::default());
+        engine
+            .inflight
+            .lock()
+            .unwrap()
+            .insert(req.cache_key(), Arc::clone(&leader));
+        let opened = Cell::new(0);
+        let refuse = |_| {
+            opened.set(opened.get() + 1);
+            Err(PoolError::Shed { retry_after_ms: 25 })
+        };
+        let got = governed(&engine, &req, Some(Duration::from_millis(1)), refuse);
+        assert_eq!((got, opened.get()), (Err(CompileError::Timeout), 0));
+
+        let refusal = CompileError::Shed { retry_after_ms: 25 };
+        *leader.done.lock().unwrap() = Some(Err(refusal.clone()));
+        let got = governed(&engine, &req, None, counting(&opened));
+        assert_eq!((got, opened.get()), (Err(refusal), 0));
+        let snap = engine.stats().snapshot();
+        assert_eq!((snap.compiles, snap.dedup_waits), (0, 2));
+    }
+
+    /// A leader whose budget is refused answers with the refusal, hands it
+    /// to the follower waiting on its slot and retires the slot.
+    #[test]
+    fn a_refused_leader_hands_its_refusal_to_its_followers() {
+        let engine = engine();
+        let req = sample_request(9);
+        let refusal = CompileError::Shed { retry_after_ms: 25 };
+        let (leader, follower) = std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                governed(&engine, &req, None, |_| {
+                    // Refuse once the follower waits on this slot.
+                    while engine.stats().snapshot().dedup_waits == 0 {
+                        std::thread::yield_now();
+                    }
+                    Err(PoolError::Shed { retry_after_ms: 25 })
+                })
+            });
+            while engine.inflight.lock().unwrap().is_empty() {
+                std::thread::yield_now();
+            }
+            let follower = governed(&engine, &req, None, |_| panic!("a follower opened"));
+            (leader.join().unwrap(), follower)
+        });
+        assert_eq!(leader, Err(refusal.clone()));
+        assert_eq!(follower, Err(refusal));
+        assert!(engine.inflight.lock().unwrap().is_empty(), "slot retired");
+        assert_eq!(engine.stats().snapshot().compiles, 0);
     }
 
     /// A disk hit serves the bytes it read, and those are exactly the

@@ -14,8 +14,8 @@
 //! parsed and checked, the entries are only scanned, so no entry is parsed
 //! on the reactor thread, and a malformed batch is answered before any of
 //! its entries leaves. The entries then dispatch in request order, at most
-//! `min(parallelism, batch_parallelism)` in flight, each to its own lane
-//! and admission decision; their results come back out of order into
+//! `min(parallelism, batch_parallelism)` in flight, each finding its lane
+//! on its own; their results come back out of order into
 //! request-order slots, and the aggregate response renders once every slot
 //! is filled. While a batch is active the connection reads nothing more,
 //! so a line pipelined behind it is answered after it. Every other line is
@@ -49,8 +49,8 @@ pub(crate) struct BatchDefaults {
 #[derive(Debug)]
 pub(crate) enum Action {
     /// A complete stand-alone request line (trimmed, non-empty). At most
-    /// one per [`Conn::advance`] call: the reactor either answers it inline
-    /// or marks the connection busy and dispatches it to a worker.
+    /// one per [`Conn::advance`] call: the reactor marks the connection
+    /// busy and dispatches it to a worker.
     Line(String),
     /// One entry of the connection's active batch, to compile into result
     /// slot `idx`.
@@ -242,9 +242,9 @@ impl Conn {
     }
 
     /// Drive the state machine over the buffered bytes, returning dispatch
-    /// actions. Stops at the first [`Action::Line`] (the reactor decides
-    /// how to serve it before more lines are parsed) and when more input,
-    /// a free in-flight slot, or an entry result is needed.
+    /// actions. Stops at the first [`Action::Line`] (it is answered before
+    /// more lines are parsed) and when more input, a free in-flight slot,
+    /// or an entry result is needed.
     pub(crate) fn advance(&mut self, limits: &ConnLimits, stats: &StatsRegistry) -> Vec<Action> {
         let mut actions = Vec::new();
         while !self.closing && !self.busy {

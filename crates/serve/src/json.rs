@@ -149,6 +149,14 @@ impl Json {
         }
     }
 
+    /// Remove and return member `key`, if this is an `Obj` that has it.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(m) => m.remove(key),
+            _ => None,
+        }
+    }
+
     /// The element list, if this is an `Arr`.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

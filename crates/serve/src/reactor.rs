@@ -12,6 +12,17 @@
 //! [`crate::server::ShutdownHandle`]) interrupts a sleeping reactor with no
 //! polling loop anywhere.
 //!
+//! Every stand-alone line and every batch entry enters the interactive
+//! lane; the reactor classifies and admits nothing. A worker serves the
+//! job through the engine, which answers every cache hit at once, whatever
+//! its shape. Only a miss whose decoded request is a heavy solve (the lane
+//! rule, [`vliw_governor::solve_lane`]) comes back unserved: the worker
+//! hands the same job to the heavy lane through the governor's
+//! `--shed-policy` admission, or answers it with the typed shed. A heavy
+//! job runs the same path again on one of the `--heavy-lane-workers`, so a
+//! hit that landed in the meantime is served; otherwise it compiles under
+//! a heavy pool grant.
+//!
 //! Connection slots live in a slab; tokens encode `(epoch << 32) | slot+2`
 //! so a completion addressed to a closed-and-recycled slot is recognised
 //! by its stale epoch and dropped. Back-pressure is interest-driven: a
@@ -24,8 +35,7 @@ use crate::conn::{Action, BatchDefaults, Conn, ConnLimits};
 use crate::envelope::CompileRequest;
 use crate::json as js;
 use crate::server::{
-    compile_entry, doc_is_shed, error_response, handle_line, reject_response, shed_response,
-    RequestCtx, ServeOptions,
+    compile_entry, error_response, handle_line, shed_response, RequestCtx, ServeOptions,
 };
 use crate::sys::{Interest, Poller, Waker};
 use std::io::{self, Read, Write};
@@ -65,8 +75,8 @@ pub(crate) struct ReactorConfig {
     pub max_line_bytes: usize,
     /// Concurrent connection cap; excess accepts get a typed error.
     pub max_conns: usize,
-    /// Resource governor: lane classification, admission policy, and the
-    /// memory pool heavy compiles draw budgets from.
+    /// Resource governor: heavy-lane admission policy and the memory pool
+    /// exact and joint solves draw budgets from.
     pub governor: Arc<Governor>,
 }
 
@@ -78,26 +88,37 @@ struct EntryJob {
     defaults: Arc<BatchDefaults>,
 }
 
-/// A parsed unit of work bound for the worker pool.
+/// A parsed unit of work bound for the worker pool. `arrival` is when the
+/// reactor queued it; a job moved to the heavy lane keeps it, so its
+/// deadline counts the time it spent on the interactive lane.
 enum Job {
     /// One complete stand-alone request line.
     Line {
         slot: usize,
         epoch: u32,
         line: String,
-        enqueued: Instant,
+        arrival: Instant,
     },
     /// A group of batch entries from one connection, executed
     /// sequentially by one worker. Entries that become ready together (a
     /// batch's first `cap` entries) are chunked across the pool, so they
     /// pay one queue handoff per worker instead of one per entry, while an
-    /// entry freed by one completion still dispatches on its own.
+    /// entry freed by one completion still dispatches on its own. An entry
+    /// moved to the heavy lane is a group of its own.
     Entries {
         slot: usize,
         epoch: u32,
         entries: Vec<EntryJob>,
-        enqueued: Instant,
+        arrival: Instant,
     },
+}
+
+impl Job {
+    fn arrival(&self) -> Instant {
+        match self {
+            Job::Line { arrival, .. } | Job::Entries { arrival, .. } => *arrival,
+        }
+    }
 }
 
 /// A finished job's rendered response, routed back by slot+epoch.
@@ -117,7 +138,9 @@ enum Done {
 
 /// The two-lane job queue. Each lane is a deficit-weighted round-robin
 /// queue keyed by connection slot, so one client flooding a lane gets one
-/// queue's worth of service per rotation instead of the whole pool.
+/// queue's worth of service per rotation instead of the whole pool. Every
+/// request enters the interactive lane; only a worker moves a job to the
+/// heavy lane, once its cache miss turns out to be a heavy solve.
 /// `heavy_inflight` counts heavy jobs currently held by workers; it is
 /// capped by [`PoolShared::heavy_quota`] so heavy solves can never occupy
 /// every worker while interactive requests queue behind them.
@@ -157,31 +180,107 @@ struct PoolShared {
 }
 
 impl PoolShared {
-    fn submit(&self, lane: Lane, client: u64, cost: u64, job: Job) {
+    /// Queue a job on the interactive lane, where every request starts.
+    fn submit(&self, client: u64, cost: u64, job: Job) {
         {
-            let mut q = self.lanes.lock().unwrap();
-            let gauges = self.governor.gauges();
-            match lane {
-                Lane::Interactive => {
-                    q.interactive.push(client, cost, job);
-                    gauges
-                        .queue_depth_interactive
-                        .store(q.interactive.len() as u64, Ordering::Relaxed);
-                }
-                Lane::Heavy => {
-                    q.heavy.push(client, cost, job);
-                    gauges
-                        .queue_depth_heavy
-                        .store(q.heavy.len() as u64, Ordering::Relaxed);
-                }
-            }
+            let mut q = self.lanes.lock().expect("lane queues poisoned");
+            q.interactive.push(client, cost, job);
+            self.governor
+                .gauges()
+                .queue_depth_interactive
+                .store(q.interactive.len() as u64, Ordering::Relaxed);
         }
         self.cv.notify_one();
     }
 
-    /// Heavy-lane queue depth, the admission policy's congestion signal.
-    fn heavy_depth(&self) -> usize {
-        self.lanes.lock().unwrap().heavy.len()
+    /// Move a job whose cache miss is a heavy solve to the heavy lane,
+    /// through the shed policy; a shed is answered here.
+    fn move_to_heavy(&self, job: Job) {
+        let (slot, epoch) = match &job {
+            Job::Line { slot, epoch, .. } | Job::Entries { slot, epoch, .. } => (*slot, *epoch),
+        };
+        let retry_after_ms = {
+            let mut q = self.lanes.lock().expect("lane queues poisoned");
+            if self.stop.load(Ordering::Acquire) {
+                return; // the reactor is gone, and the job's connection with it
+            }
+            match self.governor.admit(Lane::Heavy, q.heavy.len()) {
+                Admission::Admit => {
+                    q.heavy.push(slot as u64, 1, job);
+                    self.governor
+                        .gauges()
+                        .queue_depth_heavy
+                        .store(q.heavy.len() as u64, Ordering::Relaxed);
+                    drop(q);
+                    self.cv.notify_one();
+                    return;
+                }
+                Admission::Shed { retry_after_ms } => retry_after_ms,
+            }
+        };
+        let doc = shed_response(retry_after_ms).render();
+        match job {
+            Job::Line { .. } => self.complete(Done::Line { slot, epoch, doc }),
+            Job::Entries { entries, .. } => {
+                let doc: Arc<str> = doc.into();
+                for e in entries {
+                    let doc = Arc::clone(&doc);
+                    self.complete(Done::Entry {
+                        slot,
+                        epoch,
+                        idx: e.idx,
+                        doc,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Block until a job is runnable, and take it. Workers prefer the
+    /// interactive lane, with two carve-outs for heavy work: at most
+    /// `heavy_quota` heavy jobs run at once (leaving `workers - heavy_quota`
+    /// threads always answerable to interactive traffic), and after
+    /// `HEAVY_AGING_RATIO` consecutive interactive dequeues one backlogged
+    /// heavy job is served first so an admitted heavy job cannot wait
+    /// forever behind a steady interactive stream. `None` once the pool
+    /// stops.
+    fn next_job(&self) -> Option<(Job, Lane)> {
+        let gauges = self.governor.gauges();
+        let mut q = self.lanes.lock().expect("lane queues poisoned");
+        loop {
+            let heavy_ready = q.heavy_inflight < self.heavy_quota && !q.heavy.is_empty();
+            if !serve_heavy_first(q.interactive_streak, heavy_ready) {
+                if let Some(j) = q.interactive.pop() {
+                    q.interactive_streak = q.interactive_streak.saturating_add(1);
+                    gauges
+                        .queue_depth_interactive
+                        .store(q.interactive.len() as u64, Ordering::Relaxed);
+                    return Some((j, Lane::Interactive));
+                }
+            }
+            if heavy_ready {
+                let j = q.heavy.pop().expect("heavy work is queued");
+                q.heavy_inflight += 1;
+                q.interactive_streak = 0;
+                gauges
+                    .queue_depth_heavy
+                    .store(q.heavy.len() as u64, Ordering::Relaxed);
+                return Some((j, Lane::Heavy));
+            }
+            if self.stop.load(Ordering::Acquire) {
+                return None;
+            }
+            q = self.cv.wait(q).expect("lane queues poisoned");
+        }
+    }
+
+    /// A heavy job finished: free its quota slot for a queued one.
+    fn heavy_done(&self) {
+        self.lanes
+            .lock()
+            .expect("lane queues poisoned")
+            .heavy_inflight -= 1;
+        self.cv.notify_one();
     }
 
     fn complete(&self, done: Done) {
@@ -206,162 +305,107 @@ fn worker_loop(
     shutdown: Arc<AtomicBool>,
     opts: ServeOptions,
 ) {
-    loop {
-        // Workers prefer the interactive lane, with two carve-outs for
-        // heavy work: at most `heavy_quota` heavy jobs run at once (leaving
-        // `workers - heavy_quota` threads always answerable to interactive
-        // traffic), and after `HEAVY_AGING_RATIO` consecutive interactive
-        // dequeues one backlogged heavy job is served first so an admitted
-        // heavy job cannot wait forever behind a steady interactive stream.
-        let picked = {
-            let mut q = shared.lanes.lock().unwrap();
-            loop {
-                let heavy_ready = q.heavy_inflight < shared.heavy_quota && !q.heavy.is_empty();
-                if serve_heavy_first(q.interactive_streak, heavy_ready) {
-                    if let Some(j) = q.heavy.pop() {
-                        q.heavy_inflight += 1;
-                        q.interactive_streak = 0;
-                        shared
-                            .governor
-                            .gauges()
-                            .queue_depth_heavy
-                            .store(q.heavy.len() as u64, Ordering::Relaxed);
-                        break Some((j, Lane::Heavy));
-                    }
-                }
-                if let Some(j) = q.interactive.pop() {
-                    q.interactive_streak = q.interactive_streak.saturating_add(1);
-                    shared
-                        .governor
-                        .gauges()
-                        .queue_depth_interactive
-                        .store(q.interactive.len() as u64, Ordering::Relaxed);
-                    break Some((j, Lane::Interactive));
-                }
-                if q.heavy_inflight < shared.heavy_quota {
-                    if let Some(j) = q.heavy.pop() {
-                        q.heavy_inflight += 1;
-                        q.interactive_streak = 0;
-                        shared
-                            .governor
-                            .gauges()
-                            .queue_depth_heavy
-                            .store(q.heavy.len() as u64, Ordering::Relaxed);
-                        break Some((j, Lane::Heavy));
-                    }
-                }
-                if shared.stop.load(Ordering::Acquire) {
-                    break None;
-                }
-                q = shared.cv.wait(q).unwrap();
-            }
+    while let Some((job, lane)) = shared.next_job() {
+        let wait = job.arrival().elapsed();
+        let ctx = RequestCtx {
+            queue_wait: wait,
+            lane,
+            governor: Arc::clone(&shared.governor),
         };
-        let Some((job, lane)) = picked else { return };
+        let served = Instant::now();
+        // The run that answers a job records its queue wait, once: a job
+        // moved to the heavy lane is sampled there, from its arrival.
+        let mut sampled = false;
+        let mut answer = |done| {
+            if !std::mem::replace(&mut sampled, true) {
+                engine.stats().observe_queue_us(wait.as_micros() as u64);
+            }
+            shared.complete(done);
+        };
         match job {
             Job::Line {
                 slot,
                 epoch,
                 line,
-                enqueued,
-            } => {
-                let wait = enqueued.elapsed();
-                engine.stats().observe_queue_us(wait.as_micros() as u64);
-                let ctx = RequestCtx {
-                    queue_wait: wait,
-                    lane,
-                    governor: Arc::clone(&shared.governor),
-                };
-                let served = Instant::now();
-                let doc = handle_line(&line, &engine, &shutdown, opts, &ctx).render();
-                // A shed renders in microseconds; feeding that to the
-                // classifier would demote genuinely heavy shapes into the
-                // interactive lane.
-                if !doc_is_shed(&doc) {
-                    shared
-                        .governor
-                        .observe_service(&line, lane, served.elapsed());
-                }
-                shared.complete(Done::Line { slot, epoch, doc });
-            }
+                arrival,
+            } => match handle_line(&line, &engine, &shutdown, opts, &ctx) {
+                Some(doc) => answer(Done::Line {
+                    slot,
+                    epoch,
+                    doc: doc.render(),
+                }),
+                None => shared.move_to_heavy(Job::Line {
+                    slot,
+                    epoch,
+                    line,
+                    arrival,
+                }),
+            },
             Job::Entries {
                 slot,
                 epoch,
                 entries,
-                enqueued,
+                arrival,
             } => {
-                let wait = enqueued.elapsed();
-                engine.stats().observe_queue_us(wait.as_micros() as u64);
-                let ctx = RequestCtx {
-                    queue_wait: wait,
-                    lane,
-                    governor: Arc::clone(&shared.governor),
-                };
                 for e in entries {
-                    let served = Instant::now();
-                    let doc = run_entry(&engine, opts, &e.text, e.timeout_ms, &e.defaults, &ctx);
-                    if !doc_is_shed(&doc) {
-                        shared
-                            .governor
-                            .observe_service(&e.text, lane, served.elapsed());
+                    match run_entry(&engine, opts, &e, &ctx) {
+                        Some(doc) => answer(Done::Entry {
+                            slot,
+                            epoch,
+                            idx: e.idx,
+                            doc,
+                        }),
+                        None => shared.move_to_heavy(Job::Entries {
+                            slot,
+                            epoch,
+                            entries: vec![e],
+                            arrival,
+                        }),
                     }
-                    shared.complete(Done::Entry {
-                        slot,
-                        epoch,
-                        idx: e.idx,
-                        doc,
-                    });
                 }
             }
         }
+        shared.governor.observe_service(lane, served.elapsed());
         if lane == Lane::Heavy {
-            {
-                let mut q = shared.lanes.lock().unwrap();
-                q.heavy_inflight -= 1;
-            }
-            // A queued heavy job may be runnable now that a slot freed.
-            shared.cv.notify_one();
+            shared.heavy_done();
         }
     }
 }
 
-/// Compile one batch entry into its rendered slot document.
-/// Per-entry failures (parse or compile) fail that entry alone, never its
-/// batch-mates.
+/// Compile one batch entry into its rendered slot document, or `None` for
+/// a heavy miss to move to the heavy lane. Per-entry failures (parse or
+/// compile) fail that entry alone, never its batch-mates.
 fn run_entry(
     engine: &Arc<CachedCompiler>,
     opts: ServeOptions,
-    text: &str,
-    timeout_ms: Option<u64>,
-    defaults: &BatchDefaults,
+    e: &EntryJob,
     ctx: &RequestCtx,
-) -> Arc<str> {
-    let entry = match js::parse_json(text) {
+) -> Option<Arc<str>> {
+    let entry = match js::parse_json(&e.text) {
         Ok(v) => v,
-        Err(e) => {
+        Err(err) => {
             engine.stats().error();
-            return error_response(e.to_string()).render().into();
+            return Some(error_response(err.to_string()).render().into());
         }
     };
-    let resp = match CompileRequest::take_from_json(
-        entry,
-        defaults.machine.as_deref(),
-        defaults.config.as_deref(),
-    ) {
+    let (machine, config) = (e.defaults.machine.as_deref(), e.defaults.config.as_deref());
+    let resp = match CompileRequest::take_from_json(entry, machine, config) {
         Ok(req) => {
-            let timeout = timeout_ms
+            let timeout = e
+                .timeout_ms
                 .map(Duration::from_millis)
                 .unwrap_or(opts.default_timeout);
-            compile_entry(engine, &req, timeout, ctx)
+            compile_entry(engine, &req, timeout, ctx)?
         }
         Err(m) => {
             engine.stats().error();
             error_response(m)
         }
     };
-    match resp {
+    Some(match resp {
         js::Json::Raw(doc) => doc,
         other => other.render().into(),
-    }
+    })
 }
 
 struct Slot {
@@ -387,8 +431,6 @@ struct Reactor {
     idle_timeout: Option<Duration>,
     max_conns: usize,
     draining: bool,
-    /// Lane classification and admission policy for incoming requests.
-    governor: Arc<Governor>,
 }
 
 /// Run the reactor core on `listener` until a shutdown is signalled and
@@ -450,18 +492,19 @@ pub(crate) fn run(
         idle_timeout: config.idle_timeout,
         max_conns: config.max_conns.max(1),
         draining: false,
-        governor: Arc::clone(&config.governor),
     };
     let result = reactor.event_loop(&waker);
 
     // Stop the pool: jobs for closed connections would be dropped on
     // completion anyway, so clear them instead of compiling into the void.
+    // The flag is set under the lock, so a job a worker moves to the heavy
+    // lane after the clear is dropped too.
     {
-        let mut q = pool.lanes.lock().unwrap();
+        let mut q = pool.lanes.lock().expect("lane queues poisoned");
         q.interactive.clear();
         q.heavy.clear();
+        pool.stop.store(true, Ordering::Release);
     }
-    pool.stop.store(true, Ordering::Release);
     pool.cv.notify_all();
     for h in handles {
         let _ = h.join();
@@ -623,110 +666,48 @@ impl Reactor {
                 Some(s) => s.epoch,
                 None => return,
             };
-            let mut group_interactive: Vec<EntryJob> = Vec::new();
-            let mut group_heavy: Vec<EntryJob> = Vec::new();
+            let mut group: Vec<EntryJob> = Vec::new();
             for action in actions {
                 match action {
                     Action::Line(line) => {
-                        let lane = self.governor.classify(&line);
-                        match self.governor.admit(lane, self.pool.heavy_depth()) {
-                            Admission::Admit => {
-                                if let Some(s) = self.slots[idx].as_mut() {
-                                    s.conn.busy = true;
-                                }
-                                self.pool.submit(
-                                    lane,
-                                    idx as u64,
-                                    1,
-                                    Job::Line {
-                                        slot: idx,
-                                        epoch,
-                                        line,
-                                        enqueued: Instant::now(),
-                                    },
-                                );
-                            }
-                            // Shed/reject on the reactor thread: the typed
-                            // response goes straight onto the connection
-                            // without touching a worker or the pool.
-                            Admission::Shed { retry_after_ms } => {
-                                if let Some(s) = self.slots[idx].as_mut() {
-                                    s.conn.busy = true;
-                                    s.conn
-                                        .on_line_response(&shed_response(retry_after_ms).render());
-                                }
-                            }
-                            Admission::Reject => {
-                                if let Some(s) = self.slots[idx].as_mut() {
-                                    s.conn.busy = true;
-                                    s.conn.on_line_response(&reject_response().render());
-                                }
-                            }
+                        if let Some(s) = self.slots[idx].as_mut() {
+                            s.conn.busy = true;
                         }
+                        let arrival = Instant::now();
+                        let job = Job::Line {
+                            slot: idx,
+                            epoch,
+                            line,
+                            arrival,
+                        };
+                        self.pool.submit(idx as u64, 1, job);
                     }
                     Action::Entry {
                         idx: entry_idx,
                         text,
                         timeout_ms,
                         defaults,
-                    } => {
-                        let lane = self.governor.classify(&text);
-                        // Count this round's still-ungrouped heavy entries
-                        // toward the depth the policy sees, since they are
-                        // only enqueued after the loop.
-                        let depth = self.pool.heavy_depth() + group_heavy.len();
-                        match self.governor.admit(lane, depth) {
-                            Admission::Admit => {
-                                let e = EntryJob {
-                                    idx: entry_idx,
-                                    text,
-                                    timeout_ms,
-                                    defaults,
-                                };
-                                match lane {
-                                    Lane::Interactive => group_interactive.push(e),
-                                    Lane::Heavy => group_heavy.push(e),
-                                }
-                            }
-                            Admission::Shed { retry_after_ms } => {
-                                if let Some(s) = self.slots[idx].as_mut() {
-                                    s.conn.on_entry_result(
-                                        entry_idx,
-                                        shed_response(retry_after_ms).render().into(),
-                                    );
-                                }
-                            }
-                            Admission::Reject => {
-                                if let Some(s) = self.slots[idx].as_mut() {
-                                    s.conn.on_entry_result(
-                                        entry_idx,
-                                        reject_response().render().into(),
-                                    );
-                                }
-                            }
-                        }
-                    }
+                    } => group.push(EntryJob {
+                        idx: entry_idx,
+                        text,
+                        timeout_ms,
+                        defaults,
+                    }),
                     Action::CloseAfterFlush => {} // `closing` is already set
                 }
             }
-            self.submit_entry_group(idx, epoch, Lane::Interactive, group_interactive);
-            self.submit_entry_group(idx, epoch, Lane::Heavy, group_heavy);
+            self.submit_entry_group(idx, epoch, group);
         }
         self.settle(idx);
     }
 
-    /// Chunk one lane's ready entries across that lane's workers: enough
-    /// jobs to occupy every worker the lane may hold, as few queue
-    /// handoffs as that allows.
-    fn submit_entry_group(&self, idx: usize, epoch: u32, lane: Lane, group: Vec<EntryJob>) {
+    /// Chunk a connection's ready entries across the pool: enough jobs to
+    /// occupy every worker, as few queue handoffs as that allows.
+    fn submit_entry_group(&self, idx: usize, epoch: u32, group: Vec<EntryJob>) {
         if group.is_empty() {
             return;
         }
-        let lane_workers = match lane {
-            Lane::Interactive => self.workers,
-            Lane::Heavy => self.pool.heavy_quota,
-        };
-        let jobs = lane_workers.max(1).min(group.len());
+        let jobs = self.workers.min(group.len());
         let per = group.len().div_ceil(jobs);
         let mut it = group.into_iter();
         loop {
@@ -736,17 +717,13 @@ impl Reactor {
             }
             // DWRR cost = entry count, so a bulk batch pays for its size.
             let cost = chunk.len() as u64;
-            self.pool.submit(
-                lane,
-                idx as u64,
-                cost,
-                Job::Entries {
-                    slot: idx,
-                    epoch,
-                    entries: chunk,
-                    enqueued: Instant::now(),
-                },
-            );
+            let job = Job::Entries {
+                slot: idx,
+                epoch,
+                entries: chunk,
+                arrival: Instant::now(),
+            };
+            self.pool.submit(idx as u64, cost, job);
         }
     }
 

@@ -25,12 +25,13 @@
 //! one aggregated response with per-entry `served` labels in request order;
 //! a malformed entry fails alone, never its batch-mates. Once the line's
 //! newline arrives, the connection layer checks its fields, in any order,
-//! and hands its entries to the worker pool in request order, each with
-//! its own lane and admission decision and at most `min(parallelism,
-//! batch_parallelism)` entries of one batch in flight; a malformed batch
-//! is answered before any entry compiles. Identical keys inside one batch
-//! collapse through the engine's in-flight table (first entry compiles,
-//! concurrent twins dedup, later twins hit the cache).
+//! and hands its entries to the worker pool in request order, at most
+//! `min(parallelism, batch_parallelism)` entries of one batch in flight; a
+//! malformed batch is answered before any entry compiles. Each entry, like
+//! each stand-alone request, finds its lane on its own (see
+//! [`crate::reactor`]). Identical keys inside one batch collapse through
+//! the engine's in-flight table (first entry compiles, concurrent twins
+//! dedup, later twins hit the cache).
 //!
 //! [`Server::run`] drives the reactor core ([`crate::reactor`]): one thread
 //! multiplexes every connection over epoll while a small worker pool runs
@@ -50,7 +51,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vliw_governor::{Budget, Governor, Lane, ShedPolicy};
-use vliw_pipeline::PartitionerKind;
 
 /// Stats fields that are additive across peers — the sharded client's
 /// `stats --aggregate` sums exactly these (latency percentiles are not
@@ -149,12 +149,16 @@ pub struct ServeOptions {
 /// What the serving core knows about a request by the time a worker runs
 /// it: how long it queued (subtracted from its deadline, so a compile's
 /// solve and its wait on someone else's compile get only the time
-/// actually left), which lane admitted it, and the governor that grants
+/// actually left), which lane it runs on, and the governor that grants
 /// exact and joint solves their pool budget.
 pub(crate) struct RequestCtx {
-    /// Measured time between enqueue and a worker picking the job up.
+    /// Measured time between the request's arrival and a worker picking
+    /// it up, on the heavy lane the time it spent on the interactive lane
+    /// included.
     pub queue_wait: Duration,
-    /// Lane the admission classifier routed this request to.
+    /// The lane this run is on. Every request starts on the interactive
+    /// lane; a miss the lane rule makes heavy is moved to the heavy lane
+    /// and runs again there.
     pub lane: Lane,
     /// The server's governor.
     pub governor: Arc<Governor>,
@@ -326,38 +330,34 @@ fn render_ok(rendered: &str, served: &str) -> Json {
 ///   on a miss the engine's [`Budget`] stops an exact or joint search at
 ///   ¾ of the time *then* left — not ¾ of a deadline that queueing
 ///   already consumed;
-/// * a compile whose parsed config selects the exact or joint partitioner,
-///   and every heavy-lane compile, also gets a pool grant from the
-///   governor, which the engine opens only once every cache tier has
-///   missed (a warm hit of a hard instance needs no grant): heavies
-///   against the heavy share, interactive compiles against the full pool
-///   including the reserve kept for them. A pool refusal becomes a typed
-///   shed/reject response instead of an untracked solve, so `--mem-budget`
-///   caps solver memory on every lane, however the config is spelled.
+/// * on a miss the engine asks the lane rule what the decoded request is.
+///   A heavy solve on the interactive lane comes back unserved (`None`)
+///   for the worker to move to the heavy lane; no latency is recorded for
+///   that run. A solve on its own lane gets a pool grant from the
+///   governor, opened by the one request that compiles it: heavies
+///   against the heavy share, interactive solves against the full pool
+///   including the reserve kept for them. Other compiles get none. A pool
+///   refusal becomes a typed shed/reject response instead of an untracked
+///   solve, so `--mem-budget` caps solver memory on every lane.
 pub(crate) fn compile_entry(
     engine: &Arc<CachedCompiler>,
     req: &CompileRequest,
     timeout: Duration,
     ctx: &RequestCtx,
-) -> Json {
+) -> Option<Json> {
     let started = Instant::now();
-    let open = |partitioner: &PartitionerKind| {
-        let solves = matches!(
-            partitioner,
-            PartitionerKind::Exact { .. } | PartitionerKind::Joint { .. }
-        );
-        if solves || ctx.lane == Lane::Heavy {
-            ctx.governor.open_budget(ctx.lane)
-        } else {
-            Ok(Budget::default())
-        }
+    let open = |solve: Option<Lane>| match solve {
+        Some(lane) => ctx.governor.open_budget(lane),
+        None => Ok(Budget::default()),
     };
     let deadline = timeout.saturating_sub(ctx.queue_wait);
-    let outcome = engine.serve_rendered_governed(req, Some(deadline), open);
+    let outcome = engine
+        .serve_rendered_governed(req, Some(deadline), ctx.lane, open)
+        .transpose()?;
     engine
         .stats()
         .observe_latency_us(started.elapsed().as_micros() as u64);
-    match outcome {
+    Some(match outcome {
         Ok((rendered, source)) => render_ok(&rendered, source.label()),
         Err(CompileError::Shed { retry_after_ms }) => shed_response(retry_after_ms),
         Err(CompileError::Rejected) => reject_response(),
@@ -367,29 +367,31 @@ pub(crate) fn compile_entry(
             }
             error_response(e.to_string())
         }
-    }
+    })
 }
 
-/// Dispatch one stand-alone protocol line on a pool worker. Batch lines
-/// never get here: the connection layer splits every `compile_batch` line
-/// into its entries, so a `compile_batch` op reaching this function can
-/// only come from a line whose first key `op` names another op, with a
-/// later duplicate `op`, and is rejected like any unknown op.
+/// Dispatch one stand-alone protocol line on a pool worker; `None` when
+/// it is a heavy miss to move to the heavy lane (see [`compile_entry`]).
+/// Batch lines never get here: the connection layer splits every
+/// `compile_batch` line into its entries, so a `compile_batch` op reaching
+/// this function can only come from a line whose first key `op` names
+/// another op, with a later duplicate `op`, and is rejected like any
+/// unknown op.
 pub(crate) fn handle_line(
     line: &str,
     engine: &Arc<CachedCompiler>,
     shutdown: &Arc<AtomicBool>,
     options: ServeOptions,
     ctx: &RequestCtx,
-) -> Json {
-    let doc = match parse_json(line) {
+) -> Option<Json> {
+    let mut doc = match parse_json(line) {
         Ok(d) => d,
         Err(e) => {
             engine.stats().error();
-            return error_response(e.to_string());
+            return Some(error_response(e.to_string()));
         }
     };
-    match doc.get("op").and_then(Json::as_str) {
+    let reply = match doc.get("op").and_then(Json::as_str) {
         Some("ping") => Json::obj([("ok", Json::Bool(true)), ("op", Json::Str("ping".into()))]),
         Some("stats") => Json::obj([
             ("ok", Json::Bool(true)),
@@ -411,31 +413,35 @@ pub(crate) fn handle_line(
             ])
         }
         Some("compile") => {
-            let req = match doc.get("request").map(CompileRequest::from_json) {
+            let decoded = doc
+                .take("request")
+                .map(|r| CompileRequest::take_from_json(r, None, None));
+            let req = match decoded {
                 Some(Ok(r)) => r,
                 Some(Err(m)) => {
                     engine.stats().error();
-                    return error_response(m);
+                    return Some(error_response(m));
                 }
                 None => {
                     engine.stats().error();
-                    return error_response("compile op missing `request` object");
+                    return Some(error_response("compile op missing `request` object"));
                 }
             };
             let timeout = match request_timeout(&doc, options.default_timeout) {
                 Ok(t) => t,
                 Err(resp) => {
                     engine.stats().error();
-                    return resp;
+                    return Some(resp);
                 }
             };
-            compile_entry(engine, &req, timeout, ctx)
+            return compile_entry(engine, &req, timeout, ctx);
         }
         _ => {
             engine.stats().error();
             error_response("missing or unknown `op`")
         }
-    }
+    };
+    Some(reply)
 }
 
 /// Render a stats snapshot plus the governor's live gauges for the `stats`
@@ -492,12 +498,6 @@ fn stats_json(snap: &StatsSnapshot, evictions: u64, governor: &Governor) -> Json
     ])
 }
 
-/// Whether a rendered response document is a typed shed (the serving core
-/// counts these per lane and never sheds interactive work).
-pub(crate) fn doc_is_shed(doc: &str) -> bool {
-    doc.contains("\"error_kind\":\"shed\"")
-}
-
 /// Render a sparse histogram as `[[bucket, count], ...]` for the stats
 /// wire; the sharded aggregator sums these across peers and recomputes
 /// honest fleet-wide percentiles.
@@ -536,7 +536,7 @@ mod tests {
 
     fn dispatch(line: &str, engine: &Arc<CachedCompiler>) -> Json {
         let shutdown = Arc::new(AtomicBool::new(false));
-        handle_line(line, engine, &shutdown, test_options(), &ctx())
+        handle_line(line, engine, &shutdown, test_options(), &ctx()).expect("answered")
     }
 
     #[test]
@@ -561,7 +561,8 @@ mod tests {
             &shutdown,
             test_options(),
             &ctx(),
-        );
+        )
+        .expect("answered");
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
         assert!(shutdown.load(Ordering::SeqCst));
     }

@@ -671,21 +671,31 @@ fn oversized_request_line_is_rejected_and_closed() {
 /// JNT001–003 finding, so a dishonest truncated claim would kill the worker
 /// and fail these tests with a disconnect.
 fn hard_joint_request(budget_ms: u64) -> CompileRequest {
+    daxpy_request(6, 128, vliw_pipeline::PartitionerKind::Joint { budget_ms })
+}
+
+/// daxpy unrolled `unroll` times with `trip` iterations on `embedded(4,4)`
+/// under `partitioner`: 25 vregs at unroll 6, 9 at unroll 2.
+fn daxpy_request(
+    unroll: i64,
+    trip: u32,
+    partitioner: vliw_pipeline::PartitionerKind,
+) -> CompileRequest {
     use vliw_ir::{LoopBuilder, RegClass};
-    let mut b = LoopBuilder::new("hard_daxpy_u6");
+    let mut b = LoopBuilder::new(format!("hard_daxpy_u{unroll}"));
     let x = b.array("x", RegClass::Float, 1024);
     let y = b.array("y", RegClass::Float, 1024);
     let a = b.live_in_float("a");
-    for u in 0..6i64 {
-        let xv = b.load(x, u, 6);
-        let yv = b.load(y, u, 6);
+    for u in 0..unroll {
+        let xv = b.load(x, u, unroll);
+        let yv = b.load(y, u, unroll);
         let p = b.fmul(a, xv);
         let s = b.fadd(yv, p);
-        b.store(y, u, 6, s);
+        b.store(y, u, unroll, s);
     }
-    let body = b.finish(128);
+    let body = b.finish(trip);
     let cfg = PipelineConfig {
-        partitioner: vliw_pipeline::PartitionerKind::Joint { budget_ms },
+        partitioner,
         ..PipelineConfig::default()
     };
     CompileRequest::from_parts(&body, &MachineDesc::embedded(4, 4), &cfg)
@@ -819,24 +829,11 @@ fn zero_timeout_cold_compile_answers_with_its_result() {
 /// unlimited explicit budget: only a request deadline or a pool trip can
 /// truncate it.
 fn hard_exact_request() -> CompileRequest {
-    use vliw_ir::{LoopBuilder, RegClass};
-    let mut b = LoopBuilder::new("hard_daxpy_u6");
-    let x = b.array("x", RegClass::Float, 1024);
-    let y = b.array("y", RegClass::Float, 1024);
-    let a = b.live_in_float("a");
-    for u in 0..6i64 {
-        let xv = b.load(x, u, 6);
-        let yv = b.load(y, u, 6);
-        let p = b.fmul(a, xv);
-        let s = b.fadd(yv, p);
-        b.store(y, u, 6, s);
-    }
-    let body = b.finish(128);
-    let cfg = PipelineConfig {
-        partitioner: vliw_pipeline::PartitionerKind::Exact { budget_ms: 0 },
-        ..PipelineConfig::default()
-    };
-    CompileRequest::from_parts(&body, &MachineDesc::embedded(4, 4), &cfg)
+    daxpy_request(
+        6,
+        128,
+        vliw_pipeline::PartitionerKind::Exact { budget_ms: 0 },
+    )
 }
 
 #[test]
@@ -1025,5 +1022,158 @@ fn heavy_flood_does_not_starve_interactive_client() {
     assert!(stats.get("sheds").is_some() && stats.get("pool_bytes_limit").is_some());
     assert_eq!(n("pool_bytes_used"), 0, "all grants returned");
 
+    server.stop();
+}
+
+/// A server that sheds every heavy admission (`depth:0`): any request the
+/// lane rule makes heavy is answered with a typed shed once it misses the
+/// cache, and anything else compiles or hits.
+fn start_shedding(disk: Option<DiskStore>) -> TestServer {
+    TestServer::start_with(disk, |c| {
+        c.workers = 2;
+        c.heavy_lane_workers = 1;
+        c.shed_policy = vliw_serve::ShedPolicy::Depth(0);
+    })
+}
+
+/// The 25-vreg daxpy under `partitioner joint 50`, trip count `trip`.
+fn heavy_joint(trip: u32) -> CompileRequest {
+    let joint = vliw_pipeline::PartitionerKind::Joint { budget_ms: 50 };
+    daxpy_request(6, trip, joint)
+}
+
+/// Send `line` to a fresh shedding server and assert it is shed without
+/// compiling.
+fn assert_line_is_shed(line: &str, case: &str) {
+    let server = start_shedding(None);
+    let mut s = TcpStream::connect(&server.addr).expect("raw connect");
+    let resp = round_trip_raw(&mut s, line);
+    assert!(resp.contains("\"error_kind\":\"shed\""), "{case}: {resp}");
+    let stats = server.client().stats().expect("stats");
+    let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
+    assert_eq!((n("sheds"), n("compiles")), (1, 0), "{case}");
+    server.stop();
+}
+
+fn compile_line(req: &CompileRequest) -> String {
+    format!(
+        "{{\"op\":\"compile\",\"request\":{}}}",
+        req.to_json().render()
+    )
+}
+
+/// A request is heavy by what it decodes to, however it is spelled: the
+/// canonical spelling, a two-space respelling the config parser accepts,
+/// and a JSON escape that decodes to the canonical text are each shed by a
+/// heavy lane that sheds everything.
+#[test]
+fn canonical_heavy_requests_are_shed() {
+    assert_line_is_shed(&compile_line(&heavy_joint(128)), "canonical");
+}
+
+#[test]
+fn respelled_heavy_requests_are_shed() {
+    assert_line_is_shed(&compile_line(&respelled(&heavy_joint(128))), "two spaces");
+}
+
+#[test]
+fn escaped_heavy_requests_are_shed() {
+    let canonical = compile_line(&heavy_joint(128));
+    let escaped = canonical.replacen("partitioner joint", "partitioner \\u006aoint", 1);
+    assert_ne!(escaped, canonical);
+    assert_line_is_shed(&escaped, "escaped");
+}
+
+/// A batch whose entries share one config has it hoisted into
+/// `defaults.config`, so no entry's own text names its partitioner; each
+/// entry is still heavy by what it decodes to, and is shed on its own.
+#[test]
+fn batch_entries_with_a_hoisted_config_are_shed_per_entry() {
+    let server = start_shedding(None);
+    let mut client = server.client();
+    let reqs = [heavy_joint(131), heavy_joint(132)];
+    let line = Client::batch_line(&reqs, None, None);
+    let doc = parse_json(&line).expect("batch line parses");
+    let hoisted = doc.get("defaults").and_then(|d| d.get("config"));
+    assert_eq!(hoisted.and_then(Json::as_str), Some(&*reqs[0].config_text));
+    for entry in doc.get("requests").and_then(Json::as_arr).expect("entries") {
+        assert!(entry.get("config").is_none(), "the config was hoisted");
+    }
+
+    let results = client.compile_batch(&reqs, None, None).expect("batch");
+    assert_eq!(results.len(), 2);
+    for (i, r) in results.iter().enumerate() {
+        match r {
+            Err(e) => assert!(e.starts_with("server overloaded"), "entry {i}: {e}"),
+            Ok(out) => panic!("entry {i}: expected a shed, got served={}", out.served),
+        }
+    }
+    let stats = client.stats().expect("stats");
+    let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
+    assert_eq!((n("sheds"), n("compiles")), (2, 0));
+    server.stop();
+}
+
+/// A heavy request whose answer is already in the disk store is a cache
+/// hit, and a hit is never shed: a server that sheds every heavy admission
+/// serves it from cache, again on repeat.
+#[test]
+fn cached_heavy_requests_are_served_while_the_heavy_lane_sheds() {
+    let root = tmpdir("heavy-hit");
+    let req = heavy_joint(128);
+    {
+        let server = TestServer::start_with(Some(DiskStore::new(&root)), |c| {
+            c.shed_policy = vliw_serve::ShedPolicy::Never;
+        });
+        let out = server.client().compile(&req, None).expect("cold compile");
+        assert_eq!(out.served, "compiled");
+        server.stop();
+    }
+    let server = start_shedding(Some(DiskStore::new(&root)));
+    let mut client = server.client();
+    for attempt in 0..2 {
+        let out = client.compile(&req, None).expect("a hit is never shed");
+        assert_eq!(out.served, "cache", "attempt {attempt}");
+    }
+    let stats = client.stats().expect("stats");
+    let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
+    assert_eq!((n("sheds"), n("compiles")), (0, 0));
+    server.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// An exact solve under the vreg threshold stays on the interactive lane:
+/// it compiles even while the heavy lane sheds everything.
+#[test]
+fn small_exact_requests_compile_while_the_heavy_lane_sheds() {
+    let req = daxpy_request(
+        2,
+        128,
+        vliw_pipeline::PartitionerKind::Exact { budget_ms: 0 },
+    );
+    let (body, _, _) = req.decode().expect("decodes");
+    assert_eq!(body.n_vregs(), 9);
+    assert!(body.n_vregs() < vliw_governor::HEAVY_VREG_THRESHOLD);
+    let server = start_shedding(None);
+    let out = server.client().compile(&req, None).expect("compiles");
+    assert_eq!(out.served, "compiled");
+    server.stop();
+}
+
+/// A heavy miss runs once on each lane but is one request: it counts one
+/// latency sample, one queue sample and one miss.
+#[test]
+fn a_request_moved_to_the_heavy_lane_is_sampled_once() {
+    let server = TestServer::start_with(None, |c| {
+        c.shed_policy = vliw_serve::ShedPolicy::Never;
+    });
+    let mut client = server.client();
+    let out = client.compile(&heavy_joint(128), None).expect("compiles");
+    assert_eq!(out.served, "compiled");
+    // The stats request samples its own queue wait only after it renders.
+    let stats = client.stats().expect("stats");
+    let n = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap() as u64;
+    assert_eq!((n("samples"), n("queue_samples")), (1, 1));
+    assert_eq!((n("misses"), n("compiles"), n("sheds")), (1, 1, 0));
     server.stop();
 }
